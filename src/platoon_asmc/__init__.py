@@ -2,7 +2,7 @@
 robots under state-dependent friction, with an adaptive sliding mode
 controller and a bounded-gain baseline for comparison."""
 
-from .arena import Arena, SpeedBreaker, breaker_disturbance, friction_scale_at
+from .arena import Arena, SpeedBreaker
 from .config import (
     ConfigError,
     MetricsConfig,
@@ -60,16 +60,10 @@ from .platoon import (
     target_waypoint,
 )
 from .vehicle import (
-    ControlWrench,
     RobotParams,
     RobotState,
-    WheelSpeeds,
-    WheelTorques,
-    friction_forces,
-    plant_derivative,
-    wheel_speeds,
+    plant_rhs,
     wheel_torque_split,
-    wrench_from_wheel_torques,
 )
 
 __version__ = "0.1.0"

@@ -2,14 +2,18 @@
 
 The arena scales every wheel friction coefficient of a robot by the friction
 ratio of the quadrant it is in, and injects localized force/torque
-disturbances inside circular speed-breaker bands.
+disturbances inside circular speed-breaker bands. `Arena.pack` flattens both
+into the plain tuples that `vehicle.plant_rhs` evaluates at every integrator
+stage; `quadrant_of` is the one quadrant rule for the plant and the metrics.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .vehicle import RobotState, smooth_sign
+# Packed arena (see `Arena.pack`) with unit friction scales and no breakers.
+NO_ARENA = ((1.0, 1.0, 1.0, 1.0), ())
 
 
 @dataclass(frozen=True)
@@ -25,6 +29,10 @@ class SpeedBreaker:
     amp_torque: float = 0.2
 
     def validate(self) -> None:
+        for name in ("x", "y", "half_width", "amp_force", "amp_torque"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not self.half_width > 0:
             raise ValueError(f"half_width must be > 0, got {self.half_width}")
 
@@ -47,43 +55,28 @@ class Arena:
         if len(self.quadrant_mu) != 4:
             raise ValueError(f"quadrant_mu needs 4 values, got {len(self.quadrant_mu)}")
         for i, mu in enumerate(self.quadrant_mu, start=1):
-            if not mu > 0:
-                raise ValueError(f"quadrant_mu[{i}] must be > 0, got {mu}")
+            if not (math.isfinite(mu) and mu > 0):
+                raise ValueError(
+                    f"quadrant_mu[{i}] must be finite and > 0, got {mu}")
         if not self.mu_lateral > 0:
             raise ValueError(f"mu_lateral must be > 0, got {self.mu_lateral}")
         for b in self.speed_breakers:
             b.validate()
 
-    def friction_scales(self) -> tuple[float, float, float, float]:
+    def pack(self) -> tuple[tuple[float, ...], tuple[tuple[float, ...], ...]]:
+        """(scales, breakers) for `vehicle.plant_rhs`: the friction multiplier
+        mu_q / mu_1 of quadrants 1..4, and per breaker the tuple
+        (x, y, half_width**2, amp_force, amp_torque)."""
         base = self.quadrant_mu[0]
-        return tuple(mu / base for mu in self.quadrant_mu)
+        scales = tuple(mu / base for mu in self.quadrant_mu)
+        breakers = tuple((b.x, b.y, b.half_width ** 2, b.amp_force, b.amp_torque)
+                         for b in self.speed_breakers)
+        return scales, breakers
 
 
-def quadrant_of(x: float, y: float) -> int:
+def quadrant_of(x, y):
     """Quadrant index 1..4 under the half-open convention:
-    Q1 x>=0,y>=0; Q2 x<0,y>=0; Q3 x<0,y<0; Q4 x>=0,y<0."""
-    if x >= 0.0:
-        return 1 if y >= 0.0 else 4
-    return 2 if y >= 0.0 else 3
+    Q1 x>=0,y>=0; Q2 x<0,y>=0; Q3 x<0,y<0; Q4 x>=0,y<0.
 
-
-def friction_scale_at(arena: Arena, x: float, y: float) -> float:
-    """Friction multiplier (mu_quadrant / mu_1) at a position; applied to all
-    four wheel friction coefficients of a robot located there."""
-    return arena.friction_scales()[quadrant_of(x, y) - 1]
-
-
-def breaker_disturbance(arena: Arena, state: RobotState) -> tuple[float, float]:
-    """Additive disturbance (d_v in N, d_w in N m) from any breaker bands
-    containing the robot. The force term opposes the direction of travel via
-    the smoothed sign, so it vanishes at rest; the torque term is the
-    configured amplitude. Overlapping bands sum."""
-    d_v = 0.0
-    d_w = 0.0
-    for b in arena.speed_breakers:
-        dx = state.x - b.x
-        dy = state.y - b.y
-        if dx * dx + dy * dy <= b.half_width * b.half_width:
-            d_v += b.amp_force * smooth_sign(state.v)
-            d_w += b.amp_torque
-    return d_v, d_w
+    Works on floats and, elementwise, on numpy arrays."""
+    return 1 + ((x < 0) ^ (y < 0)) + 2 * (y < 0)

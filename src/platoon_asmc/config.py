@@ -32,7 +32,7 @@ class MetricsConfig:
     warmup_cutoff: float = 0.0
 
     def validate(self) -> None:
-        if self.warmup_cutoff < 0:
+        if not self.warmup_cutoff >= 0:
             raise ValueError(
                 f"warmup_cutoff must be >= 0, got {self.warmup_cutoff}")
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import control as ctl
-from .arena import Arena
+from .arena import NO_ARENA, Arena
 from .control import AdaptiveState, AsmcConfig, KinematicGains, VelocityReference
 from .platoon import (
     Path,
@@ -27,8 +27,7 @@ from .platoon import (
     nearest_index,
     pose_at_arc,
 )
-from .vehicle import SIGN_SMOOTHING_V, ControlWrench, RobotParams, RobotState, \
-    plant_rhs, wheel_torque_split
+from .vehicle import RobotParams, RobotState, plant_rhs, wheel_torque_split
 
 CONTROLLERS = ("proposed", "baseline")
 
@@ -64,7 +63,7 @@ class SimConfig:
             raise ValueError(
                 f"control_period {self.control_period} is not an integer multiple "
                 f"of dt_plant {self.dt_plant}")
-        if self.duration < 0:
+        if not self.duration >= 0:
             raise ValueError(f"duration must be >= 0, got {self.duration}")
 
     def substeps(self) -> int:
@@ -86,6 +85,11 @@ class EpisodeAborted(RuntimeError):
         super().__init__(
             f"episode aborted at step {step} (t={t:.3f} s): non-finite signal "
             f"for robot {robot + 1}; last finite record: {diagnostic}")
+
+    def __reduce__(self):
+        # rebuild from the constructor arguments, so the exception survives
+        # the trip back from a pool worker
+        return EpisodeAborted, (self.step, self.t, self.robot, self.diagnostic)
 
 
 @dataclass
@@ -153,39 +157,22 @@ def _jittered_arena(arena: Arena, seed: int | None) -> Arena:
     return replace(arena, speed_breakers=jittered)
 
 
-def _integrate_robot(x, y, th, v, w, F, tau, n, h,
-                     m, J, L, fkr, fkl, fcr, fcl, scales, breakers):
-    """n RK4 steps of size h under a held wrench, with the quadrant friction
-    scale and breaker disturbances re-evaluated at every stage state."""
-    s1, s2, s3, s4 = scales
-    tanh = math.tanh
+def _integrate_robot(x, y, th, v, w, F, tau, n, h, params, arena):
+    """n RK4 steps of size h under a held wrench; `arena` is a packed
+    `(scales, breakers)` pair, re-evaluated by `plant_rhs` at every stage."""
     h2 = 0.5 * h
     h6 = h / 6.0
-
-    def rhs(px, py, pth, pv, pw):
-        if px >= 0.0:
-            sc = s1 if py >= 0.0 else s4
-        else:
-            sc = s2 if py >= 0.0 else s3
-        d_v = 0.0
-        d_w = 0.0
-        for bx, by, hw2, af, at in breakers:
-            ddx = px - bx
-            ddy = py - by
-            if ddx * ddx + ddy * ddy <= hw2:
-                d_v += af * tanh(pv / SIGN_SMOOTHING_V)
-                d_w += at
-        return plant_rhs(px, py, pth, pv, pw, F, tau, d_v, d_w,
-                         m, J, L, fkr * sc, fkl * sc, fcr * sc, fcl * sc)
-
     for _ in range(n):
-        a1, b1, c1, d1, e1 = rhs(x, y, th, v, w)
-        a2, b2, c2, d2, e2 = rhs(x + h2 * a1, y + h2 * b1, th + h2 * c1,
-                                 v + h2 * d1, w + h2 * e1)
-        a3, b3, c3, d3, e3 = rhs(x + h2 * a2, y + h2 * b2, th + h2 * c2,
-                                 v + h2 * d2, w + h2 * e2)
-        a4, b4, c4, d4, e4 = rhs(x + h * a3, y + h * b3, th + h * c3,
-                                 v + h * d3, w + h * e3)
+        a1, b1, c1, d1, e1 = plant_rhs(x, y, th, v, w, F, tau, params, arena)
+        a2, b2, c2, d2, e2 = plant_rhs(x + h2 * a1, y + h2 * b1, th + h2 * c1,
+                                       v + h2 * d1, w + h2 * e1, F, tau,
+                                       params, arena)
+        a3, b3, c3, d3, e3 = plant_rhs(x + h2 * a2, y + h2 * b2, th + h2 * c2,
+                                       v + h2 * d2, w + h2 * e2, F, tau,
+                                       params, arena)
+        a4, b4, c4, d4, e4 = plant_rhs(x + h * a3, y + h * b3, th + h * c3,
+                                       v + h * d3, w + h * e3, F, tau,
+                                       params, arena)
         x += h6 * (a1 + 2.0 * (a2 + a3) + a4)
         y += h6 * (b1 + 2.0 * (b2 + b3) + b4)
         th += h6 * (c1 + 2.0 * (c2 + c3) + c4)
@@ -194,24 +181,16 @@ def _integrate_robot(x, y, th, v, w, F, tau, n, h,
     return x, y, th, v, w
 
 
-def integrate_plant(state: RobotState, wrench: ControlWrench, params: RobotParams,
+def integrate_plant(state: RobotState, F: float, tau: float, params: RobotParams,
                     dt: float, n_steps: int, arena: Arena | None = None) -> RobotState:
-    """Integrate one robot under a constant wrench (RK4, fixed step).
+    """Integrate one robot under a constant wrench (F, tau) (RK4, fixed step).
 
     With arena=None there is no friction scaling and no disturbance; this is
     the path the integrator-order checks drive directly.
     """
-    scales = arena.friction_scales() if arena is not None else (1.0, 1.0, 1.0, 1.0)
-    breakers = tuple(
-        (b.x, b.y, b.half_width ** 2, b.amp_force, b.amp_torque)
-        for b in (arena.speed_breakers if arena is not None else ())
-    )
     x, y, th, v, w = _integrate_robot(
-        state.x, state.y, state.theta, state.v, state.omega,
-        wrench.F, wrench.tau, n_steps, dt,
-        params.m, params.J, params.L,
-        params.f_kr, params.f_kl, params.f_cr, params.f_cl,
-        scales, breakers)
+        state.x, state.y, state.theta, state.v, state.omega, F, tau,
+        n_steps, dt, params, NO_ARENA if arena is None else arena.pack())
     return RobotState(x=x, y=y, theta=th, v=v, omega=w)
 
 
@@ -306,11 +285,7 @@ def run_episode(
     data = {name: np.empty((n_rec, R)) for name in PER_ROBOT_FIELDS}
     gap_arr = np.empty((n_rec, R - 1)) if R > 1 else np.empty((n_rec, 0))
 
-    scales = arena.friction_scales()
-    breakers = tuple(
-        (b.x, b.y, b.half_width ** 2, b.amp_force, b.amp_torque)
-        for b in arena.speed_breakers
-    )
+    packed = arena.pack()
     proposed = controller == "proposed"
     arc = path.arc
 
@@ -353,7 +328,7 @@ def run_episode(
             else:
                 F, tau = ctl.baseline_asmc(sv, ad, asmc)
                 ctl.adapt_gains_baseline(ad, sv, asmc, cp)
-            wt = wheel_torque_split(ControlWrench(F=F, tau=tau), robots[r])
+            tau_r, tau_l = wheel_torque_split(F, tau, robots[r])
             wrenches[r] = (F, tau)
 
             c_x[k, r] = st.x
@@ -367,8 +342,8 @@ def run_episode(
             c_wc[k, r] = cmd.omega_c
             c_F[k, r] = F
             c_tau[k, r] = tau
-            c_tr[k, r] = wt.tau_r
-            c_tl[k, r] = wt.tau_l
+            c_tr[k, r] = tau_r
+            c_tl[k, r] = tau_l
             c_sv[k, r] = sv.s_v
             c_sw[k, r] = sv.s_w
             for col, g in zip(c_gch, gains_now):
@@ -386,12 +361,10 @@ def run_episode(
             break
         for r in range(R):
             st = states[r]
-            rp = robots[r]
             F, tau = wrenches[r]
             nx, ny, nth, nv, nw = _integrate_robot(
                 st.x, st.y, st.theta, st.v, st.omega, F, tau, n_sub, h,
-                rp.m, rp.J, rp.L, rp.f_kr, rp.f_kl, rp.f_cr, rp.f_cl,
-                scales, breakers)
+                robots[r], packed)
             if not all(map(math.isfinite, (nx, ny, nth, nv, nw))):
                 raise EpisodeAborted(k, t, r, _diagnostic(data, gap_arr, k, r))
             st.x, st.y, st.theta, st.v, st.omega = nx, ny, nth, nv, nw
@@ -412,6 +385,11 @@ def _diagnostic(data: dict, gap_arr: np.ndarray, k: int, r: int) -> dict:
         **{name: float(data[name][j, r]) for name in PER_ROBOT_FIELDS},
         "gap_err": [float(g) for g in gap_arr[j]] if j < len(gap_arr) else [],
     }
+
+
+# Plant parameters for the kinematics-only runner: with zero wrench and no
+# friction the velocities stay at the commanded values over a period.
+_FRICTIONLESS = RobotParams(f_kr=0.0, f_kl=0.0, f_cr=0.0, f_cl=0.0)
 
 
 @dataclass
@@ -439,12 +417,12 @@ def run_kinematic_episode(
     """Track the arc-parameterized reference with the dynamics bypassed.
 
     The commanded (v_c, omega_c) feed the kinematics directly (perfect
-    velocity tracking); the pose integrates with RK4 under a held command.
-    Used to check the kinematic loop in isolation.
+    velocity tracking): each period the plant's (v, omega) is reset to the
+    command and the pose integrates with the plant RK4 under zero wrench,
+    without friction or arena. Used to check the kinematic loop in isolation.
     """
     N = int(round(duration / control_period))
     h = control_period / n_sub
-    h2, h6 = 0.5 * h, h / 6.0
     x0, y0, th0, _ = pose_at_arc(path, start_arc)
     if initial_pose is not None:
         x0, y0, th0 = initial_pose
@@ -456,7 +434,6 @@ def run_kinematic_episode(
     e3 = np.empty(N + 1)
     xs = np.empty(N + 1)
     ys = np.empty(N + 1)
-    cos, sin = math.cos, math.sin
     for k in range(N + 1):
         xr, yr, thr, kappa = pose_at_arc(path, start_arc + v_d * (k * control_period))
         err = ctl.posture_error(x, y, th, xr, yr, thr)
@@ -466,12 +443,7 @@ def run_kinematic_episode(
         xs[k], ys[k] = x, y
         if k == N:
             break
-        vc, wc = cmd.v_c, cmd.omega_c
-        for _ in range(n_sub):
-            a1, b1 = vc * cos(th), vc * sin(th)
-            a2, b2 = vc * cos(th + h2 * wc), vc * sin(th + h2 * wc)
-            a4, b4 = vc * cos(th + h * wc), vc * sin(th + h * wc)
-            x += h6 * (a1 + 4.0 * a2 + a4)
-            y += h6 * (b1 + 4.0 * b2 + b4)
-            th += h * wc
+        x, y, th, _, _ = _integrate_robot(x, y, th, cmd.v_c, cmd.omega_c,
+                                          0.0, 0.0, n_sub, h, _FRICTIONLESS,
+                                          NO_ARENA)
     return KinematicRun(t=t_arr, e1=e1, e2=e2, e3=e3, x=xs, y=ys)

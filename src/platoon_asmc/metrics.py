@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .arena import quadrant_of
 from .engine import PER_ROBOT_FIELDS, Trace
 
 
@@ -30,18 +31,10 @@ def masked_rms(series, mask) -> float:
 
 def quadrant_mask(trace: Trace, robot: int, quadrant: int) -> np.ndarray:
     """Samples where robot `robot` (0-based) is inside the given quadrant
-    (1..4, half-open axes convention)."""
-    x = trace["x"][:, robot]
-    y = trace["y"][:, robot]
-    if quadrant == 1:
-        return (x >= 0) & (y >= 0)
-    if quadrant == 2:
-        return (x < 0) & (y >= 0)
-    if quadrant == 3:
-        return (x < 0) & (y < 0)
-    if quadrant == 4:
-        return (x >= 0) & (y < 0)
-    raise ValueError(f"quadrant must be 1..4, got {quadrant}")
+    (1..4, half-open axes convention of `arena.quadrant_of`)."""
+    if quadrant not in (1, 2, 3, 4):
+        raise ValueError(f"quadrant must be 1..4, got {quadrant}")
+    return quadrant_of(trace["x"][:, robot], trace["y"][:, robot]) == quadrant
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,9 @@
-"""Differential-drive plant model: kinematics, friction, force/torque dynamics.
+"""Differential-drive plant model: parameters, state, and the plant dynamics.
 
-All functions here are pure and operate on one robot. The closed-loop episode
-engine calls a float-tuple fast path (`plant_rhs`) that these public wrappers
-share, so there is a single source of truth for the dynamics.
+`plant_rhs` is the single formulation of the plant: the body kinematics, the
+per-wheel Coulomb + viscous friction scaled by the arena's quadrant friction
+field, and the speed-breaker disturbances, all evaluated at one state. The
+engine's RK4 calls it at every integrator stage.
 """
 
 from __future__ import annotations
@@ -10,14 +11,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .arena import quadrant_of
+
 # Width of the smoothed Coulomb sign, m/s. Keeps the plant right-hand side
 # Lipschitz so the fixed-step integrator behaves near wheel reversal.
 SIGN_SMOOTHING_V = 0.01
-
-
-def smooth_sign(v: float) -> float:
-    """Smoothed sign of a wheel contact speed: tanh(v / SIGN_SMOOTHING_V)."""
-    return math.tanh(v / SIGN_SMOOTHING_V)
 
 
 @dataclass(frozen=True)
@@ -40,11 +38,13 @@ class RobotParams:
 
     def validate(self) -> None:
         for name in ("m", "J", "R", "L"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
         for name in ("f_kr", "f_kl", "f_cr", "f_cl"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
 
 
 @dataclass
@@ -57,120 +57,53 @@ class RobotState:
     v: float = 0.0
     omega: float = 0.0
 
-    def is_finite(self) -> bool:
-        return all(
-            math.isfinite(f) for f in (self.x, self.y, self.theta, self.v, self.omega)
-        )
 
+def plant_rhs(x: float, y: float, theta: float, v: float, omega: float,
+              F: float, tau: float, params: RobotParams, arena: tuple
+              ) -> tuple[float, float, float, float, float]:
+    """Time derivative of (x, y, theta, v, omega) under the wrench (F, tau).
 
-@dataclass(frozen=True)
-class ControlWrench:
-    """Longitudinal force F (N) and yaw torque tau (N m) commanded by the controller."""
-
-    F: float
-    tau: float
-
-
-@dataclass(frozen=True)
-class WheelTorques:
-    tau_r: float
-    tau_l: float
-
-
-@dataclass(frozen=True)
-class WheelSpeeds:
-    v_r: float
-    v_l: float
-
-
-def wheel_speeds(state: RobotState, params: RobotParams) -> WheelSpeeds:
-    """Contact-point speeds of the right/left wheels.
-
-    Uses v_r = v + omega*L/2, v_l = v - omega*L/2, i.e. the identity the
-    controller's uncertainty bounds are built on (track width 2L with the
-    wheel offset taken as L/2).
+    `arena` is a packed `(scales, breakers)` pair from `Arena.pack`, or
+    `arena.NO_ARENA`. Every wheel friction coefficient is scaled by the
+    friction ratio of the quadrant containing (x, y). Per wheel the friction
+    is f_i = f_ki * tanh(v_i / SIGN_SMOOTHING_V) + f_ci * v_i with contact
+    speeds v_r = v + omega*L/2 and v_l = v - omega*L/2 (track width 2L with
+    the wheel offset taken as L/2, the identity the controller's uncertainty
+    bounds are built on); the longitudinal resultant is f_r + f_l and the yaw
+    resultant (f_r - f_l) * L. Each breaker band containing (x, y) adds a
+    force amp_force * tanh(v / SIGN_SMOOTHING_V), which opposes the motion
+    and vanishes at rest, and a yaw torque amp_torque; overlapping bands sum.
     """
-    half = 0.5 * params.L * state.omega
-    return WheelSpeeds(v_r=state.v + half, v_l=state.v - half)
-
-
-def friction_forces(state: RobotState, params: RobotParams) -> tuple[float, float]:
-    """Coulomb + viscous friction resultants (f_v in N, f_w in N m).
-
-    Per wheel f_i = f_ki * smooth_sign(v_i) + f_ci * v_i; the longitudinal
-    resultant is the sum and the yaw resultant the difference times L.
-    """
-    ws = wheel_speeds(state, params)
-    f_r = params.f_kr * smooth_sign(ws.v_r) + params.f_cr * ws.v_r
-    f_l = params.f_kl * smooth_sign(ws.v_l) + params.f_cl * ws.v_l
-    return f_r + f_l, (f_r - f_l) * params.L
-
-
-def plant_rhs(
-    x: float,
-    y: float,
-    theta: float,
-    v: float,
-    omega: float,
-    F: float,
-    tau: float,
-    d_v: float,
-    d_w: float,
-    m: float,
-    J: float,
-    L: float,
-    f_kr: float,
-    f_kl: float,
-    f_cr: float,
-    f_cl: float,
-) -> tuple[float, float, float, float, float]:
-    """Time derivative of (x, y, theta, v, omega) as plain floats.
-
-    This is the integration hot path; `plant_derivative` is the structured
-    wrapper. Friction coefficients arrive pre-scaled by the caller when a
-    spatial friction field applies.
-    """
+    scales, breakers = arena
+    sc = scales[quadrant_of(x, y) - 1]
+    d_v = 0.0
+    d_w = 0.0
+    for bx, by, hw2, amp_force, amp_torque in breakers:
+        dx = x - bx
+        dy = y - by
+        if dx * dx + dy * dy <= hw2:
+            d_v += amp_force * math.tanh(v / SIGN_SMOOTHING_V)
+            d_w += amp_torque
+    L = params.L
     half = 0.5 * L * omega
     v_r = v + half
     v_l = v - half
-    f_r = f_kr * math.tanh(v_r / SIGN_SMOOTHING_V) + f_cr * v_r
-    f_l = f_kl * math.tanh(v_l / SIGN_SMOOTHING_V) + f_cl * v_l
+    f_r = params.f_kr * sc * math.tanh(v_r / SIGN_SMOOTHING_V) \
+        + params.f_cr * sc * v_r
+    f_l = params.f_kl * sc * math.tanh(v_l / SIGN_SMOOTHING_V) \
+        + params.f_cl * sc * v_l
     return (
         v * math.cos(theta),
         v * math.sin(theta),
         omega,
-        (F - (f_r + f_l) - d_v) / m,
-        (tau - (f_r - f_l) * L - d_w) / J,
+        (F - (f_r + f_l) - d_v) / params.m,
+        (tau - (f_r - f_l) * L - d_w) / params.J,
     )
 
 
-def plant_derivative(
-    state: RobotState,
-    wrench: ControlWrench,
-    d_v: float,
-    d_w: float,
-    params: RobotParams,
-) -> RobotState:
-    """Full state derivative under a wrench and additive disturbances.
-
-    Raises ValueError on non-finite inputs: a NaN here means the episode has
-    already blown up and must abort rather than propagate garbage.
-    """
-    inputs = (state.x, state.y, state.theta, state.v, state.omega,
-              wrench.F, wrench.tau, d_v, d_w)
-    if not all(math.isfinite(f) for f in inputs):
-        raise ValueError(f"non-finite input to plant_derivative: {inputs}")
-    dx, dy, dth, dv, dw = plant_rhs(
-        state.x, state.y, state.theta, state.v, state.omega,
-        wrench.F, wrench.tau, d_v, d_w,
-        params.m, params.J, params.L,
-        params.f_kr, params.f_kl, params.f_cr, params.f_cl,
-    )
-    return RobotState(x=dx, y=dy, theta=dth, v=dv, omega=dw)
-
-
-def wheel_torque_split(wrench: ControlWrench, params: RobotParams) -> WheelTorques:
-    """Invert the body wrench into per-wheel torques.
+def wheel_torque_split(F: float, tau: float, params: RobotParams
+                       ) -> tuple[float, float]:
+    """Invert the body wrench into per-wheel torques (tau_r, tau_l).
 
     The forward map is F = (tau_r + tau_l)/R, tau = (tau_r - tau_l)*L/R, so
     tau_r = R*(F + tau/L)/2 and tau_l = R*(F - tau/L)/2. Round-tripping
@@ -178,16 +111,5 @@ def wheel_torque_split(wrench: ControlWrench, params: RobotParams) -> WheelTorqu
     """
     if params.R <= 0 or params.L <= 0:
         raise ValueError("wheel_torque_split requires R > 0 and L > 0")
-    t = wrench.tau / params.L
-    return WheelTorques(
-        tau_r=0.5 * params.R * (wrench.F + t),
-        tau_l=0.5 * params.R * (wrench.F - t),
-    )
-
-
-def wrench_from_wheel_torques(torques: WheelTorques, params: RobotParams) -> ControlWrench:
-    """Forward map from per-wheel torques to the body wrench."""
-    return ControlWrench(
-        F=(torques.tau_r + torques.tau_l) / params.R,
-        tau=(torques.tau_r - torques.tau_l) * params.L / params.R,
-    )
+    t = tau / params.L
+    return 0.5 * params.R * (F + t), 0.5 * params.R * (F - t)

@@ -23,7 +23,7 @@ from platoon_asmc.config import dump_config
 from platoon_asmc.engine import default_path_for, integrate_plant
 from platoon_asmc.metrics import quadrant_mask, rms
 from platoon_asmc.platoon import build_path, pose_at_arc, target_waypoint
-from platoon_asmc.vehicle import ControlWrench, RobotParams, RobotState
+from platoon_asmc.vehicle import RobotParams, RobotState
 
 GAIN_COLS = ("K_v0", "K_v1", "K_w2", "K_w0", "K_w1", "K_v2")
 EPISODE_SECONDS = 600.0
@@ -163,8 +163,7 @@ def test_criterion_6_rk4_convergence_order():
         - (a * T / w0) * math.cos(th)
     errs = []
     for dt in (4e-3, 2e-3, 1e-3):
-        out = integrate_plant(RobotState(v=v0, omega=w0),
-                              ControlWrench(F=F, tau=0.0), params, dt,
+        out = integrate_plant(RobotState(v=v0, omega=w0), F, 0.0, params, dt,
                               int(round(T / dt)))
         errs.append(math.hypot(out.x - xa, out.y - ya))
     orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]

@@ -1,10 +1,30 @@
 import math
 
+import numpy as np
 import pytest
 
-from platoon_asmc import Arena, RobotState, SpeedBreaker, breaker_disturbance, \
-    friction_scale_at
-from platoon_asmc.arena import quadrant_of
+from platoon_asmc import Arena, RobotParams, SpeedBreaker, plant_rhs
+from platoon_asmc.arena import NO_ARENA, quadrant_of
+
+# Unit mass and inertia, so the stage derivative reads the forces back exactly.
+VISCOUS = RobotParams(m=1.0, J=1.0, f_kr=0.0, f_kl=0.0, f_cr=1.0, f_cl=1.0)
+FRICTIONLESS = RobotParams(m=1.0, J=1.0, f_kr=0.0, f_kl=0.0, f_cr=0.0, f_cl=0.0)
+
+
+def friction_scale_at(arena, x, y):
+    """Friction multiplier at (x, y), as the ratio of the stage's viscous
+    friction there to the unscaled friction at the same speed."""
+    dv = plant_rhs(x, y, 0.0, 1.0, 0.0, 0.0, 0.0, VISCOUS, arena.pack())[3]
+    dv_unit = plant_rhs(x, y, 0.0, 1.0, 0.0, 0.0, 0.0, VISCOUS, NO_ARENA)[3]
+    return dv / dv_unit
+
+
+def breaker_disturbance(arena, x, y, v):
+    """(d_v, d_w) the stage adds at (x, y, v): with no friction and no wrench
+    they are the negated accelerations."""
+    _, _, _, dv, dw = plant_rhs(x, y, 0.0, v, 0.0, 0.0, 0.0, FRICTIONLESS,
+                                arena.pack())
+    return -dv, -dw
 
 
 class TestFrictionField:
@@ -22,6 +42,10 @@ class TestFrictionField:
         assert quadrant_of(-1e-12, 0.0) == 2
         assert quadrant_of(-1.0, -1e-12) == 3
         assert quadrant_of(0.0, -1.0) == 4
+        # the same rule elementwise on arrays, as the metrics apply it
+        xs = np.array([0.0, 0.0, -1e-12, -1.0, 0.0])
+        ys = np.array([0.0, 1.0, 0.0, -1e-12, -1.0])
+        assert quadrant_of(xs, ys).tolist() == [1, 1, 2, 3, 4]
 
     def test_every_position_is_covered(self):
         arena = Arena(quadrant_mu=(0.1, 0.2, 0.3, 0.4))
@@ -43,25 +67,25 @@ class TestFrictionField:
 class TestSpeedBreakers:
     def test_outside_band_no_disturbance(self):
         arena = Arena(speed_breakers=(SpeedBreaker(5.0, 5.0, 0.5),))
-        assert breaker_disturbance(arena, RobotState(x=0, y=0, v=2.0)) == (0.0, 0.0)
+        assert breaker_disturbance(arena, 0.0, 0.0, 2.0) == (0.0, 0.0)
 
     def test_inside_band_opposes_motion(self):
         arena = Arena(speed_breakers=(SpeedBreaker(0.0, 0.0, 0.5, amp_force=2.0,
                                                    amp_torque=0.2),))
-        d_v, d_w = breaker_disturbance(arena, RobotState(x=0.1, y=0.1, v=2.0))
+        d_v, d_w = breaker_disturbance(arena, 0.1, 0.1, 2.0)
         assert math.isclose(d_v, 2.0, rel_tol=1e-12)  # smooth sign saturated
         assert d_w == 0.2
-        d_v, _ = breaker_disturbance(arena, RobotState(x=0.1, y=0.1, v=-2.0))
+        d_v, _ = breaker_disturbance(arena, 0.1, 0.1, -2.0)
         assert math.isclose(d_v, -2.0, rel_tol=1e-12)
 
     def test_at_rest_no_force(self):
         arena = Arena(speed_breakers=(SpeedBreaker(0.0, 0.0, 0.5),))
-        d_v, d_w = breaker_disturbance(arena, RobotState(x=0.0, y=0.0, v=0.0))
+        d_v, d_w = breaker_disturbance(arena, 0.0, 0.0, 0.0)
         assert d_v == 0.0
         assert d_w == 0.2
 
     def test_overlapping_bands_sum(self):
         arena = Arena(speed_breakers=(SpeedBreaker(0.0, 0.0, 1.0, amp_force=1.0),
                                       SpeedBreaker(0.1, 0.0, 1.0, amp_force=3.0)))
-        d_v, _ = breaker_disturbance(arena, RobotState(v=5.0))
+        d_v, _ = breaker_disturbance(arena, 0.0, 0.0, 5.0)
         assert math.isclose(d_v, 4.0, rel_tol=1e-12)

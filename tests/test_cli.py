@@ -1,5 +1,8 @@
+import hashlib
 import json
 from pathlib import Path
+
+import pytest
 
 from platoon_asmc.cli import main
 from platoon_asmc.config import default_config, from_dict, load_config
@@ -187,3 +190,57 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: kind=abort")
         assert err.count("\n") == 1
+
+    def test_abort_in_both_mode_reports_one_line(self, tmp_path, capfd):
+        # the abort is raised in a pool worker and must cross back intact;
+        # capfd also sees what the forked workers write to stderr
+        doc = tiny_config(controller="both", **{"asmc.Lambda_v": 1e300})
+        p = write_config(tmp_path, doc)
+        code = main(["run", "--config", str(p), "--out", str(tmp_path / "x"),
+                     "--quiet"])
+        err = capfd.readouterr().err
+        assert code == 3
+        assert err.startswith("error: kind=abort")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("keys", [
+        ("metrics", "warmup_cutoff"),
+        ("robot", "f_kr"),
+        ("arena", "speed_breakers", 0, "x"),
+        ("sim", "duration"),
+    ], ids=["warmup_cutoff", "f_kr", "breaker_x", "duration"])
+    def test_nan_is_rejected_by_validation(self, tmp_path, capfd, keys):
+        doc = tiny_config()
+        node = doc
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = float("nan")
+        p = write_config(tmp_path, doc)
+        code = main(["run", "--config", str(p), "--out", str(tmp_path / "x"),
+                     "--quiet"])
+        err = capfd.readouterr().err
+        assert code == 2
+        assert err.startswith("error: kind=validation")
+        assert err.count("\n") == 1
+
+
+# sha256 of the trace CSVs from `run --duration 20` on the built-in default
+# scenario. They lock the simulator's behaviour byte for byte across
+# refactors. The digests hold for the libm they were taken with (glibc 2.36,
+# x86-64, CPython 3.11, numpy 2.4); another libm may round sin/cos/tanh
+# differently.
+PINNED_TRACE_SHA256 = {
+    "trace_proposed.csv":
+        "f499df45de569ab99f47f3cc3c5bb230f178b61cbe2ece1f212aa85e77a693a3",
+    "trace_baseline.csv":
+        "b16e3901c21746a3f22e47e88433f5e2572f280f876afee2144ffbf044198c6e",
+}
+
+
+def test_default_scenario_trace_bytes_are_pinned(tmp_path):
+    out = tmp_path / "lock"
+    assert main(["run", "--duration", "20", "--out", str(out), "--quiet"]) == 0
+    for name, digest in PINNED_TRACE_SHA256.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, \
+            name

@@ -7,7 +7,6 @@ import pytest
 from platoon_asmc import (
     Arena,
     AsmcConfig,
-    ControlWrench,
     EpisodeAborted,
     KinematicGains,
     PlatoonConfig,
@@ -167,8 +166,7 @@ class TestIntegratorQuality:
         xa, ya = analytic()
         errs = []
         for dt in (4e-3, 2e-3, 1e-3):
-            out = integrate_plant(RobotState(v=v0, omega=w0),
-                                  ControlWrench(F=F, tau=0.0), p, dt,
+            out = integrate_plant(RobotState(v=v0, omega=w0), F, 0.0, p, dt,
                                   int(round(T / dt)))
             errs.append(math.hypot(out.x - xa, out.y - ya))
         orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
@@ -193,8 +191,7 @@ class TestIntegratorQuality:
         st = RobotState(v=2.0, omega=1.0)
         ke = 0.5 * p.m * st.v ** 2 + 0.5 * p.J * st.omega ** 2
         for _ in range(3000):
-            st = integrate_plant(st, ControlWrench(F=0.0, tau=0.0), p,
-                                 dt=1e-3, n_steps=1)
+            st = integrate_plant(st, 0.0, 0.0, p, dt=1e-3, n_steps=1)
             ke_next = 0.5 * p.m * st.v ** 2 + 0.5 * p.J * st.omega ** 2
             assert ke_next <= ke + 1e-15
             ke = ke_next
@@ -225,8 +222,7 @@ def test_integrator_matches_scipy_reference(cfg, inside_breaker):
     entirely inside one; band-edge crossings are inherently step-limited)."""
     from scipy.integrate import solve_ivp
 
-    from platoon_asmc import SpeedBreaker, breaker_disturbance, friction_scale_at
-    from platoon_asmc.vehicle import plant_rhs
+    from platoon_asmc import SpeedBreaker, plant_rhs
 
     params = cfg.robot
     if inside_breaker:
@@ -238,18 +234,15 @@ def test_integrator_matches_scipy_reference(cfg, inside_breaker):
     wrench = (1.2, 0.02)
     start = [2.0, 2.0, 0.2, 1.5, 0.1]  # stays in the first quadrant
 
+    packed = arena.pack()
+
     def rhs(_t, s):
-        sc = friction_scale_at(arena, s[0], s[1])
-        d_v, d_w = breaker_disturbance(
-            arena, RobotState(x=s[0], y=s[1], theta=s[2], v=s[3], omega=s[4]))
-        return plant_rhs(*s, *wrench, d_v, d_w, params.m, params.J, params.L,
-                         params.f_kr * sc, params.f_kl * sc,
-                         params.f_cr * sc, params.f_cl * sc)
+        return plant_rhs(*s, *wrench, params, packed)
 
     T = 2.0
     ref = solve_ivp(rhs, (0.0, T), start, method="RK45", rtol=1e-12,
                     atol=1e-12)
-    mine = integrate_plant(RobotState(*start), ControlWrench(*wrench), params,
+    mine = integrate_plant(RobotState(*start), *wrench, params,
                            dt=1e-3, n_steps=2000, arena=arena)
     assert ref.success
     err = np.max(np.abs(np.array([mine.x, mine.y, mine.theta, mine.v,
@@ -271,51 +264,35 @@ def test_default_course_traverses_quadrants_in_order(cfg):
 
 def test_fast_path_matches_public_ops_bitwise(cfg):
     """One RK4 step of the engine's integrator must equal the same step
-    composed from the public plant/arena operations, bit for bit."""
-    from platoon_asmc import breaker_disturbance, friction_scale_at, \
-        plant_derivative
-    from platoon_asmc.vehicle import ControlWrench as CW
+    composed by hand from the public stage function, bit for bit."""
+    from platoon_asmc import plant_rhs
 
     params = cfg.robot
-    arena = cfg.arena
-    wrench = CW(F=0.7, tau=-0.05)
+    packed = cfg.arena.pack()
+    F, tau = 0.7, -0.05
     h = 1e-3
 
-    def rhs(s: RobotState):
-        sc = friction_scale_at(arena, s.x, s.y)
-        scaled = dataclasses.replace(params, f_kr=params.f_kr * sc,
-                                     f_kl=params.f_kl * sc,
-                                     f_cr=params.f_cr * sc,
-                                     f_cl=params.f_cl * sc)
-        d_v, d_w = breaker_disturbance(arena, s)
-        return plant_derivative(s, wrench, d_v, d_w, scaled)
+    def rhs(s):
+        return plant_rhs(*s, F, tau, params, packed)
 
     def shift(s, d, w):
-        return RobotState(x=s.x + w * d.x, y=s.y + w * d.y,
-                          theta=s.theta + w * d.theta, v=s.v + w * d.v,
-                          omega=s.omega + w * d.omega)
+        return [si + w * di for si, di in zip(s, d)]
 
     for start in (RobotState(x=1.0, y=1.0, v=2.0, omega=0.3),
                   RobotState(x=-1.0, y=-1.0, v=1.5, omega=-0.2),
                   RobotState(x=-2.709293, y=2.525828, v=2.0),  # inside breaker
                   RobotState(x=0.0, y=-0.5, v=-0.4, omega=1.0)):
-        k1 = rhs(start)
-        k2 = rhs(shift(start, k1, h / 2))
-        k3 = rhs(shift(start, k2, h / 2))
-        k4 = rhs(shift(start, k3, h))
-        manual = RobotState(
-            x=start.x + h / 6 * (k1.x + 2.0 * (k2.x + k3.x) + k4.x),
-            y=start.y + h / 6 * (k1.y + 2.0 * (k2.y + k3.y) + k4.y),
-            theta=start.theta + h / 6 * (k1.theta + 2.0 * (k2.theta + k3.theta)
-                                         + k4.theta),
-            v=start.v + h / 6 * (k1.v + 2.0 * (k2.v + k3.v) + k4.v),
-            omega=start.omega + h / 6 * (k1.omega + 2.0 * (k2.omega + k3.omega)
-                                         + k4.omega),
-        )
-        engine_step = integrate_plant(start, wrench, params, h, 1, arena=arena)
+        s0 = [start.x, start.y, start.theta, start.v, start.omega]
+        k1 = rhs(s0)
+        k2 = rhs(shift(s0, k1, h / 2))
+        k3 = rhs(shift(s0, k2, h / 2))
+        k4 = rhs(shift(s0, k3, h))
+        manual = tuple(s0[i] + h / 6 * (k1[i] + 2.0 * (k2[i] + k3[i]) + k4[i])
+                       for i in range(5))
+        engine_step = integrate_plant(start, F, tau, params, h, 1,
+                                      arena=cfg.arena)
         assert (engine_step.x, engine_step.y, engine_step.theta,
-                engine_step.v, engine_step.omega) == \
-            (manual.x, manual.y, manual.theta, manual.v, manual.omega)
+                engine_step.v, engine_step.omega) == manual
 
 
 class TestKinematicBypass:
