@@ -1,16 +1,20 @@
 """Run configuration: a single JSON document with one section per subsystem.
 
 Parsing is strict: unknown keys anywhere are hard errors (no silent defaults
-for typos), and invariant violations surface as errors naming the offending
-field. The effective configuration can be echoed back to JSON; re-running
-from the echo reproduces the run byte-for-byte.
+for typos), every scalar value must match its field's annotation, and
+invariant violations surface as errors naming the offending field. The
+effective configuration can be echoed back to JSON; re-running from the echo
+reproduces the run byte-for-byte.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
+import types
+import typing
 from dataclasses import dataclass
 
 from .arena import Arena, SpeedBreaker
@@ -67,6 +71,11 @@ class RunConfig:
             raise ConfigError(
                 f"[robot] {len(self.robot)} parameter sets for "
                 f"{self.platoon.n_robots} robots")
+        if self.metrics.warmup_cutoff > \
+                self.sim.n_periods() * self.sim.control_period:
+            raise ConfigError(
+                f"[metrics] warmup_cutoff {self.metrics.warmup_cutoff} is past "
+                f"the end of the {self.sim.duration} s run")
         if self.controller not in CONTROLLERS + ("both",):
             raise ConfigError(
                 f"[controller] must be one of {CONTROLLERS + ('both',)}, "
@@ -113,17 +122,66 @@ class RunConfig:
         }
 
 
+# JSON types accepted for each scalar annotation; bool is excluded
+# everywhere although it is an int subclass.
+_SCALAR_TYPES = {float: (int, float), int: (int,), str: (str,),
+                 type(None): (type(None),)}
+_TYPE_NAMES = {float: "a number", int: "an integer", str: "a string",
+               type(None): "null"}
+
+
+@functools.cache
+def _scalar_fields(cls) -> dict[str, tuple]:
+    """Field name -> the scalar types its annotation admits, resolved once
+    per class; () for composite fields (tuples, nested sections), which
+    `from_dict` builds and checks itself."""
+    out = {}
+    for name, hint in typing.get_type_hints(cls).items():
+        arms = typing.get_args(hint) if isinstance(hint, types.UnionType) \
+            else (hint,)
+        out[name] = arms if all(a in _SCALAR_TYPES for a in arms) else ()
+    return out
+
+
+def _type_ok(value, arms) -> bool:
+    return not isinstance(value, bool) and \
+        any(isinstance(value, _SCALAR_TYPES[a]) for a in arms)
+
+
+def _check_type(where: str, value, arms) -> None:
+    if arms and not _type_ok(value, arms):
+        want = " or ".join(_TYPE_NAMES[a] for a in arms)
+        raise ConfigError(f"{where} must be {want}, got {value!r}")
+
+
 def _build(cls, doc: dict, section: str):
     if not isinstance(doc, dict):
         raise ConfigError(f"[{section}] expected an object, got {type(doc).__name__}")
-    names = {f.name for f in dataclasses.fields(cls)}
-    unknown = sorted(set(doc) - names)
+    fields = _scalar_fields(cls)
+    unknown = sorted(set(doc) - set(fields))
     if unknown:
         raise ConfigError(f"[{section}] unknown key(s): {', '.join(unknown)}")
+    for name, value in doc.items():
+        _check_type(f"[{section}] {name}", value, fields[name])
     try:
         return cls(**doc)
     except TypeError as exc:
         raise ConfigError(f"[{section}] {exc}") from exc
+
+
+def _numbers(seq, n: int | None) -> bool:
+    """Whether seq is a list of numbers (of length n, when given)."""
+    return isinstance(seq, (list, tuple)) and (n is None or len(seq) == n) and \
+        all(_type_ok(v, (float,)) for v in seq)
+
+
+def _section(doc: dict, name: str) -> dict:
+    """A copy of the named section (empty when absent), which must be an object."""
+    section = doc.get(name, {})
+    if not isinstance(section, dict):
+        raise ConfigError(
+            f"[{name}] expected an object, got {type(section).__name__}")
+    return dict(section)
 
 
 def from_dict(doc: dict) -> RunConfig:
@@ -137,21 +195,20 @@ def from_dict(doc: dict) -> RunConfig:
     if unknown:
         raise ConfigError(f"unknown top-level key(s): {', '.join(unknown)}")
 
-    platoon_doc = dict(doc.get("platoon", {}))
-    if platoon_doc.get("start_poses") is not None:
-        try:
-            platoon_doc["start_poses"] = tuple(
-                (float(p[0]), float(p[1]), float(p[2]))
-                for p in platoon_doc["start_poses"])
-        except (TypeError, ValueError, IndexError) as exc:
+    platoon_doc = _section(doc, "platoon")
+    poses = platoon_doc.get("start_poses")
+    if poses is not None:
+        if not (isinstance(poses, (list, tuple)) and
+                all(_numbers(p, 3) for p in poses)):
             raise ConfigError(
-                f"[platoon] start_poses must be a list of [x, y, theta]: {exc}"
-            ) from exc
+                "[platoon] start_poses must be a list of [x, y, theta]")
+        platoon_doc["start_poses"] = tuple(tuple(float(v) for v in p)
+                                           for p in poses)
 
-    arena_doc = dict(doc.get("arena", {}))
+    arena_doc = _section(doc, "arena")
     if "quadrant_mu" in arena_doc:
         mu = arena_doc["quadrant_mu"]
-        if not isinstance(mu, (list, tuple)):
+        if not _numbers(mu, None):
             raise ConfigError("[arena] quadrant_mu must be a list of 4 numbers")
         arena_doc["quadrant_mu"] = tuple(float(m) for m in mu)
     if "speed_breakers" in arena_doc:
@@ -168,6 +225,11 @@ def from_dict(doc: dict) -> RunConfig:
                       for i, r in enumerate(robot_doc))
     else:
         robot = _build(RobotParams, robot_doc, "robot")
+
+    fields = _scalar_fields(RunConfig)
+    for name in ("path_file", "output_dir", "controller"):
+        if name in doc:
+            _check_type(f"[{name}]", doc[name], fields[name])
 
     return RunConfig(
         robot=robot,

@@ -63,8 +63,9 @@ class SimConfig:
             raise ValueError(
                 f"control_period {self.control_period} is not an integer multiple "
                 f"of dt_plant {self.dt_plant}")
-        if not self.duration >= 0:
-            raise ValueError(f"duration must be >= 0, got {self.duration}")
+        if not 0 <= self.duration < math.inf:
+            raise ValueError(
+                f"duration must be finite and >= 0, got {self.duration}")
 
     def substeps(self) -> int:
         return max(1, int(round(self.control_period / self.dt_plant)))

@@ -8,6 +8,7 @@ written with repr(), which round-trips exactly.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -176,6 +177,11 @@ def csv_header(n_robots: int) -> list[str]:
     return cols
 
 
+# Rows stacked and converted to Python floats at a time by export_trace; a
+# bounded block keeps a long trace from being copied whole.
+EXPORT_BLOCK_ROWS = 128
+
+
 def export_trace(trace: Trace, path) -> None:
     """Write the trace as CSV: fixed header, one row per control step."""
     n = trace.n_robots
@@ -186,8 +192,10 @@ def export_trace(trace: Trace, path) -> None:
     try:
         with open(path, "w", newline="") as fh:
             fh.write(",".join(csv_header(n)) + "\n")
-            for k in range(trace.n_records):
-                fh.write(",".join(repr(float(c[k])) for c in cols) + "\n")
+            for a in range(0, trace.n_records, EXPORT_BLOCK_ROWS):
+                block = np.column_stack([c[a:a + EXPORT_BLOCK_ROWS] for c in cols])
+                fh.write("".join(",".join(map(repr, row)) + "\n"
+                                 for row in block.tolist()))
     except OSError as exc:
         raise OSError(f"failed writing trace to {path}: {exc}") from exc
 
@@ -196,21 +204,32 @@ def load_trace(path, controller: str = "", scenario: str = "") -> Trace:
     """Read a trace CSV written by `export_trace` back into a Trace."""
     with open(path) as fh:
         header = fh.readline().strip().split(",")
-        rows = [line.rstrip("\n").split(",") for line in fh if line.strip()]
-    n_robots = sum(1 for c in header if c.endswith("_x") and not c.endswith("_e_x"))
-    expected = csv_header(n_robots)
-    if header != expected:
-        raise ValueError(f"{path}: header does not match the trace column contract")
-    raw = np.array([[float(v) for v in row] for row in rows], dtype=float)
-    if raw.ndim != 2 or raw.shape[1] != len(header):
+        n_robots = sum(1 for c in header
+                       if c.endswith("_x") and not c.endswith("_e_x"))
+        if header != csv_header(n_robots):
+            raise ValueError(
+                f"{path}: header does not match the trace column contract")
+        width = len(header)
+        values = array("d")
+        for line in fh:
+            if not line.strip():
+                continue
+            row = line.rstrip("\n").split(",")
+            if len(row) != width:
+                raise ValueError(f"{path}: malformed trace rows")
+            values.extend(map(float, row))
+    if not values:
         raise ValueError(f"{path}: malformed trace rows")
-    t = raw[:, 0]
-    data = {}
-    for i, name in enumerate(PER_ROBOT_FIELDS):
-        data[name] = np.column_stack(
-            [raw[:, 1 + r * len(PER_ROBOT_FIELDS) + i] for r in range(n_robots)])
-    gap_start = 1 + n_robots * len(PER_ROBOT_FIELDS)
-    gap = raw[:, gap_start:]
+    raw = np.frombuffer(values, dtype=float).reshape(-1, width)
+    n_fields = len(PER_ROBOT_FIELDS)
+    gap_start = 1 + n_robots * n_fields
+    t = raw[:, 0].copy()
+    # one copy shaped (n_fields, n_records, n_robots): each field is then a
+    # C-contiguous (n_records, n_robots) array, the layout the engine records
+    per_robot = raw[:, 1:gap_start].reshape(-1, n_robots, n_fields) \
+        .transpose(2, 0, 1).copy()
+    data = {name: per_robot[i] for i, name in enumerate(PER_ROBOT_FIELDS)}
+    gap = raw[:, gap_start:].copy()
     cp = float(t[1] - t[0]) if len(t) > 1 else 0.0
     return Trace(controller=controller, scenario=scenario, n_robots=n_robots,
                  control_period=cp, t=t, data=data, gap_err=gap)

@@ -3,10 +3,10 @@
 A `Path` is an ordered list of waypoints with cumulative arc length. The
 built-in course is a figure-eight (lemniscate) resampled at uniform arc
 spacing and tiled over as many laps as an episode needs, so follower targeting
-can stay a plain backward walk over one array with no wrap-around logic.
+can stay a plain search over one array with no wrap-around logic.
 
 Followers target the waypoint a desired arc gap behind their predecessor
-(backward accumulation over segment lengths). The leader tracks a smooth
+(a bisection on the cumulative arc length). The leader tracks a smooth
 time-parameterized reference sampled by arc length, with the tangent and
 curvature interpolated between waypoints.
 """
@@ -45,10 +45,6 @@ class Path:
     @property
     def total_length(self) -> float:
         return float(self.arc[-1])
-
-    def segment_length(self, i: int) -> float:
-        """Length of the segment ending at vertex i (from vertex i-1)."""
-        return float(self.arc[i] - self.arc[i - 1])
 
 
 def menger_curvature(ax, ay, bx, by, cx, cy) -> float:
@@ -195,21 +191,28 @@ class FollowerTarget:
 def target_waypoint(path: Path, leader_index: int, gap_des: float) -> int:
     """Index of the waypoint a desired arc gap behind the leader's index.
 
-    Walks backwards accumulating segment lengths until the accumulated
-    distance reaches gap_des, clamping at index 0 when the path behind is
-    shorter than the gap. Equivalently: the largest i <= leader_index whose
-    arc distance to the leader is >= gap_des.
+    The largest i <= leader_index whose arc distance to the leader,
+    arc[leader_index] - arc[i], is >= gap_des; 0 when the path behind is
+    shorter than the gap. That predicate is monotone in i (arc is
+    non-decreasing and float subtraction is monotone), so it is found by
+    bisection over [0, leader_index] in O(log n), evaluating exactly the
+    float expression above at every probe.
     """
     if not 0 <= leader_index < len(path):
         raise ValueError(f"leader_index {leader_index} outside path of {len(path)} points")
     if gap_des < 0:
         raise ValueError(f"gap_des must be >= 0, got {gap_des}")
-    d = 0.0
-    i = leader_index
-    while d < gap_des and i > 0:
-        d += path.segment_length(i)
-        i -= 1
-    return i
+    arc = path.arc.item
+    a = arc(leader_index)
+    # invariant: the answer lies in [lo, hi]
+    lo, hi = 0, leader_index
+    while lo < hi:
+        mid = (lo + hi + 1) >> 1
+        if a - arc(mid) >= gap_des:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
 
 
 def reference_pose(path: Path, index: int) -> tuple[float, float, float]:

@@ -211,18 +211,45 @@ class TestRunCommand:
         ("sim", "duration"),
     ], ids=["warmup_cutoff", "f_kr", "breaker_x", "duration"])
     def test_nan_is_rejected_by_validation(self, tmp_path, capfd, keys):
-        doc = tiny_config()
-        node = doc
-        for key in keys[:-1]:
-            node = node[key]
-        node[keys[-1]] = float("nan")
-        p = write_config(tmp_path, doc)
-        code = main(["run", "--config", str(p), "--out", str(tmp_path / "x"),
-                     "--quiet"])
-        err = capfd.readouterr().err
-        assert code == 2
-        assert err.startswith("error: kind=validation")
-        assert err.count("\n") == 1
+        assert_one_validation_error(tmp_path, capfd, keys, float("nan"))
+
+    @pytest.mark.parametrize("keys,value", [
+        (("robot", "m"), "1.2"),
+        (("platoon", "n_robots"), 2.5),
+        (("platoon", "n_robots"), True),
+        (("arena", "speed_breakers", 0, "amp_force"), "2"),
+        (("arena", "quadrant_mu", 2), "0.13"),
+        (("path_file",), 5),
+        # JSON `Infinity` parses to a float that passes a `>= 0` check
+        (("sim", "duration"), float("inf")),
+        # the run is 1 s long; a 5 s warm-up would discard the whole trace
+        (("metrics", "warmup_cutoff"), 5.0),
+    ], ids=["m_str", "n_robots_float", "n_robots_bool", "amp_force_str",
+            "quadrant_mu_str", "path_file_int", "duration_inf",
+            "warmup_past_end"])
+    def test_bad_value_is_rejected_by_validation(self, tmp_path, capfd, keys,
+                                                 value):
+        assert_one_validation_error(tmp_path, capfd, keys, value)
+
+
+def assert_one_validation_error(tmp_path, capfd, keys, value):
+    """Set doc[keys...] = value in a tiny run and check that it ends with
+    exit 2 and exactly one `error: kind=validation` line, no traceback, and
+    before any output is written."""
+    doc = tiny_config()
+    node = doc
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] = value
+    p = write_config(tmp_path, doc)
+    code = main(["run", "--config", str(p), "--out", str(tmp_path / "x"),
+                 "--quiet"])
+    err = capfd.readouterr().err
+    assert code == 2
+    assert err.startswith("error: kind=validation")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not (tmp_path / "x").exists()
 
 
 # sha256 of the trace CSVs from `run --duration 20` on the built-in default

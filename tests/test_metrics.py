@@ -160,6 +160,16 @@ class TestTraceCsv:
         with pytest.raises(OSError, match="missing_dir"):
             export_trace(short_traces["proposed"], target)
 
+    @pytest.mark.parametrize("drop", [1, None], ids=["short_row", "no_rows"])
+    def test_load_rejects_malformed_rows(self, short_traces, tmp_path, drop):
+        f = tmp_path / "t.csv"
+        export_trace(short_traces["proposed"], f)
+        lines = f.read_text().splitlines()
+        body = [lines[1].rsplit(",", drop)[0]] if drop else []
+        f.write_text("\n".join([lines[0], *body]) + "\n")
+        with pytest.raises(ValueError, match="malformed"):
+            load_trace(f)
+
     def test_load_rejects_foreign_header(self, tmp_path):
         f = tmp_path / "t.csv"
         f.write_text("time,bogus\n0.0,1.0\n")

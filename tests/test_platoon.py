@@ -16,6 +16,7 @@ from platoon_asmc import (
     reference_velocity,
     target_waypoint,
 )
+from platoon_asmc.engine import SimConfig, default_path_for
 
 
 def unit_path(n=11):
@@ -89,6 +90,17 @@ class TestTargetWaypoint:
                 assert gap <= actual < gap + max_seg
             else:
                 assert actual >= min(gap, p.arc[leader] - p.arc[0]) - 1e-12
+
+
+@pytest.mark.parametrize("gap", [1.0, 4.0])
+def test_target_matches_oracle_at_every_index_of_default_path(gap):
+    # the 20 s default course: 5 872 uniformly spaced points over two laps,
+    # where a 4 m gap spans about 80 segments
+    path, _ = default_path_for(PlatoonConfig(), SimConfig(duration=20.0))
+    assert len(path) == 5872
+    for leader in range(len(path)):
+        assert target_waypoint(path, leader, gap) == \
+            brute_force_target(path, leader, gap), leader
 
 
 class TestReferencePose:
