@@ -26,8 +26,8 @@ from .config import (
     from_dict,
     load_config,
 )
-from .engine import EpisodeAborted, Trace, run_episode
-from .platoon import load_path_xy
+from .engine import EpisodeAborted, Trace, lead_start_on, run_episode
+from .platoon import Path, load_path_xy
 
 OUT_ENV_VAR = "PLATOON_ASMC_OUT"
 
@@ -61,11 +61,24 @@ def _resolve_out_dir(cfg: RunConfig) -> FsPath:
     return FsPath(out)
 
 
-def _episode_job(cfg_doc: dict, controller: str, csv_path: str) -> Trace:
+def _load_path(cfg: RunConfig) -> Path | None:
+    """The course in cfg.path_file, checked to hold the whole run; None for
+    the built-in course."""
+    if cfg.path_file is None:
+        return None
+    try:
+        path = load_path_xy(cfg.path_file)
+        lead_start_on(path, cfg.platoon, cfg.sim)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"[path_file] {exc}") from exc
+    return path
+
+
+def _episode_job(cfg_doc: dict, controller: str, csv_path: str,
+                 path: Path | None = None) -> Trace:
     """Run one episode and export its trace; used directly and as the worker
     for concurrent 'both' runs (hence the plain-dict config argument)."""
     cfg = from_dict(cfg_doc)
-    path = load_path_xy(cfg.path_file) if cfg.path_file else None
     trace = run_episode(cfg.robot, cfg.kinematic, cfg.asmc, cfg.platoon,
                         cfg.arena, cfg.sim, controller, path=path,
                         scenario_label=cfg.scenario_hash())
@@ -78,6 +91,7 @@ def run_command(args: argparse.Namespace) -> int:
         cfg = load_config(args.config) if args.config else default_config()
         cfg = _apply_overrides(cfg, args)
         cfg.validate()
+        path = _load_path(cfg)
     except ConfigError as exc:
         return _fail("validation", str(exc))
 
@@ -101,7 +115,7 @@ def run_command(args: argparse.Namespace) -> int:
             with concurrent.futures.ProcessPoolExecutor(max_workers=2) as pool:
                 futures = {
                     c: pool.submit(_episode_job, doc, c,
-                                   str(out_dir / f"trace_{c}.csv"))
+                                   str(out_dir / f"trace_{c}.csv"), path)
                     for c in controllers
                 }
                 for c, fut in futures.items():
@@ -109,7 +123,8 @@ def run_command(args: argparse.Namespace) -> int:
         else:
             c = controllers[0]
             say(f"running {c} episode ({cfg.sim.duration:g} s simulated)...")
-            traces[c] = _episode_job(doc, c, str(out_dir / f"trace_{c}.csv"))
+            traces[c] = _episode_job(doc, c, str(out_dir / f"trace_{c}.csv"),
+                                     path)
     except EpisodeAborted as exc:
         return _fail("abort", f"step={exc.step}; t={exc.t:.3f}; "
                               f"robot={exc.robot + 1}; last_record={exc.diagnostic}")

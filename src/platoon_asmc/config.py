@@ -1,10 +1,16 @@
 """Run configuration: a single JSON document with one section per subsystem.
 
-Parsing is strict: unknown keys anywhere are hard errors (no silent defaults
-for typos), every scalar value must match its field's annotation, and
-invariant violations surface as errors naming the offending field. The
-effective configuration can be echoed back to JSON; re-running from the echo
-reproduces the run byte-for-byte.
+The accepted shapes come from the dataclass annotations, read once per class:
+a dataclass takes a JSON object with known keys only (absent keys keep their
+defaults); `tuple[X, ...]` and fixed-length `tuple[X, Y, Z]` take lists;
+`A | B` takes the arm that fits the value's JSON shape; a scalar must match
+its type (bool is never a number, `int` fields take integers only).
+Integers in number fields are stored, and echoed, as floats. Unknown keys,
+violated invariants, a run too large for the machine's memory and (in the
+CLI) a `path_file` that is missing, malformed or too short for the run are
+validation errors naming the field, raised before any output is written.
+The effective configuration is echoed back to JSON; re-running from the
+echo reproduces the run byte-for-byte.
 """
 
 from __future__ import annotations
@@ -13,14 +19,15 @@ import dataclasses
 import functools
 import hashlib
 import json
+import os
 import types
 import typing
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .arena import Arena, SpeedBreaker
 from .control import AsmcConfig, KinematicGains
-from .engine import CONTROLLERS, SimConfig
-from .platoon import PlatoonConfig
+from .engine import CONTROLLERS, PER_ROBOT_FIELDS, SimConfig
+from .platoon import DEFAULT_SPACING, PlatoonConfig
 from .vehicle import RobotParams
 
 
@@ -43,34 +50,46 @@ class MetricsConfig:
 
 @dataclass(frozen=True)
 class RunConfig:
-    robot: RobotParams | tuple[RobotParams, ...]
-    kinematic: KinematicGains
-    asmc: AsmcConfig
-    platoon: PlatoonConfig
-    arena: Arena
-    sim: SimConfig
-    metrics: MetricsConfig
+    robot: RobotParams | tuple[RobotParams, ...] = field(
+        default_factory=RobotParams)
+    kinematic: KinematicGains = field(default_factory=KinematicGains)
+    asmc: AsmcConfig = field(default_factory=AsmcConfig)
+    platoon: PlatoonConfig = field(default_factory=PlatoonConfig)
+    arena: Arena = field(default_factory=Arena)
+    sim: SimConfig = field(default_factory=SimConfig)
+    metrics: MetricsConfig = field(default_factory=MetricsConfig)
     path_file: str | None = None
     output_dir: str | None = None
     controller: str = "both"
 
     def validate(self) -> None:
-        robots = self.robot if isinstance(self.robot, tuple) else (self.robot,)
-        for section, obj in (
-                *((f"robot[{i}]" if len(robots) > 1 else "robot", rp)
-                  for i, rp in enumerate(robots)),
-                ("kinematic", self.kinematic), ("asmc", self.asmc),
-                ("platoon", self.platoon), ("arena", self.arena),
-                ("sim", self.sim), ("metrics", self.metrics)):
-            try:
-                obj.validate()
-            except ValueError as exc:
-                raise ConfigError(f"[{section}] {exc}") from exc
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            parts = value if isinstance(value, tuple) else (value,)
+            for i, part in enumerate(parts):
+                try:
+                    getattr(part, "validate", lambda: None)()
+                except ValueError as exc:
+                    where = f"{f.name}[{i}]" if parts is value else f.name
+                    raise ConfigError(f"[{where}] {exc}") from exc
         if isinstance(self.robot, tuple) and \
                 len(self.robot) != self.platoon.n_robots:
             raise ConfigError(
                 f"[robot] {len(self.robot)} parameter sets for "
                 f"{self.platoon.n_robots} robots")
+        # Bytes of an episode's big arrays: the trace columns and, with no
+        # path_file, the tiled default path's five. In floats, so that an
+        # absurd run gives inf, not an overflow (hence also the capped count).
+        sim, n = self.sim, min(self.platoon.n_robots, 2**53)
+        need = 8 * (sim.duration / sim.control_period + 1) * \
+            (len(PER_ROBOT_FIELDS) + 1) * n
+        if self.path_file is None:
+            need += 8 * 5 * self.platoon.v_d * sim.duration / DEFAULT_SPACING
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        if need > memory:
+            raise ConfigError(
+                f"[sim] a {sim.duration} s run needs about {need / 2**30:.3g} "
+                f"GiB, more than the machine's {memory / 2**30:.3g} GiB")
         if self.metrics.warmup_cutoff > \
                 self.sim.n_periods() * self.sim.control_period:
             raise ConfigError(
@@ -95,93 +114,74 @@ class RunConfig:
         return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
     def to_dict(self) -> dict:
-        return {
-            "robot": [dataclasses.asdict(r) for r in self.robot]
-            if isinstance(self.robot, tuple) else dataclasses.asdict(self.robot),
-            "kinematic": dataclasses.asdict(self.kinematic),
-            "asmc": dataclasses.asdict(self.asmc),
-            "platoon": {
-                "n_robots": self.platoon.n_robots,
-                "gap_des": self.platoon.gap_des,
-                "v_d": self.platoon.v_d,
-                "start_poses": None if self.platoon.start_poses is None
-                else [list(p) for p in self.platoon.start_poses],
-                "follower_heading": self.platoon.follower_heading,
-            },
-            "arena": {
-                "quadrant_mu": list(self.arena.quadrant_mu),
-                "mu_lateral": self.arena.mu_lateral,
-                "speed_breakers": [dataclasses.asdict(b)
-                                   for b in self.arena.speed_breakers],
-            },
-            "sim": dataclasses.asdict(self.sim),
-            "metrics": dataclasses.asdict(self.metrics),
-            "path_file": self.path_file,
-            "output_dir": self.output_dir,
-            "controller": self.controller,
-        }
+        return _lists(dataclasses.asdict(self))
 
 
-# JSON types accepted for each scalar annotation; bool is excluded
-# everywhere although it is an int subclass.
-_SCALAR_TYPES = {float: (int, float), int: (int,), str: (str,),
-                 type(None): (type(None),)}
-_TYPE_NAMES = {float: "a number", int: "an integer", str: "a string",
-               type(None): "null"}
+def _lists(obj):
+    """The asdict document with every tuple turned into an editable list."""
+    if isinstance(obj, dict):
+        return {k: _lists(v) for k, v in obj.items()}
+    if isinstance(obj, (tuple, list)):
+        return [_lists(v) for v in obj]
+    return obj
 
 
 @functools.cache
-def _scalar_fields(cls) -> dict[str, tuple]:
-    """Field name -> the scalar types its annotation admits, resolved once
-    per class; () for composite fields (tuples, nested sections), which
-    `from_dict` builds and checks itself."""
-    out = {}
-    for name, hint in typing.get_type_hints(cls).items():
-        arms = typing.get_args(hint) if isinstance(hint, types.UnionType) \
-            else (hint,)
-        out[name] = arms if all(a in _SCALAR_TYPES for a in arms) else ()
-    return out
+def _hints(cls) -> dict[str, typing.Any]:
+    return typing.get_type_hints(cls)
 
 
-def _type_ok(value, arms) -> bool:
-    return not isinstance(value, bool) and \
-        any(isinstance(value, _SCALAR_TYPES[a]) for a in arms)
+_SCALARS = {float: ((int, float), "a number"), int: ((int,), "an integer"),
+            str: ((str,), "a string"), type(None): ((type(None),), "null")}
 
 
-def _check_type(where: str, value, arms) -> None:
-    if arms and not _type_ok(value, arms):
-        want = " or ".join(_TYPE_NAMES[a] for a in arms)
-        raise ConfigError(f"{where} must be {want}, got {value!r}")
+@functools.cache
+def _arms(hint) -> tuple[tuple[typing.Any, tuple[type, ...], str], ...]:
+    """Per arm of an annotation (`A | B` has two): the arm, the JSON types it
+    takes (never bool) and their name in errors."""
+    union = typing.get_origin(hint) in (typing.Union, types.UnionType)
+    return tuple(
+        (arm, (dict,), "an object") if dataclasses.is_dataclass(arm) else
+        (arm, (list,), "a list") if typing.get_origin(arm) is tuple else
+        (arm, *_SCALARS[arm])
+        for arm in (typing.get_args(hint) if union else (hint,)))
 
 
-def _build(cls, doc: dict, section: str):
-    if not isinstance(doc, dict):
-        raise ConfigError(f"[{section}] expected an object, got {type(doc).__name__}")
-    fields = _scalar_fields(cls)
-    unknown = sorted(set(doc) - set(fields))
-    if unknown:
-        raise ConfigError(f"[{section}] unknown key(s): {', '.join(unknown)}")
-    for name, value in doc.items():
-        _check_type(f"[{section}] {name}", value, fields[name])
-    try:
-        return cls(**doc)
-    except TypeError as exc:
-        raise ConfigError(f"[{section}] {exc}") from exc
-
-
-def _numbers(seq, n: int | None) -> bool:
-    """Whether seq is a list of numbers (of length n, when given)."""
-    return isinstance(seq, (list, tuple)) and (n is None or len(seq) == n) and \
-        all(_type_ok(v, (float,)) for v in seq)
-
-
-def _section(doc: dict, name: str) -> dict:
-    """A copy of the named section (empty when absent), which must be an object."""
-    section = doc.get(name, {})
-    if not isinstance(section, dict):
-        raise ConfigError(
-            f"[{name}] expected an object, got {type(section).__name__}")
-    return dict(section)
+def _build(hint, value, where: str):
+    """The value of annotation `hint` built from a parsed JSON value; `where`
+    names it in errors."""
+    arms = _arms(hint)
+    arm = next((a for a, takes, _ in arms if isinstance(value, takes) and
+                not isinstance(value, bool)), None)
+    if arm is None:
+        want = " or ".join(name for _, _, name in arms)
+        raise ConfigError(f"[{where}] must be {want}, got {value!r}")
+    if isinstance(value, dict):
+        hints = _hints(arm)
+        unknown = sorted(set(value) - set(hints))
+        if unknown:
+            raise ConfigError(f"[{where}] unknown key(s): {', '.join(unknown)}")
+        prefix = f"{where}." if where != "config" else ""
+        kwargs = {k: _build(hints[k], v, prefix + k) for k, v in value.items()}
+        try:
+            return arm(**kwargs)
+        except TypeError as exc:
+            raise ConfigError(f"[{where}] {exc}") from exc
+    if isinstance(value, list):
+        items = typing.get_args(arm)
+        if items[-1] is Ellipsis:
+            items = items[:1] * len(value)
+        elif len(value) != len(items):
+            raise ConfigError(
+                f"[{where}] must be a list of {len(items)}, got {value!r}")
+        return tuple(_build(h, v, f"{where}[{i}]")
+                     for i, (h, v) in enumerate(zip(items, value)))
+    if arm is float:
+        try:
+            return float(value)
+        except OverflowError as exc:
+            raise ConfigError(f"[{where}] {exc}") from exc
+    return value
 
 
 def from_dict(doc: dict) -> RunConfig:
@@ -189,60 +189,7 @@ def from_dict(doc: dict) -> RunConfig:
     of invariants yet; call .validate() after)."""
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
-    known = {"robot", "kinematic", "asmc", "platoon", "arena", "sim", "metrics",
-             "path_file", "output_dir", "controller"}
-    unknown = sorted(set(doc) - known)
-    if unknown:
-        raise ConfigError(f"unknown top-level key(s): {', '.join(unknown)}")
-
-    platoon_doc = _section(doc, "platoon")
-    poses = platoon_doc.get("start_poses")
-    if poses is not None:
-        if not (isinstance(poses, (list, tuple)) and
-                all(_numbers(p, 3) for p in poses)):
-            raise ConfigError(
-                "[platoon] start_poses must be a list of [x, y, theta]")
-        platoon_doc["start_poses"] = tuple(tuple(float(v) for v in p)
-                                           for p in poses)
-
-    arena_doc = _section(doc, "arena")
-    if "quadrant_mu" in arena_doc:
-        mu = arena_doc["quadrant_mu"]
-        if not _numbers(mu, None):
-            raise ConfigError("[arena] quadrant_mu must be a list of 4 numbers")
-        arena_doc["quadrant_mu"] = tuple(float(m) for m in mu)
-    if "speed_breakers" in arena_doc:
-        bs = arena_doc["speed_breakers"]
-        if not isinstance(bs, list):
-            raise ConfigError("[arena] speed_breakers must be a list of objects")
-        arena_doc["speed_breakers"] = tuple(
-            _build(SpeedBreaker, b, f"arena.speed_breakers[{i}]")
-            for i, b in enumerate(bs))
-
-    robot_doc = doc.get("robot", {})
-    if isinstance(robot_doc, list):
-        robot = tuple(_build(RobotParams, r, f"robot[{i}]")
-                      for i, r in enumerate(robot_doc))
-    else:
-        robot = _build(RobotParams, robot_doc, "robot")
-
-    fields = _scalar_fields(RunConfig)
-    for name in ("path_file", "output_dir", "controller"):
-        if name in doc:
-            _check_type(f"[{name}]", doc[name], fields[name])
-
-    return RunConfig(
-        robot=robot,
-        kinematic=_build(KinematicGains, doc.get("kinematic", {}), "kinematic"),
-        asmc=_build(AsmcConfig, doc.get("asmc", {}), "asmc"),
-        platoon=_build(PlatoonConfig, platoon_doc, "platoon"),
-        arena=_build(Arena, arena_doc, "arena"),
-        sim=_build(SimConfig, doc.get("sim", {}), "sim"),
-        metrics=_build(MetricsConfig, doc.get("metrics", {}), "metrics"),
-        path_file=doc.get("path_file"),
-        output_dir=doc.get("output_dir"),
-        controller=doc.get("controller", "both"),
-    )
+    return _build(RunConfig, doc, "config")
 
 
 def load_config(path) -> RunConfig:
@@ -265,17 +212,9 @@ def dump_config(cfg: RunConfig, path) -> None:
 def default_config() -> RunConfig:
     """The shipped default scenario: three robots on the figure-eight with the
     quadrant friction field and two speed-breaker bands on the course."""
-    return RunConfig(
-        robot=RobotParams(),
-        kinematic=KinematicGains(),
-        asmc=AsmcConfig(),
-        platoon=PlatoonConfig(),
-        arena=Arena(speed_breakers=(
-            SpeedBreaker(x=-2.709293, y=2.525828, half_width=0.4,
-                         amp_force=2.0, amp_torque=0.2),
-            SpeedBreaker(x=7.897371, y=-4.915739, half_width=0.4,
-                         amp_force=2.0, amp_torque=0.2),
-        )),
-        sim=SimConfig(),
-        metrics=MetricsConfig(),
-    )
+    return RunConfig(arena=Arena(speed_breakers=(
+        SpeedBreaker(x=-2.709293, y=2.525828, half_width=0.4,
+                     amp_force=2.0, amp_torque=0.2),
+        SpeedBreaker(x=7.897371, y=-4.915739, half_width=0.4,
+                     amp_force=2.0, amp_torque=0.2),
+    )))

@@ -58,8 +58,10 @@ class SimConfig:
         if self.dt_plant > self.control_period:
             raise ValueError(
                 f"dt_plant {self.dt_plant} exceeds control_period {self.control_period}")
-        n = self.substeps()
-        if abs(n * self.dt_plant - self.control_period) > 1e-9 * self.control_period:
+        # substeps() cannot round an infinite or NaN ratio
+        if not (self.control_period / self.dt_plant < math.inf and
+                abs(self.substeps() * self.dt_plant - self.control_period)
+                <= 1e-9 * self.control_period):
             raise ValueError(
                 f"control_period {self.control_period} is not an integer multiple "
                 f"of dt_plant {self.dt_plant}")
@@ -143,6 +145,21 @@ def default_path_for(platoon: PlatoonConfig, sim: SimConfig) -> tuple[Path, floa
     laps = max(3, int(math.ceil(need / lap_len)) + 1)
     path = figure_eight(laps=laps)
     return path, float(path.arc[len(one_lap)])
+
+
+def lead_start_on(path: Path, platoon: PlatoonConfig, sim: SimConfig,
+                  lead_start_arc: float | None = None) -> float:
+    """The leader's starting arc position on `path`, checked so that its
+    reference stays on the path for the whole episode. On a custom path it
+    defaults to just far enough in for the followers to fit."""
+    if lead_start_arc is None:
+        lead_start_arc = (platoon.n_robots - 1) * platoon.gap_des
+    end = lead_start_arc + platoon.v_d * sim.n_periods() * sim.control_period
+    if not 0.0 <= lead_start_arc <= end <= path.total_length:
+        raise ValueError(
+            f"the leader's reference runs from arc {lead_start_arc:.3f} to "
+            f"{end:.3f} m, outside the path of length {path.total_length:.3f} m")
+    return lead_start_arc
 
 
 def _jittered_arena(arena: Arena, seed: int | None) -> Arena:
@@ -243,13 +260,7 @@ def run_episode(
         path, default_start = default_path_for(platoon, sim)
         if lead_start_arc is None:
             lead_start_arc = default_start
-    elif lead_start_arc is None:
-        # Custom path: start just far enough in for the followers to fit.
-        lead_start_arc = (R - 1) * platoon.gap_des
-    if not 0.0 <= lead_start_arc <= path.total_length:
-        raise ValueError(
-            f"lead_start_arc {lead_start_arc} outside path of length "
-            f"{path.total_length:.3f}")
+    lead_start_arc = lead_start_on(path, platoon, sim, lead_start_arc)
     arena = _jittered_arena(arena, sim.seed)
 
     mean_spacing = path.total_length / (len(path) - 1)

@@ -72,6 +72,8 @@ def build_path(cx, cy) -> Path:
         raise ValueError("path coordinates must be two equal-length 1-D arrays")
     if len(cx) < 2:
         raise ValueError(f"path needs at least 2 waypoints, got {len(cx)}")
+    if not (np.isfinite(cx).all() and np.isfinite(cy).all()):
+        raise ValueError("path coordinates must be finite")
     seg = np.hypot(np.diff(cx), np.diff(cy))
     if np.any(seg <= 0.0):
         raise ValueError("path has coincident consecutive waypoints")
@@ -132,11 +134,13 @@ def load_path_xy(path_file: str, spacing: float | None = None) -> Path:
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ValueError(f"{path_file}:{ln}: expected 'x y', got {line!r}")
-            xs.append(float(parts[0]))
-            ys.append(float(parts[1]))
+            try:
+                x, y = map(float, line.split())
+            except ValueError:
+                raise ValueError(
+                    f"{path_file}:{ln}: expected 'x y', got {line!r}") from None
+            xs.append(x)
+            ys.append(y)
     p = build_path(xs, ys)
     if spacing is not None:
         s = np.arange(0.0, p.total_length, spacing)
@@ -175,6 +179,9 @@ class PlatoonConfig:
             raise ValueError(
                 f"start_poses has {len(self.start_poses)} entries for "
                 f"{self.n_robots} robots")
+        for i, pose in enumerate(self.start_poses or ()):
+            if not all(map(math.isfinite, pose)):
+                raise ValueError(f"start_poses[{i}] must be finite, got {pose}")
         if self.follower_heading not in FOLLOWER_HEADING_MODES:
             raise ValueError(
                 f"follower_heading must be one of {FOLLOWER_HEADING_MODES}, "

@@ -1,11 +1,17 @@
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import pytest
 
 from platoon_asmc.cli import main
-from platoon_asmc.config import default_config, from_dict, load_config
+from platoon_asmc.config import (
+    default_config,
+    dump_config,
+    from_dict,
+    load_config,
+)
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -37,6 +43,27 @@ class TestConfigParsing:
     def test_shipped_defaults_file_matches_code(self):
         shipped = load_config(REPO_ROOT / "configs" / "defaults.json")
         assert shipped == default_config()
+
+    def test_default_scenario_hash_is_pinned(self):
+        shipped = load_config(REPO_ROOT / "configs" / "defaults.json")
+        assert shipped.scenario_hash() == "c668ffe41462"
+        assert default_config().scenario_hash() == "c668ffe41462"
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("sim", "duration", 600), ("robot", "m", 1)])
+    def test_integer_in_number_field_is_stored_as_float(
+            self, tmp_path, section, key, value):
+        as_int = default_config().to_dict()
+        as_int[section][key] = value
+        as_float = default_config().to_dict()
+        as_float[section][key] = float(value)
+        a, b = from_dict(as_int), from_dict(as_float)
+        assert a == b
+        assert a.scenario_hash() == b.scenario_hash()
+        dump_config(a, tmp_path / "a.json")
+        dump_config(b, tmp_path / "b.json")
+        assert (tmp_path / "a.json").read_bytes() == \
+            (tmp_path / "b.json").read_bytes()
 
     def test_unknown_top_level_key(self, tmp_path):
         p = write_config(tmp_path, {**tiny_config(), "typo_section": {}})
@@ -204,14 +231,16 @@ class TestRunCommand:
         assert err.count("\n") == 1
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("keys", [
-        ("metrics", "warmup_cutoff"),
-        ("robot", "f_kr"),
-        ("arena", "speed_breakers", 0, "x"),
-        ("sim", "duration"),
-    ], ids=["warmup_cutoff", "f_kr", "breaker_x", "duration"])
-    def test_nan_is_rejected_by_validation(self, tmp_path, capfd, keys):
-        assert_one_validation_error(tmp_path, capfd, keys, float("nan"))
+    @pytest.mark.parametrize("keys,value", [
+        (("metrics", "warmup_cutoff"), math.nan),
+        (("robot", "f_kr"), math.nan),
+        (("arena", "speed_breakers", 0, "x"), math.nan),
+        (("sim", "duration"), math.nan),
+        (("platoon", "start_poses"),
+         [[0.0, 0.0, 0.0], [math.nan, 0.0, 0.0], [-2.0, 0.0, 0.0]]),
+    ], ids=["warmup_cutoff", "f_kr", "breaker_x", "duration", "start_poses"])
+    def test_nan_is_rejected_by_validation(self, tmp_path, capfd, keys, value):
+        assert_one_validation_error(tmp_path, capfd, keys, value)
 
     @pytest.mark.parametrize("keys,value", [
         (("robot", "m"), "1.2"),
@@ -224,12 +253,29 @@ class TestRunCommand:
         (("sim", "duration"), float("inf")),
         # the run is 1 s long; a 5 s warm-up would discard the whole trace
         (("metrics", "warmup_cutoff"), 5.0),
+        # its trace alone would need hundreds of TiB
+        (("sim", "duration"), 1e12),
     ], ids=["m_str", "n_robots_float", "n_robots_bool", "amp_force_str",
             "quadrant_mu_str", "path_file_int", "duration_inf",
-            "warmup_past_end"])
+            "warmup_past_end", "duration_huge"])
     def test_bad_value_is_rejected_by_validation(self, tmp_path, capfd, keys,
                                                  value):
         assert_one_validation_error(tmp_path, capfd, keys, value)
+
+    @pytest.mark.parametrize("course", [
+        None,
+        "0.0 0.0\n1.0 x\n",
+        "0.0 0.0\nnan 0.0\n2.0 0.0\n",
+        # 3 m long; the 1 s run's leader starts 2 m in and drives 2 m
+        "".join(f"{0.05 * i} 0.0\n" for i in range(61)),
+    ], ids=["missing", "not_a_number", "not_finite", "too_short"])
+    def test_bad_path_file_is_rejected_by_validation(self, tmp_path, capfd,
+                                                     course):
+        path_file = tmp_path / "course.txt"
+        if course is not None:
+            path_file.write_text(course)
+        assert_one_validation_error(tmp_path, capfd, ("path_file",),
+                                    str(path_file))
 
 
 def assert_one_validation_error(tmp_path, capfd, keys, value):

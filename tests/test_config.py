@@ -1,0 +1,95 @@
+"""Fuzz of the config schema: edited copies of the default document either
+validate or raise ConfigError, and whatever validates survives its own echo.
+
+No episode runs here; the CLI tests cover the exit codes."""
+
+import copy
+import math
+
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+from platoon_asmc.config import ConfigError, default_config, from_dict
+
+# the edge values by name, as plain draws reach them too rarely
+EDGES = st.sampled_from((0, -1, 2**64, 10**400, 0.0, -0.0, 5e-324, 1e-300,
+                         1e300, math.inf, -math.inf, math.nan))
+NUMBERS = EDGES | st.floats(allow_nan=True, allow_infinity=True) \
+    | st.integers()
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.text(max_size=8) | NUMBERS,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=6), children, max_size=4),
+    max_leaves=8)
+
+
+def paths(node, prefix=()):
+    """(path, value) of `node` and of everything below it."""
+    yield prefix, node
+    items = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from paths(child, prefix + (key,))
+
+
+def lookup(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def edited(path, value):
+    """The default document with the value at `path` replaced."""
+    doc = default_config().to_dict()
+    lookup(doc, path[:-1])[path[-1]] = value
+    return doc
+
+
+@st.composite
+def edited_documents(draw):
+    """The default document with one or two edits: a number replaced by
+    another number; any value replaced by any JSON value; a key or list
+    entry deleted; an unknown key added."""
+    doc = default_config().to_dict()
+    for _ in range(draw(st.integers(1, 2))):
+        action = draw(st.sampled_from(("number", "replace", "delete", "add")))
+        if action == "number":
+            where = [p for p, v in paths(doc) if p and
+                     isinstance(v, (int, float)) and not isinstance(v, bool)]
+        elif action == "add":
+            where = [p for p, v in paths(doc) if isinstance(v, dict)]
+        else:
+            where = [p for p, _ in paths(doc) if p]
+        if not where:
+            break
+        path = draw(st.sampled_from(where))
+        if action == "add":
+            lookup(doc, path)[draw(st.text(max_size=6))] = draw(JSON_VALUES)
+        elif action == "delete":
+            del lookup(doc, path[:-1])[path[-1]]
+        else:
+            lookup(doc, path[:-1])[path[-1]] = draw(
+                NUMBERS if action == "number" else JSON_VALUES)
+    return doc
+
+
+@settings(max_examples=600, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(edited_documents())
+# overflowed while rounding control_period / dt_plant to a step count
+@example(edited(("sim", "dt_plant"), 5e-324))
+@example(edited(("sim", "control_period"), math.inf))
+# too large for a float
+@example(edited(("robot", "m"), 10**400))
+@example(edited(("platoon", "n_robots"), 10**400))
+def test_edited_document_validates_or_raises_config_error(doc):
+    original = copy.deepcopy(doc)
+    try:
+        cfg = from_dict(doc)
+        cfg.validate()
+    except ConfigError:
+        return
+    assert doc == original  # building never edits the document
+    again = from_dict(cfg.to_dict())
+    assert again == cfg
+    assert again.scenario_hash() == cfg.scenario_hash()

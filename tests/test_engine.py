@@ -109,6 +109,13 @@ class TestRunEpisode:
         with pytest.raises(ValueError, match="follower_heading"):
             dataclasses.replace(cfg.platoon, follower_heading="gps").validate()
 
+    def test_rejects_path_too_short_for_the_run(self, cfg, straight_path):
+        # the 200 m straight path holds 99 s of the leader at 2 m/s
+        sim = SimConfig(duration=100.0)
+        with pytest.raises(ValueError, match="outside the path"):
+            run_episode(cfg.robot, cfg.kinematic, cfg.asmc, cfg.platoon,
+                        cfg.arena, sim, "proposed", path=straight_path)
+
     def test_rejects_unknown_controller(self, cfg):
         with pytest.raises(ValueError, match="controller"):
             run_episode(cfg.robot, cfg.kinematic, cfg.asmc, cfg.platoon,

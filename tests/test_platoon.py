@@ -219,6 +219,12 @@ class TestPathConstruction:
         with pytest.raises(ValueError, match="bad.txt:2"):
             load_path_xy(str(f))
 
+    def test_load_path_names_line_of_non_number(self, tmp_path):
+        f = tmp_path / "bad.txt"
+        f.write_text("0.0 0.0\n1.0 0.0\n2.0 one\n")
+        with pytest.raises(ValueError, match="bad.txt:3"):
+            load_path_xy(str(f))
+
 
 class TestNearestIndex:
     def test_simple_projection(self):
