@@ -68,6 +68,13 @@ class SimConfig:
         if not 0 <= self.duration < math.inf:
             raise ValueError(
                 f"duration must be finite and >= 0, got {self.duration}")
+        # n_periods() rounds; a run must not silently change its length
+        if not (self.duration / self.control_period < math.inf and
+                abs(self.n_periods() * self.control_period - self.duration)
+                <= 1e-9 * self.duration):
+            raise ValueError(
+                f"duration {self.duration} is not an integer multiple "
+                f"of control_period {self.control_period}")
 
     def substeps(self) -> int:
         return max(1, int(round(self.control_period / self.dt_plant)))
@@ -95,14 +102,20 @@ class EpisodeAborted(RuntimeError):
         return EpisodeAborted, (self.step, self.t, self.robot, self.diagnostic)
 
 
+# Column of each per-robot field in the last axis of `Trace.rec`.
+_FIELD_INDEX = {name: i for i, name in enumerate(PER_ROBOT_FIELDS)}
+
+
 @dataclass
 class Trace:
     """Uniform-grid log of one episode.
 
-    `t` has one entry per control step (duration/control_period + 1 records);
-    each per-robot column in `data` is an (n_records, n_robots) array and
-    `gap_err` an (n_records, n_robots-1) array of arc-gap errors between
-    consecutive pairs.
+    `t` has one entry per control step (duration/control_period + 1 records).
+    `rec` is an (n_records, n_robots, len(PER_ROBOT_FIELDS)) array: one row
+    per robot-step, its fields in `PER_ROBOT_FIELDS` order, which is also the
+    order of a robot's columns in the CSV. `trace[name]` (and `data[name]`)
+    is the (n_records, n_robots) view of one field. `gap_err` is an
+    (n_records, n_robots-1) array of arc-gap errors between consecutive pairs.
     """
 
     controller: str
@@ -110,11 +123,15 @@ class Trace:
     n_robots: int
     control_period: float
     t: np.ndarray
-    data: dict[str, np.ndarray]
+    rec: np.ndarray
     gap_err: np.ndarray
 
     def __getitem__(self, key: str) -> np.ndarray:
-        return self.data[key]
+        return self.rec[:, :, _FIELD_INDEX[key]]
+
+    @property
+    def data(self) -> dict[str, np.ndarray]:
+        return {name: self[name] for name in PER_ROBOT_FIELDS}
 
     @property
     def n_records(self) -> int:
@@ -294,20 +311,12 @@ def run_episode(
     n_rec = N + 1
 
     t_arr = np.arange(n_rec) * cp
-    data = {name: np.empty((n_rec, R)) for name in PER_ROBOT_FIELDS}
+    rec = np.empty((n_rec, R, len(PER_ROBOT_FIELDS)))
     gap_arr = np.empty((n_rec, R - 1)) if R > 1 else np.empty((n_rec, 0))
 
     packed = arena.pack()
     proposed = controller == "proposed"
     arc = path.arc
-
-    c_x, c_y, c_th, c_v, c_om = (data["x"], data["y"], data["theta"],
-                                 data["v"], data["omega"])
-    c_xref, c_yref, c_vc, c_wc = (data["xref"], data["yref"], data["vc"], data["wc"])
-    c_F, c_tau, c_tr, c_tl = (data["F"], data["tau"], data["tau_r"], data["tau_l"])
-    c_sv, c_sw = data["s_v"], data["s_w"]
-    c_gch = [data[n] for n in ("K_v0", "K_v1", "K_w2", "K_w0", "K_w1", "K_v2")]
-    c_ex, c_ey = data["e_x"], data["e_y"]
 
     wrenches = [(0.0, 0.0)] * R
     for k in range(N + 1):
@@ -343,28 +352,12 @@ def run_episode(
             tau_r, tau_l = wheel_torque_split(F, tau, robots[r])
             wrenches[r] = (F, tau)
 
-            c_x[k, r] = st.x
-            c_y[k, r] = st.y
-            c_th[k, r] = st.theta
-            c_v[k, r] = st.v
-            c_om[k, r] = st.omega
-            c_xref[k, r] = xr
-            c_yref[k, r] = yr
-            c_vc[k, r] = cmd.v_c
-            c_wc[k, r] = cmd.omega_c
-            c_F[k, r] = F
-            c_tau[k, r] = tau
-            c_tr[k, r] = tau_r
-            c_tl[k, r] = tau_l
-            c_sv[k, r] = sv.s_v
-            c_sw[k, r] = sv.s_w
-            for col, g in zip(c_gch, gains_now):
-                col[k, r] = g
-            c_ex[k, r] = xr - st.x
-            c_ey[k, r] = yr - st.y
+            rec[k, r] = (st.x, st.y, st.theta, st.v, st.omega, xr, yr,
+                         cmd.v_c, cmd.omega_c, F, tau, tau_r, tau_l,
+                         sv.s_v, sv.s_w, *gains_now, xr - st.x, yr - st.y)
 
             if not (math.isfinite(F) and math.isfinite(tau)):
-                raise EpisodeAborted(k, t, r, _diagnostic(data, gap_arr, k, r))
+                raise EpisodeAborted(k, t, r, _diagnostic(rec, gap_arr, k, r))
 
         for j in range(R - 1):
             gap_arr[k, j] = (arc[markers[j]] - arc[markers[j + 1]]) - platoon.gap_des
@@ -378,23 +371,22 @@ def run_episode(
                 st.x, st.y, st.theta, st.v, st.omega, F, tau, n_sub, h,
                 robots[r], packed)
             if not all(map(math.isfinite, (nx, ny, nth, nv, nw))):
-                raise EpisodeAborted(k, t, r, _diagnostic(data, gap_arr, k, r))
+                raise EpisodeAborted(k, t, r, _diagnostic(rec, gap_arr, k, r))
             st.x, st.y, st.theta, st.v, st.omega = nx, ny, nth, nv, nw
 
     return Trace(controller=controller, scenario=scenario_label, n_robots=R,
-                 control_period=cp, t=t_arr, data=data, gap_err=gap_arr)
+                 control_period=cp, t=t_arr, rec=rec, gap_err=gap_arr)
 
 
-def _diagnostic(data: dict, gap_arr: np.ndarray, k: int, r: int) -> dict:
+def _diagnostic(rec: np.ndarray, gap_arr: np.ndarray, k: int, r: int) -> dict:
     """Snapshot of the last fully finite record for the aborting robot."""
     j = k
-    while j > 0 and not all(math.isfinite(float(data[name][j, r]))
-                            for name in PER_ROBOT_FIELDS):
+    while j > 0 and not np.isfinite(rec[j, r]).all():
         j -= 1
     return {
         "step": j,
         "robot": r + 1,
-        **{name: float(data[name][j, r]) for name in PER_ROBOT_FIELDS},
+        **dict(zip(PER_ROBOT_FIELDS, rec[j, r].tolist())),
         "gap_err": [float(g) for g in gap_arr[j]] if j < len(gap_arr) else [],
     }
 

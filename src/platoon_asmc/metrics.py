@@ -2,8 +2,10 @@
 
 The CSV column contract is fixed: `time`, then for each robot r (1-based)
 the 23 per-robot columns in `engine.PER_ROBOT_FIELDS` order prefixed with
-`r{n}_`, then one `gap_err_{n}{n+1}` column per consecutive pair. Floats are
-written with repr(), which round-trips exactly.
+`r{n}_`, then one `gap_err_{n}{n+1}` column per consecutive pair. A row is
+therefore `t[k]`, the flattened `Trace.rec[k]` and `gap_err[k]`, so export
+and load are a reshape of `rec`. Floats are written with repr(), which
+round-trips exactly.
 """
 
 from __future__ import annotations
@@ -184,16 +186,14 @@ EXPORT_BLOCK_ROWS = 128
 
 def export_trace(trace: Trace, path) -> None:
     """Write the trace as CSV: fixed header, one row per control step."""
-    n = trace.n_robots
-    cols = [trace.t]
-    for r in range(n):
-        cols.extend(trace.data[name][:, r] for name in PER_ROBOT_FIELDS)
-    cols.extend(trace.gap_err[:, j] for j in range(n - 1))
+    t, gap = trace.t, trace.gap_err
+    per_robot = trace.rec.reshape(trace.n_records, -1)
     try:
         with open(path, "w", newline="") as fh:
-            fh.write(",".join(csv_header(n)) + "\n")
+            fh.write(",".join(csv_header(trace.n_robots)) + "\n")
             for a in range(0, trace.n_records, EXPORT_BLOCK_ROWS):
-                block = np.column_stack([c[a:a + EXPORT_BLOCK_ROWS] for c in cols])
+                b = a + EXPORT_BLOCK_ROWS
+                block = np.column_stack((t[a:b], per_robot[a:b], gap[a:b]))
                 fh.write("".join(",".join(map(repr, row)) + "\n"
                                  for row in block.tolist()))
     except OSError as exc:
@@ -201,7 +201,8 @@ def export_trace(trace: Trace, path) -> None:
 
 
 def load_trace(path, controller: str = "", scenario: str = "") -> Trace:
-    """Read a trace CSV written by `export_trace` back into a Trace."""
+    """Read a trace CSV written by `export_trace` back into a Trace whose
+    arrays are views into the one parsed buffer."""
     with open(path) as fh:
         header = fh.readline().strip().split(",")
         n_robots = sum(1 for c in header
@@ -223,16 +224,11 @@ def load_trace(path, controller: str = "", scenario: str = "") -> Trace:
     raw = np.frombuffer(values, dtype=float).reshape(-1, width)
     n_fields = len(PER_ROBOT_FIELDS)
     gap_start = 1 + n_robots * n_fields
-    t = raw[:, 0].copy()
-    # one copy shaped (n_fields, n_records, n_robots): each field is then a
-    # C-contiguous (n_records, n_robots) array, the layout the engine records
-    per_robot = raw[:, 1:gap_start].reshape(-1, n_robots, n_fields) \
-        .transpose(2, 0, 1).copy()
-    data = {name: per_robot[i] for i, name in enumerate(PER_ROBOT_FIELDS)}
-    gap = raw[:, gap_start:].copy()
+    t = raw[:, 0]
+    rec = raw[:, 1:gap_start].reshape(len(raw), n_robots, n_fields)
     cp = float(t[1] - t[0]) if len(t) > 1 else 0.0
     return Trace(controller=controller, scenario=scenario, n_robots=n_robots,
-                 control_period=cp, t=t, data=data, gap_err=gap)
+                 control_period=cp, t=t, rec=rec, gap_err=raw[:, gap_start:])
 
 
 def write_plotspec(path, n_robots: int) -> None:
@@ -248,9 +244,9 @@ def write_plotspec(path, n_robots: int) -> None:
         lines.append(f"gap_error: time {gap_cols}")
     for r in range(1, n_robots + 1):
         lines.append(f"sliding_r{r}: time r{r}_s_v r{r}_s_w")
+    gain_names = [g for g in PER_ROBOT_FIELDS if g.startswith("K_")]
     for r in range(1, n_robots + 1):
-        gains = " ".join(f"r{r}_{g}" for g in
-                         ("K_v0", "K_v1", "K_w2", "K_w0", "K_w1", "K_v2"))
+        gains = " ".join(f"r{r}_{g}" for g in gain_names)
         lines.append(f"gains_r{r}: time {gains}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -255,9 +255,11 @@ class TestRunCommand:
         (("metrics", "warmup_cutoff"), 5.0),
         # its trace alone would need hundreds of TiB
         (("sim", "duration"), 1e12),
+        # not a whole number of 10 ms control periods
+        (("sim", "duration"), 1.005),
     ], ids=["m_str", "n_robots_float", "n_robots_bool", "amp_force_str",
             "quadrant_mu_str", "path_file_int", "duration_inf",
-            "warmup_past_end", "duration_huge"])
+            "warmup_past_end", "duration_huge", "duration_off_grid"])
     def test_bad_value_is_rejected_by_validation(self, tmp_path, capfd, keys,
                                                  value):
         assert_one_validation_error(tmp_path, capfd, keys, value)

@@ -29,6 +29,9 @@ class TestSimConfig:
             SimConfig(dt_plant=0.02, control_period=0.01).validate()
         with pytest.raises(ValueError, match="integer multiple"):
             SimConfig(dt_plant=0.003, control_period=0.01).validate()
+        # rounding to 100 periods would simulate 1.00 s
+        with pytest.raises(ValueError, match="duration 1.005"):
+            SimConfig(duration=1.005).validate()
 
     def test_period_counts(self):
         assert SimConfig(duration=0.0).n_periods() == 0

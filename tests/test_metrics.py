@@ -144,9 +144,19 @@ class TestTraceCsv:
         f = tmp_path / "t.csv"
         export_trace(tr, f)
         back = load_trace(f)
-        for name in tr.data:
-            assert np.array_equal(back.data[name], tr.data[name])
-        assert np.array_equal(back.gap_err, tr.gap_err)
+        # bytes, not array_equal: -0.0 and NaN must come back as written
+        assert back.rec.shape == tr.rec.shape
+        assert back.rec.tobytes() == tr.rec.tobytes()
+        assert back.t.tobytes() == tr.t.tobytes()
+        assert back.gap_err.tobytes() == tr.gap_err.tobytes()
+
+    def test_export_of_loaded_trace_reproduces_file(self, short_traces,
+                                                    tmp_path):
+        # a loaded trace's arrays are views into the parsed buffer
+        f, g = tmp_path / "f.csv", tmp_path / "g.csv"
+        export_trace(short_traces["proposed"], f)
+        export_trace(load_trace(f), g)
+        assert g.read_bytes() == f.read_bytes()
 
     def test_export_is_deterministic(self, short_traces, tmp_path):
         tr = short_traces["proposed"]
