@@ -51,7 +51,6 @@ from .platoon import (
     build_path,
     figure_eight,
     follower_target,
-    gap_error,
     load_path_xy,
     nearest_index,
     pose_at_arc,

@@ -26,7 +26,7 @@ from .config import (
     from_dict,
     load_config,
 )
-from .engine import EpisodeAborted, Trace, lead_start_on, run_episode
+from .engine import EpisodeAborted, lead_start_on, run_episode
 from .platoon import Path, load_path_xy
 
 OUT_ENV_VAR = "PLATOON_ASMC_OUT"
@@ -75,9 +75,10 @@ def _load_path(cfg: RunConfig) -> Path | None:
 
 
 def _episode_job(cfg_doc: dict, controller: str, csv_path: str,
-                 path: Path | None = None) -> Trace:
-    """Run one episode and export its trace; used directly and as the worker
-    for concurrent 'both' runs.
+                 path: Path | None = None) -> mx.RmsReport:
+    """Run one episode, export its trace and return its RMS report; used
+    directly and as the worker for concurrent 'both' runs, which then send
+    back the small report rather than the whole trace.
 
     The config crosses to the worker as a plain dict and is rebuilt here, not
     pickled as a `RunConfig`: on CPython 3.11 an unpickled dataclass instance
@@ -89,7 +90,7 @@ def _episode_job(cfg_doc: dict, controller: str, csv_path: str,
                         cfg.arena, cfg.sim, controller, path=path,
                         scenario_label=cfg.scenario_hash())
     mx.export_trace(trace, csv_path)
-    return trace
+    return mx.report_from_trace(trace, cfg.metrics.warmup_cutoff)
 
 
 def run_command(args: argparse.Namespace) -> int:
@@ -113,7 +114,7 @@ def run_command(args: argparse.Namespace) -> int:
     say = (lambda *a: None) if args.quiet else print
 
     doc = cfg.to_dict()
-    traces: dict[str, Trace] = {}
+    reports: dict[str, mx.RmsReport] = {}
     try:
         if len(controllers) == 2:
             say(f"running {controllers} episodes concurrently "
@@ -125,30 +126,28 @@ def run_command(args: argparse.Namespace) -> int:
                     for c in controllers
                 }
                 for c, fut in futures.items():
-                    traces[c] = fut.result()
+                    reports[c] = fut.result()
         else:
             c = controllers[0]
             say(f"running {c} episode ({cfg.sim.duration:g} s simulated)...")
-            traces[c] = _episode_job(doc, c, str(out_dir / f"trace_{c}.csv"),
-                                     path)
+            reports[c] = _episode_job(doc, c, str(out_dir / f"trace_{c}.csv"),
+                                      path)
     except EpisodeAborted as exc:
         return _fail("abort", f"step={exc.step}; t={exc.t:.3f}; "
                               f"robot={exc.robot + 1}; last_record={exc.diagnostic}")
 
     mx.write_plotspec(out_dir / "plotspec.txt", cfg.platoon.n_robots)
 
-    cutoff = cfg.metrics.warmup_cutoff
-    if len(traces) == 2:
-        rp, rb, comparison = mx.build_report(traces["proposed"],
-                                             traces["baseline"], cutoff)
-        reports = [rb, rp]
+    if len(reports) == 2:
+        ordered = [reports["baseline"], reports["proposed"]]
+        comparison = mx.compare_reports(*ordered)
     else:
-        reports = [mx.report_from_trace(next(iter(traces.values())), cutoff)]
+        ordered = list(reports.values())
         comparison = None
-    text = mx.render_report_text(reports, comparison)
+    text = mx.render_report_text(ordered, comparison)
     (out_dir / "report.txt").write_text(text)
     with open(out_dir / "report.json", "w") as fh:
-        json.dump(mx.report_to_json(reports, comparison), fh, indent=2)
+        json.dump(mx.report_to_json(ordered, comparison), fh, indent=2)
         fh.write("\n")
 
     say(text)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 
 def wrap_angle(a: float) -> float:
@@ -39,8 +40,9 @@ class KinematicGains:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
 
 
-@dataclass(frozen=True)
-class PostureError:
+# The per-step values are NamedTuples, built once per robot-step and read
+# back at once: cheaper to build than frozen dataclasses.
+class PostureError(NamedTuple):
     """Body-frame tracking error: longitudinal e1 (m), lateral e2 (m), heading e3 (rad)."""
 
     e1: float
@@ -48,14 +50,12 @@ class PostureError:
     e3: float
 
 
-@dataclass(frozen=True)
-class VelocityReference:
+class VelocityReference(NamedTuple):
     v_d: float
     omega_d: float
 
 
-@dataclass(frozen=True)
-class VelocityCommand:
+class VelocityCommand(NamedTuple):
     v_c: float
     omega_c: float
 
@@ -131,8 +131,7 @@ class AdaptiveState:
         return (self.K_v0, self.K_v1, self.K_w2, self.K_w0, self.K_w1, self.K_v2)
 
 
-@dataclass(frozen=True)
-class SlidingVars:
+class SlidingVars(NamedTuple):
     """Sliding variables and the signals they were built from.
 
     int_v / int_w are the integral values actually used, so
@@ -160,11 +159,8 @@ def posture_error(x: float, y: float, theta: float,
     dy = y_r - y
     c = math.cos(theta)
     s = math.sin(theta)
-    return PostureError(
-        e1=c * dx + s * dy,
-        e2=-s * dx + c * dy,
-        e3=wrap_angle(theta_r - theta),
-    )
+    return PostureError(c * dx + s * dy, -s * dx + c * dy,
+                        wrap_angle(theta_r - theta))
 
 
 def kinematic_control(err: PostureError, ref: VelocityReference,
@@ -172,8 +168,8 @@ def kinematic_control(err: PostureError, ref: VelocityReference,
     """Backstepping velocity law: v_c = v_d cos e3 + k1 e1,
     omega_c = omega_d + k2 v_d e2 + k3 v_d sin e3."""
     return VelocityCommand(
-        v_c=ref.v_d * math.cos(err.e3) + gains.k1 * err.e1,
-        omega_c=ref.omega_d + gains.k2 * ref.v_d * err.e2
+        ref.v_d * math.cos(err.e3) + gains.k1 * err.e1,
+        ref.omega_d + gains.k2 * ref.v_d * err.e2
         + gains.k3 * ref.v_d * math.sin(err.e3),
     )
 
@@ -193,16 +189,9 @@ def update_sliding(adaptive: AdaptiveState, v: float, omega: float,
     e_w = omega - cmd.omega_c
     int_v = adaptive.int_ev
     int_w = adaptive.int_ew
-    sv = SlidingVars(
-        s_v=e_v + cfg.phi_v * int_v,
-        s_w=e_w + cfg.phi_w * int_w,
-        e_v=e_v,
-        e_w=e_w,
-        int_v=int_v,
-        int_w=int_w,
-        xi_v_norm=math.hypot(e_v, int_v),
-        xi_w_norm=math.hypot(e_w, int_w),
-    )
+    sv = SlidingVars(e_v + cfg.phi_v * int_v, e_w + cfg.phi_w * int_w,
+                     e_v, e_w, int_v, int_w,
+                     math.hypot(e_v, int_v), math.hypot(e_w, int_w))
     adaptive.int_ev = int_v + e_v * dt
     adaptive.int_ew = int_w + e_w * dt
     return sv

@@ -22,10 +22,11 @@ from .control import AdaptiveState, AsmcConfig, KinematicGains, VelocityReferenc
 from .platoon import (
     Path,
     PlatoonConfig,
-    figure_eight,
+    figure_eight_lap,
     follower_target,
     nearest_index,
     pose_at_arc,
+    tile_lap,
 )
 from .vehicle import RobotParams, RobotState, plant_rhs, wheel_torque_split
 
@@ -156,12 +157,13 @@ def default_path_for(platoon: PlatoonConfig, sim: SimConfig) -> tuple[Path, floa
     lap behind it so the followers (and the backward gap targeting) always
     have path to walk back over.
     """
-    one_lap = figure_eight(laps=1)
-    lap_len = one_lap.total_length
+    lap_x, lap_y = figure_eight_lap()
+    # the length of the one-lap course, summed as build_path sums its arc
+    lap_len = float(np.cumsum(np.hypot(np.diff(lap_x), np.diff(lap_y)))[-1])
     need = lap_len + platoon.v_d * sim.duration + lap_len
     laps = max(3, int(math.ceil(need / lap_len)) + 1)
-    path = figure_eight(laps=laps)
-    return path, float(path.arc[len(one_lap)])
+    path = tile_lap(lap_x, lap_y, laps)
+    return path, float(path.arc[len(lap_x)])
 
 
 def lead_start_on(path: Path, platoon: PlatoonConfig, sim: SimConfig,
@@ -247,7 +249,8 @@ def run_episode(
     robot. Per control period the robots are updated strictly lead-to-tail so
     each follower targets its predecessor's same-period path index. Raises
     EpisodeAborted with a diagnostic record if any state or command goes
-    non-finite.
+    non-finite, or so large that the plant or controller's math.* calls
+    raise ValueError or OverflowError.
     """
     if controller not in CONTROLLERS:
         raise ValueError(f"controller must be one of {CONTROLLERS}, got {controller!r}")
@@ -316,39 +319,45 @@ def run_episode(
 
     packed = arena.pack()
     proposed = controller == "proposed"
-    arc = path.arc
+    arc = path.arc.item
+    v_d = platoon.v_d
+    gap_des = platoon.gap_des
+    heading_from_predecessor = platoon.follower_heading == "predecessor"
 
     wrenches = [(0.0, 0.0)] * R
     for k in range(N + 1):
         t = k * cp
-        lead_arc = lead_start_arc + platoon.v_d * t
+        lead_arc = lead_start_arc + v_d * t
         for r in range(R):
             st = states[r]
-            markers[r] = nearest_index(path, st.x, st.y, hint=markers[r])
+            markers[r] = nearest_index(path, st.x, st.y, markers[r])
             if r == 0:
                 xr, yr, thr, kappa = pose_at_arc(path, lead_arc)
-                ref = VelocityReference(v_d=platoon.v_d, omega_d=kappa * platoon.v_d)
+                ref = VelocityReference(v_d, kappa * v_d)
             else:
-                tgt = follower_target(path, markers[r - 1], platoon.gap_des,
-                                      platoon.v_d)
-                xr, yr, thr = tgt.pose
-                if platoon.follower_heading == "predecessor":
+                _, (xr, yr, thr), ref = follower_target(path, markers[r - 1],
+                                                        gap_des, v_d)
+                if heading_from_predecessor:
                     thr = states[r - 1].theta
-                ref = tgt.velocity
-
-            err = ctl.posture_error(st.x, st.y, st.theta, xr, yr, thr)
-            cmd = ctl.kinematic_control(err, ref, kin)
 
             ad = adaptives[r]
             gains_now = ad.gains()
-            sv = ctl.update_sliding(ad, st.v, st.omega, cmd, asmc, cp)
-            if proposed:
-                F = ctl.asmc_force(sv, ad, asmc)
-                tau = ctl.asmc_torque(sv, ad, asmc)
-                ctl.adapt_gains(ad, sv, asmc, cp)
-            else:
-                F, tau = ctl.baseline_asmc(sv, ad, asmc)
-                ctl.adapt_gains_baseline(ad, sv, asmc, cp)
+            try:
+                err = ctl.posture_error(st.x, st.y, st.theta, xr, yr, thr)
+                cmd = ctl.kinematic_control(err, ref, kin)
+                sv = ctl.update_sliding(ad, st.v, st.omega, cmd, asmc, cp)
+                if proposed:
+                    F = ctl.asmc_force(sv, ad, asmc)
+                    tau = ctl.asmc_torque(sv, ad, asmc)
+                    ctl.adapt_gains(ad, sv, asmc, cp)
+                else:
+                    F, tau = ctl.baseline_asmc(sv, ad, asmc)
+                    ctl.adapt_gains_baseline(ad, sv, asmc, cp)
+            except (ValueError, OverflowError):
+                # math.* rejects an angle or gain that has run off; nothing of
+                # this robot-step is recorded, so report the step before
+                raise EpisodeAborted(k, t, r, _diagnostic(rec, gap_arr, k - 1, r)) \
+                    from None
             tau_r, tau_l = wheel_torque_split(F, tau, robots[r])
             wrenches[r] = (F, tau)
 
@@ -360,17 +369,22 @@ def run_episode(
                 raise EpisodeAborted(k, t, r, _diagnostic(rec, gap_arr, k, r))
 
         for j in range(R - 1):
-            gap_arr[k, j] = (arc[markers[j]] - arc[markers[j + 1]]) - platoon.gap_des
+            gap_arr[k, j] = (arc(markers[j]) - arc(markers[j + 1])) - gap_des
 
         if k == N:
             break
         for r in range(R):
             st = states[r]
             F, tau = wrenches[r]
-            nx, ny, nth, nv, nw = _integrate_robot(
-                st.x, st.y, st.theta, st.v, st.omega, F, tau, n_sub, h,
-                robots[r], packed)
-            if not all(map(math.isfinite, (nx, ny, nth, nv, nw))):
+            try:
+                nx, ny, nth, nv, nw = _integrate_robot(
+                    st.x, st.y, st.theta, st.v, st.omega, F, tau, n_sub, h,
+                    robots[r], packed)
+                finite = all(map(math.isfinite, (nx, ny, nth, nv, nw)))
+            except (ValueError, OverflowError):
+                # the state ran off inside a substep, where math.cos(inf) raises
+                finite = False
+            if not finite:
                 raise EpisodeAborted(k, t, r, _diagnostic(rec, gap_arr, k, r))
             st.x, st.y, st.theta, st.v, st.omega = nx, ny, nth, nv, nw
 
@@ -379,7 +393,10 @@ def run_episode(
 
 
 def _diagnostic(rec: np.ndarray, gap_arr: np.ndarray, k: int, r: int) -> dict:
-    """Snapshot of the last fully finite record for the aborting robot."""
+    """Snapshot of the last fully finite record, at step k or before, for the
+    aborting robot."""
+    if k < 0:
+        return {"step": None, "robot": r + 1}
     j = k
     while j > 0 and not np.isfinite(rec[j, r]).all():
         j -= 1

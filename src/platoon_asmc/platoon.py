@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -64,8 +65,8 @@ def menger_curvature(ax, ay, bx, by, cx, cy) -> float:
     return 2.0 * cross / denom
 
 
-def build_path(cx, cy) -> Path:
-    """Construct a Path from raw coordinates, validating its invariants."""
+def _polyline(cx, cy) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Validated coordinate arrays with their arc length and tangent."""
     cx = np.asarray(cx, dtype=float)
     cy = np.asarray(cy, dtype=float)
     if cx.ndim != 1 or cx.shape != cy.shape:
@@ -88,7 +89,12 @@ def build_path(cx, cy) -> Path:
     dx[0], dy[0] = cx[1] - cx[0], cy[1] - cy[0]
     dx[-1], dy[-1] = cx[-1] - cx[-2], cy[-1] - cy[-2]
     tangent = np.unwrap(np.arctan2(dy, dx))
+    return cx, cy, arc, tangent
 
+
+def build_path(cx, cy) -> Path:
+    """Construct a Path from raw coordinates, validating its invariants."""
+    cx, cy, arc, tangent = _polyline(cx, cy)
     curvature = np.zeros(len(cx))
     for i in range(1, len(cx) - 1):
         curvature[i] = menger_curvature(cx[i - 1], cy[i - 1], cx[i], cy[i],
@@ -96,16 +102,39 @@ def build_path(cx, cy) -> Path:
     return Path(cx=cx, cy=cy, arc=arc, tangent=tangent, curvature=curvature)
 
 
-def figure_eight(scale: float = 14.0, spacing: float = DEFAULT_SPACING,
-                 laps: int = 1) -> Path:
-    """Figure-eight course through all four quadrants, start point (scale, 0).
+def tile_lap(lap_x, lap_y, laps: int) -> Path:
+    """A closed lap of waypoints repeated `laps` times, as one Path.
+
+    Equal, bit for bit, to `build_path` on the tiled coordinates, but the
+    Menger curvature is computed once per lap vertex, over the closed lap
+    (neighbours wrap around the lap ends, as they do between copies), then
+    tiled, with the path's two open ends set to 0.
+    """
+    cx, cy, arc, tangent = _polyline(np.tile(lap_x, laps), np.tile(lap_y, laps))
+    xs = np.asarray(lap_x, dtype=float).tolist()
+    ys = np.asarray(lap_y, dtype=float).tolist()
+    n = len(xs)
+    lap_curvature = [
+        menger_curvature(xs[i - 1], ys[i - 1], xs[i], ys[i],
+                         xs[(i + 1) % n], ys[(i + 1) % n])
+        for i in range(n)
+    ]
+    curvature = np.tile(lap_curvature, laps)
+    curvature[0] = curvature[-1] = 0.0
+    return Path(cx=cx, cy=cy, arc=arc, tangent=tangent, curvature=curvature)
+
+
+def figure_eight_lap(scale: float = 14.0, spacing: float = DEFAULT_SPACING
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """Waypoints of one closed figure-eight lap through all four quadrants,
+    from (scale, 0); the seam back to the first point is one more segment.
 
     Lemniscate x = a cos(t)/(1+sin^2 t), y = a sin(t) cos(t)/(1+sin^2 t),
-    resampled at uniform arc spacing (~`spacing`) and repeated `laps` times.
-    Traversal from (a, 0) runs Q1 -> Q3 -> Q2 -> Q4 and back to the start.
+    resampled at uniform arc spacing (~`spacing`). Traversal from (a, 0) runs
+    Q1 -> Q3 -> Q2 -> Q4 and back to the start.
     """
-    if scale <= 0 or spacing <= 0 or laps < 1:
-        raise ValueError("figure_eight requires scale > 0, spacing > 0, laps >= 1")
+    if scale <= 0 or spacing <= 0:
+        raise ValueError("figure_eight requires scale > 0 and spacing > 0")
     t = np.linspace(0.0, 2.0 * math.pi, 20001)
     denom = 1.0 + np.sin(t) ** 2
     x = scale * np.cos(t) / denom
@@ -116,9 +145,15 @@ def figure_eight(scale: float = 14.0, spacing: float = DEFAULT_SPACING,
     # segment has the same length as every other segment.
     n = max(2, int(round(lap_len / spacing)))
     s = np.arange(n) * (lap_len / n)
-    lap_x = np.interp(s, chord, x)
-    lap_y = np.interp(s, chord, y)
-    return build_path(np.tile(lap_x, laps), np.tile(lap_y, laps))
+    return np.interp(s, chord, x), np.interp(s, chord, y)
+
+
+def figure_eight(scale: float = 14.0, spacing: float = DEFAULT_SPACING,
+                 laps: int = 1) -> Path:
+    """Figure-eight course (`figure_eight_lap`) repeated `laps` times."""
+    if laps < 1:
+        raise ValueError(f"figure_eight requires laps >= 1, got {laps}")
+    return tile_lap(*figure_eight_lap(scale, spacing), laps)
 
 
 def load_path_xy(path_file: str, spacing: float | None = None) -> Path:
@@ -188,8 +223,7 @@ class PlatoonConfig:
                 f"got {self.follower_heading!r}")
 
 
-@dataclass(frozen=True)
-class FollowerTarget:
+class FollowerTarget(NamedTuple):
     index: int
     pose: tuple[float, float, float]
     velocity: VelocityReference
@@ -227,31 +261,25 @@ def reference_pose(path: Path, index: int) -> tuple[float, float, float]:
     (backward difference at the last index)."""
     if not 0 <= index < len(path):
         raise ValueError(f"index {index} outside path of {len(path)} points")
+    cx, cy = path.cx.item, path.cy.item
     j = index if index < len(path) - 1 else index - 1
-    theta = math.atan2(path.cy[j + 1] - path.cy[j], path.cx[j + 1] - path.cx[j])
-    return float(path.cx[index]), float(path.cy[index]), theta
+    theta = math.atan2(cy(j + 1) - cy(j), cx(j + 1) - cx(j))
+    return cx(index), cy(index), theta
 
 
 def reference_velocity(path: Path, index: int, v_d: float) -> VelocityReference:
     """Reference twist at a waypoint: v_d along the path, omega_d = curvature * v_d."""
     if not 0 <= index < len(path):
         raise ValueError(f"index {index} outside path of {len(path)} points")
-    return VelocityReference(v_d=v_d, omega_d=float(path.curvature[index]) * v_d)
+    return VelocityReference(v_d, path.curvature.item(index) * v_d)
 
 
 def follower_target(path: Path, leader_index: int, gap_des: float,
                     v_d: float) -> FollowerTarget:
     """Full follower reference: target waypoint plus its pose and twist."""
     idx = target_waypoint(path, leader_index, gap_des)
-    return FollowerTarget(index=idx, pose=reference_pose(path, idx),
-                          velocity=reference_velocity(path, idx, v_d))
-
-
-def gap_error(path: Path, idx_front: int, idx_rear: int, gap_des: float) -> float:
-    """Arc length between two robots' nearest path indices minus the desired gap."""
-    if idx_rear > idx_front:
-        raise ValueError(f"idx_rear {idx_rear} is ahead of idx_front {idx_front}")
-    return float(path.arc[idx_front] - path.arc[idx_rear]) - gap_des
+    return FollowerTarget(idx, reference_pose(path, idx),
+                          reference_velocity(path, idx, v_d))
 
 
 def nearest_index(path: Path, x: float, y: float, hint: int | None = None,
@@ -270,9 +298,12 @@ def nearest_index(path: Path, x: float, y: float, hint: int | None = None,
     with np.errstate(over="ignore"):
         dx = path.cx[lo:hi] - x
         dy = path.cy[lo:hi] - y
-        d2 = dx * dx + dy * dy
+        # squared distance, in place in the two temporaries
+        dx *= dx
+        dy *= dy
+        dx += dy
     # argmin on the reversed slice returns the last (largest-index) minimum.
-    return hi - 1 - int(np.argmin(d2[::-1]))
+    return hi - 1 - int(dx[::-1].argmin())
 
 
 def pose_at_arc(path: Path, s: float) -> tuple[float, float, float, float]:
@@ -282,18 +313,19 @@ def pose_at_arc(path: Path, s: float) -> tuple[float, float, float, float]:
     vertex tangents, so it is continuous across segments. s is clamped to the
     path extent.
     """
-    arc = path.arc
+    cx, cy = path.cx.item, path.cy.item
+    tangent, curvature = path.tangent.item, path.curvature.item
     if s <= 0.0:
-        return float(path.cx[0]), float(path.cy[0]), float(path.tangent[0]), \
-            float(path.curvature[0])
-    if s >= arc[-1]:
-        return float(path.cx[-1]), float(path.cy[-1]), float(path.tangent[-1]), \
-            float(path.curvature[-1])
-    j = int(np.searchsorted(arc, s, side="right")) - 1
-    w = (s - arc[j]) / (arc[j + 1] - arc[j])
+        return cx(0), cy(0), tangent(0), curvature(0)
+    arc = path.arc
+    if s >= arc.item(-1):
+        return cx(-1), cy(-1), tangent(-1), curvature(-1)
+    j = int(arc.searchsorted(s, side="right")) - 1
+    a = arc.item(j)
+    w = (s - a) / (arc.item(j + 1) - a)
     return (
-        float(path.cx[j] + w * (path.cx[j + 1] - path.cx[j])),
-        float(path.cy[j] + w * (path.cy[j + 1] - path.cy[j])),
-        float(path.tangent[j] + w * (path.tangent[j + 1] - path.tangent[j])),
-        float(path.curvature[j] + w * (path.curvature[j + 1] - path.curvature[j])),
+        cx(j) + w * (cx(j + 1) - cx(j)),
+        cy(j) + w * (cy(j + 1) - cy(j)),
+        tangent(j) + w * (tangent(j + 1) - tangent(j)),
+        curvature(j) + w * (curvature(j + 1) - curvature(j)),
     )

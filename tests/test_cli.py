@@ -5,13 +5,14 @@ from pathlib import Path
 
 import pytest
 
-from platoon_asmc.cli import main
+from platoon_asmc.cli import _episode_job, main
 from platoon_asmc.config import (
     default_config,
     dump_config,
     from_dict,
     load_config,
 )
+from platoon_asmc.metrics import load_trace, report_from_trace
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -124,6 +125,16 @@ class TestRunCommand:
             {"proposed", "baseline"}
         assert rep["comparison"]
 
+    def test_episode_job_returns_the_report_of_its_trace(self, tmp_path):
+        # the pool sends back the report, not the trace; it must be the
+        # report of the trace the job wrote
+        doc = tiny_config(**{"metrics.warmup_cutoff": 0.5})
+        csv = tmp_path / "trace.csv"
+        rep = _episode_job(doc, "baseline", str(csv))
+        cfg = from_dict(doc)
+        trace = load_trace(csv, "baseline", cfg.scenario_hash())
+        assert rep == report_from_trace(trace, 0.5)
+
     def test_single_controller_has_no_comparison(self, tmp_path):
         p = write_config(tmp_path, tiny_config())
         out = tmp_path / "single"
@@ -225,6 +236,21 @@ class TestRunCommand:
         p = write_config(tmp_path, doc)
         code = main(["run", "--config", str(p), "--out", str(tmp_path / "x"),
                      "--quiet"])
+        err = capfd.readouterr().err
+        assert code == 3
+        assert err.startswith("error: kind=abort")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("controller", ["proposed", "both"])
+    def test_diverging_plant_is_an_abort(self, tmp_path, capfd, controller):
+        # robot 1 starts far from its slot; its state runs off to inf inside
+        # an RK4 substep, where math.cos raises instead of returning NaN
+        doc = {"platoon": {"start_poses": [[100, 100, 0], [0, 0, 0], [0, 0, 0]]},
+               "sim": {"duration": 2}}
+        p = write_config(tmp_path, doc)
+        code = main(["run", "--config", str(p), "--controller", controller,
+                     "--out", str(tmp_path / "x"), "--quiet"])
         err = capfd.readouterr().err
         assert code == 3
         assert err.startswith("error: kind=abort")

@@ -142,6 +142,36 @@ class TestRunEpisode:
         assert all(math.isfinite(v) for k, v in diag.items()
                    if isinstance(v, float))
 
+    def test_state_blowing_up_inside_a_substep_aborts(self, cfg):
+        # a start pose far off its slot drives the plant to inf within an RK4
+        # substep, where math.cos(inf) raises ValueError
+        platoon = dataclasses.replace(
+            cfg.platoon,
+            start_poses=((100.0, 100.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0)))
+        sim = dataclasses.replace(cfg.sim, duration=2.0)
+        with pytest.raises(EpisodeAborted) as exc:
+            run_episode(cfg.robot, cfg.kinematic, cfg.asmc, platoon,
+                        cfg.arena, sim, "proposed")
+        assert exc.value.robot == 0
+        diag = exc.value.diagnostic
+        assert diag["step"] < exc.value.step
+        assert all(math.isfinite(v) for v in diag.values()
+                   if isinstance(v, float))
+
+    def test_controller_math_error_aborts_before_recording(self, cfg):
+        # headings of +-1e308 make the follower's heading error overflow to
+        # inf at the first step, which wrap_angle's math.fmod rejects
+        platoon = dataclasses.replace(
+            cfg.platoon, follower_heading="predecessor",
+            start_poses=((14.0, 0.0, 1e308), (13.0, 0.0, -1e308),
+                         (12.0, 0.0, 0.0)))
+        sim = dataclasses.replace(cfg.sim, duration=1.0)
+        with pytest.raises(EpisodeAborted) as exc:
+            run_episode(cfg.robot, cfg.kinematic, cfg.asmc, platoon,
+                        cfg.arena, sim, "proposed")
+        assert (exc.value.step, exc.value.robot) == (0, 1)
+        assert exc.value.diagnostic == {"step": None, "robot": 2}
+
     def test_baseline_matches_proposed_when_state_terms_are_inactive(
             self, straight_path):
         # on a frictionless straight path started at the operating point the

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +10,6 @@ from platoon_asmc import (
     build_path,
     figure_eight,
     follower_target,
-    gap_error,
     load_path_xy,
     nearest_index,
     pose_at_arc,
@@ -16,7 +17,7 @@ from platoon_asmc import (
     reference_velocity,
     target_waypoint,
 )
-from platoon_asmc.engine import SimConfig, default_path_for
+from platoon_asmc.engine import SimConfig, default_path_for, run_episode
 
 
 def unit_path(n=11):
@@ -146,18 +147,28 @@ class TestReferenceVelocity:
 
 
 class TestGapError:
-    def test_coincident_robots(self):
-        assert gap_error(unit_path(), 4, 4, 1.0) == -1.0
+    """The engine's gap_err column: arc length between consecutive robots'
+    nearest path indices minus the desired gap, at the first record."""
 
-    def test_surplus_gap(self):
-        assert gap_error(unit_path(), 7, 4, 1.0) == 2.0
+    @staticmethod
+    def first_gap(cfg, front_x, rear_x):
+        course = build_path(np.arange(200, dtype=float), np.zeros(200))
+        platoon = PlatoonConfig(n_robots=2, gap_des=1.0, v_d=1.0,
+                                start_poses=((front_x, 0.0, 0.0),
+                                             (rear_x, 0.0, 0.0)))
+        sim = dataclasses.replace(cfg.sim, duration=0.0)
+        tr = run_episode(cfg.robot, cfg.kinematic, cfg.asmc, platoon,
+                         cfg.arena, sim, "proposed", path=course)
+        return tr.gap_err[0, 0]
 
-    def test_exact_gap(self):
-        assert gap_error(unit_path(), 5, 4, 1.0) == 0.0
+    def test_coincident_robots(self, cfg):
+        assert self.first_gap(cfg, 4.0, 4.0) == -1.0
 
-    def test_rejects_reversed_order(self):
-        with pytest.raises(ValueError):
-            gap_error(unit_path(), 3, 5, 1.0)
+    def test_surplus_gap(self, cfg):
+        assert self.first_gap(cfg, 7.0, 4.0) == 2.0
+
+    def test_exact_gap(self, cfg):
+        assert self.first_gap(cfg, 5.0, 4.0) == 0.0
 
 
 def test_follower_target_depends_only_on_predecessor_index():
@@ -188,6 +199,14 @@ class TestFigureEight:
         assert np.any((p.cx < 0) & (p.cy > 0))
         assert np.any((p.cx < 0) & (p.cy < 0))
         assert np.any((p.cx > 0) & (p.cy < 0))
+
+    @pytest.mark.parametrize("laps", [1, 2, 3, 4])
+    def test_tiled_curvature_equals_per_vertex_curvature(self, laps):
+        p = figure_eight(laps=laps)
+        per_vertex = build_path(p.cx, p.cy)
+        for name in ("cx", "cy", "arc", "tangent", "curvature"):
+            assert getattr(p, name).tobytes() == \
+                getattr(per_vertex, name).tobytes(), name
 
     def test_lap_tiling_repeats_geometry(self):
         one = figure_eight(laps=1)
@@ -242,6 +261,115 @@ class TestNearestIndex:
         node = int(np.argmin(p.cx[:len(p) // 2] ** 2 + p.cy[:len(p) // 2] ** 2))
         got = nearest_index(p, 0.01, 0.0, hint=node, window=40)
         assert abs(got - node) <= 40
+
+
+def brute_force_nearest(path, x, y, hint=None, window=200):
+    """Independent oracle for nearest_index: scan the window in Python
+    floats; a NaN distance wins (as numpy's argmin has it), and among equal
+    distances the larger index wins."""
+    if hint is None:
+        lo, hi = 0, len(path)
+    else:
+        lo, hi = max(0, hint - window), min(len(path), hint + window + 1)
+    best, best_d = None, None
+    for i in range(lo, hi):
+        dx = float(path.cx[i]) - x
+        dy = float(path.cy[i]) - y
+        d = dx * dx + dy * dy
+        if math.isnan(d) or best_d is None or \
+                (not math.isnan(best_d) and d <= best_d):
+            best, best_d = i, d
+    return best
+
+
+class TestNearestIndexOracle:
+    def check(self, path, x, y, hint=None, window=200):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = nearest_index(path, x, y, hint, window)
+        assert got == brute_force_nearest(path, x, y, hint, window), \
+            (x, y, hint, window)
+
+    def test_random_points_and_windows(self):
+        rng = np.random.default_rng(13)
+        for _ in range(200):
+            p = random_path(rng, int(rng.integers(2, 80)))
+            x = float(rng.uniform(-5, p.cx[-1] + 5))
+            y = float(rng.uniform(-3, 3))
+            hint = None if rng.random() < 0.2 else int(rng.integers(0, len(p)))
+            self.check(p, x, y, hint, int(rng.integers(0, 30)))
+
+    def test_ties_pick_the_larger_index(self):
+        p = unit_path()
+        for x in (0.5, 4.5, 9.5):
+            self.check(p, x, 0.0)
+            self.check(p, x, 0.0, hint=5, window=3)
+        # equidistant from every vertex of a circle: the last one wins
+        ang = np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False)
+        self.check(build_path(np.cos(ang), np.sin(ang)), 0.0, 0.0)
+
+    def test_path_ends(self):
+        p = unit_path()
+        for hint in (0, 1, len(p) - 2, len(p) - 1):
+            for window in (0, 1, 5, 100):
+                self.check(p, -3.0, 0.5, hint, window)
+                self.check(p, 14.0, -0.5, hint, window)
+
+    def test_huge_and_nan_coordinates(self):
+        p = figure_eight(laps=1)
+        for x, y in ((1e200, 0.0), (-1e200, 1e200), (0.0, -1e200),
+                     (math.nan, 0.0), (0.0, math.nan), (math.inf, 1.0)):
+            self.check(p, x, y)
+            self.check(p, x, y, hint=10, window=40)
+            self.check(p, x, y, hint=len(p) - 1, window=40)
+
+
+def numpy_pose_at_arc(path, s):
+    """pose_at_arc written on numpy scalars, as the reference for the
+    float-only implementation."""
+    arc = path.arc
+    if s <= 0.0:
+        return tuple(float(a[0]) for a in (path.cx, path.cy, path.tangent,
+                                           path.curvature))
+    if s >= arc[-1]:
+        return tuple(float(a[-1]) for a in (path.cx, path.cy, path.tangent,
+                                            path.curvature))
+    j = int(np.searchsorted(arc, s, side="right")) - 1
+    w = (s - arc[j]) / (arc[j + 1] - arc[j])
+    return tuple(float(a[j] + w * (a[j + 1] - a[j]))
+                 for a in (path.cx, path.cy, path.tangent, path.curvature))
+
+
+def numpy_reference_pose(path, index):
+    j = index if index < len(path) - 1 else index - 1
+    theta = math.atan2(path.cy[j + 1] - path.cy[j], path.cx[j + 1] - path.cx[j])
+    return float(path.cx[index]), float(path.cy[index]), theta
+
+
+def same_bits(a, b):
+    return np.array(a, dtype=float).tobytes() == np.array(b, dtype=float).tobytes()
+
+
+class TestReferenceSamplingIsExact:
+    @pytest.fixture(scope="class")
+    def paths(self):
+        return (figure_eight(laps=2), random_path(np.random.default_rng(2), 300))
+
+    def test_pose_at_arc_at_every_vertex_and_random_arc(self, paths):
+        rng = np.random.default_rng(21)
+        for p in paths:
+            ss = p.arc.tolist() + rng.uniform(-1.0, p.total_length + 1.0,
+                                              size=2000).tolist()
+            for s in ss:
+                assert same_bits(pose_at_arc(p, s), numpy_pose_at_arc(p, s)), s
+
+    def test_reference_pose_and_velocity_at_every_vertex(self, paths):
+        for p in paths:
+            for i in range(len(p)):
+                assert same_bits(reference_pose(p, i),
+                                 numpy_reference_pose(p, i)), i
+                assert same_bits(reference_velocity(p, i, 1.7),
+                                 (1.7, float(p.curvature[i]) * 1.7)), i
 
 
 class TestPoseAtArc:
