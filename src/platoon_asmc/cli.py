@@ -26,7 +26,7 @@ from .config import (
     from_dict,
     load_config,
 )
-from .engine import EpisodeAborted, lead_start_on, run_episode
+from .engine import EpisodeAborted, lead_start_on, run_episode, usable_cores
 from .platoon import Path, load_path_xy
 
 OUT_ENV_VAR = "PLATOON_ASMC_OUT"
@@ -75,10 +75,12 @@ def _load_path(cfg: RunConfig) -> Path | None:
 
 
 def _episode_job(cfg_doc: dict, controller: str, csv_path: str,
-                 path: Path | None = None) -> mx.RmsReport:
+                 path: Path | None = None,
+                 processes: int | None = None) -> mx.RmsReport:
     """Run one episode, export its trace and return its RMS report; used
     directly and as the worker for concurrent 'both' runs, which then send
-    back the small report rather than the whole trace.
+    back the small report rather than the whole trace. `processes` caps the
+    episode's pipeline groups (see `run_episode`).
 
     The config crosses to the worker as a plain dict and is rebuilt here, not
     pickled as a `RunConfig`: on CPython 3.11 an unpickled dataclass instance
@@ -88,7 +90,7 @@ def _episode_job(cfg_doc: dict, controller: str, csv_path: str,
     cfg = from_dict(cfg_doc)
     trace = run_episode(cfg.robot, cfg.kinematic, cfg.asmc, cfg.platoon,
                         cfg.arena, cfg.sim, controller, path=path,
-                        scenario_label=cfg.scenario_hash())
+                        scenario_label=cfg.scenario_hash(), processes=processes)
     mx.export_trace(trace, csv_path)
     return mx.report_from_trace(trace, cfg.metrics.warmup_cutoff)
 
@@ -119,10 +121,13 @@ def run_command(args: argparse.Namespace) -> int:
         if len(controllers) == 2:
             say(f"running {controllers} episodes concurrently "
                 f"({cfg.sim.duration:g} s simulated each)...")
+            # the two episodes share the cores between their pipelines
+            processes = max(1, usable_cores() // 2)
             with concurrent.futures.ProcessPoolExecutor(max_workers=2) as pool:
                 futures = {
                     c: pool.submit(_episode_job, doc, c,
-                                   str(out_dir / f"trace_{c}.csv"), path)
+                                   str(out_dir / f"trace_{c}.csv"), path,
+                                   processes)
                     for c in controllers
                 }
                 for c, fut in futures.items():

@@ -6,12 +6,31 @@ variables, wrench and gain update; the plant then advances with RK4 substeps
 under a zero-order-hold wrench, with the arena's friction field and breaker
 disturbances evaluated at every integrator stage. Identical inputs produce
 bit-identical traces.
+
+Coupling runs one way, down the platoon: a follower reads only its
+predecessor's path marker and heading at the same step. So `run_episode`
+runs the robots as a pipeline of contiguous groups, the leader's group in
+the calling process and each later group in a forked child that follows
+the group before it a few steps behind. Every group runs the same loop,
+control for its robots lead-to-tail and then their plant, and writes its
+records into one shared buffer; one group is the serial engine. The group
+count is `min(processes, robots)` (`processes` defaults to the usable
+cores), lowered so that each group holds at least MIN_GROUP_ROBOT_STEPS
+robot-steps. The engine stays serial where it cannot fork (no `os.fork`) or
+should not (other threads running). The traces and aborts are the same
+bytes for every group count.
 """
 
 from __future__ import annotations
 
 import math
+import mmap
+import os
+import pickle
 import random
+import signal
+import struct
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -31,6 +50,16 @@ from .platoon import (
 from .vehicle import RobotParams, RobotState, plant_rhs, wheel_torque_split
 
 CONTROLLERS = ("proposed", "baseline")
+
+# A pipeline group writes its step count to the next one every this many
+# steps; the next group runs up to two chunks behind.
+PROGRESS_CHUNK = 16
+# Fewest robot-steps a pipeline group may hold. Forking and reaping a group
+# costs 2.5-3.4 ms; 500 robot-steps take about 15 ms with one RK4 substep
+# and 35-40 ms with the default ten (2-vCPU Xeon VM, CPython 3.11).
+MIN_GROUP_ROBOT_STEPS = 500
+# Abort step of a group that has not aborted.
+_NO_ABORT = 1 << 62
 
 # Per-robot trace columns, in the order they appear in the CSV contract.
 PER_ROBOT_FIELDS = (
@@ -105,6 +134,9 @@ class EpisodeAborted(RuntimeError):
 
 # Column of each per-robot field in the last axis of `Trace.rec`.
 _FIELD_INDEX = {name: i for i, name in enumerate(PER_ROBOT_FIELDS)}
+_THETA = _FIELD_INDEX["theta"]
+# One robot-step's record, native float64s as numpy stores them.
+_ROW = struct.Struct(f"{len(PER_ROBOT_FIELDS)}d")
 
 
 @dataclass
@@ -231,6 +263,36 @@ def integrate_plant(state: RobotState, F: float, tau: float, params: RobotParams
     return RobotState(x=x, y=y, theta=th, v=v, omega=w)
 
 
+def usable_cores() -> int:
+    """Cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _group_bounds(n_robots: int, n_records: int,
+                  processes: int | None) -> list[tuple[int, int]]:
+    """Contiguous robot groups `[lo, hi)` for the pipeline, lead group first.
+
+    At most `processes` groups (default: the usable cores), one per robot at
+    most, and none with fewer than MIN_GROUP_ROBOT_STEPS robot-steps. One
+    group when the process cannot fork safely: no `os.fork`, or other threads
+    running, whose locks a child would inherit held.
+    """
+    groups = min(n_robots, usable_cores() if processes is None else processes,
+                 n_robots * n_records // MIN_GROUP_ROBOT_STEPS)
+    if groups < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return [(0, n_robots)]
+    size, extra = divmod(n_robots, groups)
+    bounds, lo = [], 0
+    for g in range(groups):
+        hi = lo + size + (g < extra)
+        bounds.append((lo, hi))
+        lo = hi
+    return bounds
+
+
 def run_episode(
     robot: RobotParams | list[RobotParams] | tuple[RobotParams, ...],
     kin: KinematicGains,
@@ -242,6 +304,7 @@ def run_episode(
     path: Path | None = None,
     lead_start_arc: float | None = None,
     scenario_label: str = "default",
+    processes: int | None = None,
 ) -> Trace:
     """Simulate one full episode and return its trace.
 
@@ -251,9 +314,15 @@ def run_episode(
     EpisodeAborted with a diagnostic record if any state or command goes
     non-finite, or so large that the plant or controller's math.* calls
     raise ValueError or OverflowError.
+
+    `processes` caps the number of robot groups run as a pipeline, one
+    process each (default: the usable cores); the trace and any
+    EpisodeAborted are the same for every value.
     """
     if controller not in CONTROLLERS:
         raise ValueError(f"controller must be one of {CONTROLLERS}, got {controller!r}")
+    if processes is not None and (type(processes) is not int or processes < 1):
+        raise ValueError(f"processes must be an int >= 1 or None, got {processes!r}")
     if isinstance(robot, RobotParams):
         robots = [robot] * platoon.n_robots
     else:
@@ -298,7 +367,6 @@ def run_episode(
                    omega=pose_at_arc(path, s)[3] * platoon.v_d)
         for p, s in zip(poses, start_arcs)
     ]
-    adaptives = [AdaptiveState.fresh(asmc.k_init) for _ in range(R)]
     # Initial progress markers; custom start poses must sit near their nominal
     # along-path slots for the windowed projection to lock on.
     init_window = max(200, int(round(20.0 / mean_spacing)))
@@ -309,36 +377,139 @@ def run_episode(
 
     N = sim.n_periods()
     cp = sim.control_period
-    n_sub = sim.substeps()
-    h = cp / n_sub
     n_rec = N + 1
+    bounds = _group_bounds(R, n_rec, processes)
+    G = len(bounds)
 
-    t_arr = np.arange(n_rec) * cp
-    rec = np.empty((n_rec, R, len(PER_ROBOT_FIELDS)))
-    gap_arr = np.empty((n_rec, R - 1)) if R > 1 else np.empty((n_rec, 0))
+    # The records, and the log of markers and of each group's abort (step,
+    # phase, robot); a pipeline shares both with its children.
+    n_rows = n_rec * R
+    new_buffer = (lambda n: mmap.mmap(-1, n)) if G > 1 else bytearray
+    buf = new_buffer(n_rows * _ROW.size)
+    log = new_buffer(8 * (n_rows + 3 * G))
+    rec = np.frombuffer(buf, np.float64).reshape(n_rec, R, len(PER_ROBOT_FIELDS))
+    marks = np.frombuffer(log, np.int64, n_rows).reshape(n_rec, R)
+    aborts = np.frombuffer(log, np.int64, offset=8 * n_rows).reshape(G, 3)
+    aborts[:, 0] = _NO_ABORT
+    log_view = memoryview(log)
+    ep = _Episode(
+        path=path, robots=robots, states=states, markers=markers,
+        adaptives=[AdaptiveState.fresh(asmc.k_init) for _ in range(R)],
+        kin=kin, asmc=asmc, proposed=controller == "proposed",
+        packed=arena.pack(), n_periods=N, cp=cp, n_sub=sim.substeps(),
+        lead_start_arc=lead_start_arc, v_d=platoon.v_d,
+        gap_des=platoon.gap_des,
+        heading_from_predecessor=platoon.follower_heading == "predecessor",
+        buf=buf, rows=memoryview(buf).cast("d"),
+        marks=log_view[:8 * n_rows].cast("q"),
+        aborts=log_view[8 * n_rows:].cast("q"))
+    if G == 1:
+        _run_group(ep, 0, 0, R, None, None)
+    else:
+        _run_pipeline(ep, bounds)
 
-    packed = arena.pack()
-    proposed = controller == "proposed"
-    arc = path.arc.item
-    v_d = platoon.v_d
-    gap_des = platoon.gap_des
-    heading_from_predecessor = platoon.follower_heading == "predecessor"
+    k, phase, r = min(map(tuple, aborts.tolist()))
+    if k != _NO_ABORT:
+        raise EpisodeAborted(k, k * cp, r, _diagnostic(
+            rec, marks, path, platoon.gap_des, k, phase, r))
+    at = path.arc[marks]
+    gap_arr = at[:, :-1] - at[:, 1:]
+    gap_arr -= platoon.gap_des
+    return Trace(controller=controller, scenario=scenario_label, n_robots=R,
+                 control_period=cp, t=np.arange(n_rec) * cp, rec=rec,
+                 gap_err=gap_arr)
+
+
+@dataclass
+class _Episode:
+    """What every robot group of one episode reads: the fixed inputs, the
+    per-robot state lists (each group advances only its own robots), and
+    flat views into the buffer of records, markers and aborts."""
+
+    path: Path
+    robots: list[RobotParams]
+    states: list[RobotState]
+    markers: list[int]
+    adaptives: list[AdaptiveState]
+    kin: KinematicGains
+    asmc: AsmcConfig
+    proposed: bool
+    packed: tuple
+    n_periods: int
+    cp: float
+    n_sub: int
+    lead_start_arc: float
+    v_d: float
+    gap_des: float
+    heading_from_predecessor: bool
+    buf: bytearray | mmap.mmap
+    rows: memoryview
+    marks: memoryview
+    aborts: memoryview
+
+
+def _run_group(ep: _Episode, g: int, lo: int, hi: int,
+               recv_fd: int | None, send_fd: int | None) -> int:
+    """Run robots lo..hi-1 as group g of the pipeline, and return how many
+    steps of their records are complete.
+
+    Every PROGRESS_CHUNK steps the group writes that count to the next group
+    (`send_fd`). It takes robot lo's predecessor (at lo > 0) from the group
+    before, waiting on `recv_fd` until the step is published. A group stops
+    at its first abort, which it records as (step, phase, robot) with the
+    control as phase 0 and the plant as phase 1, and at a chunk boundary
+    past any group's abort step: nothing it finds later comes first.
+    """
+    path, robots, states, markers = ep.path, ep.robots, ep.states, ep.markers
+    adaptives, kin, asmc, proposed = ep.adaptives, ep.kin, ep.asmc, ep.proposed
+    packed, N, cp, n_sub = ep.packed, ep.n_periods, ep.cp, ep.n_sub
+    h = cp / n_sub
+    lead_start_arc, v_d, gap_des = ep.lead_start_arc, ep.v_d, ep.gap_des
+    heading_from_predecessor = ep.heading_from_predecessor
+    buf, rows, marks, aborts = ep.buf, ep.rows, ep.marks, ep.aborts
+    R = len(states)
+    abort_steps = aborts[::3]
+    nf = len(PER_ROBOT_FIELDS)
+    pack_row = _ROW.pack_into
+    row_size = _ROW.size
+    isfinite = math.isfinite
+    ready = N + 1 if recv_fd is None else 0  # upstream steps published
+
+    def abort(k, phase, r):
+        aborts[3 * g + 1] = phase
+        aborts[3 * g + 2] = r
+        aborts[3 * g] = k
 
     wrenches = [(0.0, 0.0)] * R
     for k in range(N + 1):
+        if k and not k % PROGRESS_CHUNK:
+            send_fd = _publish(send_fd, k)
+            if min(abort_steps) < k:
+                return k
         t = k * cp
         lead_arc = lead_start_arc + v_d * t
-        for r in range(R):
+        base = k * R
+        for r in range(lo, hi):
             st = states[r]
-            markers[r] = nearest_index(path, st.x, st.y, markers[r])
+            markers[r] = m = nearest_index(path, st.x, st.y, markers[r])
+            marks[base + r] = m
             if r == 0:
                 xr, yr, thr, kappa = pose_at_arc(path, lead_arc)
                 ref = VelocityReference(v_d, kappa * v_d)
             else:
-                _, (xr, yr, thr), ref = follower_target(path, markers[r - 1],
-                                                        gap_des, v_d)
+                if r > lo:
+                    lead = markers[r - 1]
+                else:
+                    # the predecessor runs upstream: read its step-k record
+                    if k >= ready:
+                        ready = _wait(recv_fd, k)
+                        if ready <= k:
+                            return k
+                    lead = marks[base + r - 1]
+                _, (xr, yr, thr), ref = follower_target(path, lead, gap_des, v_d)
                 if heading_from_predecessor:
-                    thr = states[r - 1].theta
+                    thr = states[r - 1].theta if r > lo else \
+                        rows[(base + r - 1) * nf + _THETA]
 
             ad = adaptives[r]
             gains_now = ad.gains()
@@ -354,57 +525,166 @@ def run_episode(
                     F, tau = ctl.baseline_asmc(sv, ad, asmc)
                     ctl.adapt_gains_baseline(ad, sv, asmc, cp)
             except (ValueError, OverflowError):
-                # math.* rejects an angle or gain that has run off; nothing of
-                # this robot-step is recorded, so report the step before
-                raise EpisodeAborted(k, t, r, _diagnostic(rec, gap_arr, k - 1, r)) \
-                    from None
+                # math.* rejects an angle or gain that has run off
+                abort(k, 0, r)
+                return k
             tau_r, tau_l = wheel_torque_split(F, tau, robots[r])
             wrenches[r] = (F, tau)
 
-            rec[k, r] = (st.x, st.y, st.theta, st.v, st.omega, xr, yr,
-                         cmd.v_c, cmd.omega_c, F, tau, tau_r, tau_l,
-                         sv.s_v, sv.s_w, *gains_now, xr - st.x, yr - st.y)
+            pack_row(buf, (base + r) * row_size,
+                     st.x, st.y, st.theta, st.v, st.omega, xr, yr,
+                     cmd.v_c, cmd.omega_c, F, tau, tau_r, tau_l,
+                     sv.s_v, sv.s_w, *gains_now, xr - st.x, yr - st.y)
 
-            if not (math.isfinite(F) and math.isfinite(tau)):
-                raise EpisodeAborted(k, t, r, _diagnostic(rec, gap_arr, k, r))
-
-        for j in range(R - 1):
-            gap_arr[k, j] = (arc(markers[j]) - arc(markers[j + 1])) - gap_des
+            if not (isfinite(F) and isfinite(tau)):
+                abort(k, 0, r)
+                return k
 
         if k == N:
             break
-        for r in range(R):
+        for r in range(lo, hi):
             st = states[r]
             F, tau = wrenches[r]
             try:
                 nx, ny, nth, nv, nw = _integrate_robot(
                     st.x, st.y, st.theta, st.v, st.omega, F, tau, n_sub, h,
                     robots[r], packed)
-                finite = all(map(math.isfinite, (nx, ny, nth, nv, nw)))
+                finite = all(map(isfinite, (nx, ny, nth, nv, nw)))
             except (ValueError, OverflowError):
                 # the state ran off inside a substep, where math.cos(inf) raises
                 finite = False
             if not finite:
-                raise EpisodeAborted(k, t, r, _diagnostic(rec, gap_arr, k, r))
+                # step k's records are complete: downstream control at k runs
+                abort(k, 1, r)
+                return k + 1
             st.x, st.y, st.theta, st.v, st.omega = nx, ny, nth, nv, nw
-
-    return Trace(controller=controller, scenario=scenario_label, n_robots=R,
-                 control_period=cp, t=t_arr, rec=rec, gap_err=gap_arr)
+    return N + 1
 
 
-def _diagnostic(rec: np.ndarray, gap_arr: np.ndarray, k: int, r: int) -> dict:
-    """Snapshot of the last fully finite record, at step k or before, for the
-    aborting robot."""
-    if k < 0:
-        return {"step": None, "robot": r + 1}
-    j = k
-    while j > 0 and not np.isfinite(rec[j, r]).all():
+def _publish(fd: int | None, steps: int) -> int | None:
+    """Tell the next group that `steps` steps are complete; None once it
+    has stopped reading."""
+    if fd is not None:
+        try:
+            os.write(fd, steps.to_bytes(8, "little"))
+        except BrokenPipeError:
+            return None
+    return fd
+
+
+def _wait(fd: int, k: int) -> int:
+    """Block until the group upstream has published step k; its count, or
+    -1 once it has stopped short of k. Each count is one atomic 8-byte
+    write, so a read returns whole counts, the newest last."""
+    while True:
+        data = os.read(fd, 4096)
+        if not data:
+            return -1
+        steps = int.from_bytes(data[-8:], "little")
+        if steps > k:
+            return steps
+
+
+def _run_pipeline(ep: _Episode, bounds: list[tuple[int, int]]) -> None:
+    """Run group 0 here and every later group in a forked child, each
+    reading its predecessor's progress from a pipe. Re-raises a child's
+    exception; no child outlives the call."""
+    G = len(bounds)
+    progress = [os.pipe() for _ in range(G - 1)]  # group g -> group g + 1
+    results = [os.pipe() for _ in range(G - 1)]   # group g + 1 -> caller
+    open_fds = {fd for pair in progress + results for fd in pair}
+    pids: dict[int, int] = {}
+
+    def close(fd):
+        open_fds.discard(fd)
+        os.close(fd)
+
+    try:
+        for g in range(1, G):
+            recv, result = progress[g - 1][0], results[g - 1][1]
+            send = progress[g][1] if g < G - 1 else None
+            pid = os.fork()
+            if pid == 0:
+                _child(ep, g, bounds[g], recv, send, result,
+                       open_fds - {recv, send, result})
+            pids[g] = pid
+        send = progress[0][1]
+        for fd in open_fds - {send, *(r for r, _ in results)}:
+            close(fd)
+        _publish(send, _run_group(ep, 0, *bounds[0], None, send))
+        close(send)  # a child still waiting on group 0 now reads EOF
+
+        failure = None
+        for g in range(1, G):
+            fd = results[g - 1][0]
+            blob = b"".join(iter(lambda: os.read(fd, 65536), b""))
+            close(fd)
+            _, status = os.waitpid(pids[g], 0)
+            del pids[g]
+            code = os.waitstatus_to_exitcode(status)
+            if failure is None and (blob or code):
+                failure = pickle.loads(blob) if blob else RuntimeError(
+                    f"pipeline group {g} exited with code {code}")
+        if failure is not None:
+            raise failure
+    finally:
+        for pid in pids.values():
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            os.waitpid(pid, 0)
+        for fd in list(open_fds):
+            close(fd)
+
+
+def _child(ep: _Episode, g: int, bounds: tuple[int, int], recv: int,
+           send: int | None, result: int, inherited: set[int]) -> None:
+    """Body of a forked pipeline group; never returns. An exception other
+    than an abort is pickled to `result` and stops the other groups."""
+    code = 1
+    try:
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
+        signal.signal(signal.SIGINT, signal.SIG_DFL)
+        for fd in inherited:
+            os.close(fd)  # so a stopped upstream group reads as EOF
+        _publish(send, _run_group(ep, g, *bounds, recv, send))
+        code = 0
+    except BaseException as exc:
+        # a forked child must not unwind into its caller's frames: every
+        # exception ends here, and the caller raises it
+        ep.aborts[3 * g] = -1  # stops every group
+        try:
+            blob = pickle.dumps(exc)
+        except Exception:
+            blob = pickle.dumps(RuntimeError(f"pipeline group {g}: {exc!r}"))
+        try:
+            while blob:
+                blob = blob[os.write(result, blob):]
+        except OSError:
+            pass
+    finally:
+        os._exit(code)
+
+
+def _diagnostic(rec: np.ndarray, marks: np.ndarray, path: Path,
+                gap_des: float, k: int, phase: int, r: int) -> dict:
+    """Snapshot of the aborting robot's last fully finite record before the
+    abort at step k, with that step's gap errors. Step k itself counts only
+    after a plant-phase abort: a control-phase abort leaves step k's records
+    incomplete."""
+    j = k if phase else k - 1
+    while j >= 0 and not np.isfinite(rec[j, r]).all():
         j -= 1
+    if j < 0:
+        return {"step": None, "robot": r + 1}
+    arc = path.arc.item
+    m = marks[j].tolist()
     return {
         "step": j,
         "robot": r + 1,
         **dict(zip(PER_ROBOT_FIELDS, rec[j, r].tolist())),
-        "gap_err": [float(g) for g in gap_arr[j]] if j < len(gap_arr) else [],
+        "gap_err": [(arc(a) - arc(b)) - gap_des for a, b in zip(m, m[1:])],
     }
 
 

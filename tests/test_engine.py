@@ -350,3 +350,182 @@ class TestKinematicBypass:
         worst = max(np.max(np.abs(run.e1[tail])), np.max(np.abs(run.e2[tail])),
                     np.max(np.abs(run.e3[tail])))
         assert worst <= 1e-3
+
+
+def _children() -> list[int]:
+    """Live child processes of this process, from /proc."""
+    from pathlib import Path
+
+    return [int(pid) for task in Path("/proc/self/task").iterdir()
+            for pid in (task / "children").read_text().split()]
+
+
+def _abort_of(cfg, **edits):
+    """(step, t, robot, diagnostic) of the EpisodeAborted the edited default
+    episode raises."""
+    args = dict(robot=cfg.robot, kin=cfg.kinematic, asmc=cfg.asmc,
+                platoon=cfg.platoon, arena=cfg.arena, sim=cfg.sim,
+                controller="proposed")
+    args.update(edits)
+    with pytest.raises(EpisodeAborted) as exc:
+        run_episode(**args)
+    e = exc.value
+    return e.step, e.t, e.robot, e.diagnostic
+
+
+# The abort cases of TestRunEpisode, plus: an F of -inf at step 0; a leader
+# whose plant overflows at step 0, after every robot's control ran; and that
+# leader ahead of a follower whose control fails at step 0, which comes
+# first although the leader's group finds its own abort first.
+ABORTS = {
+    "plant_overflow": lambda cfg: dict(
+        asmc=dataclasses.replace(cfg.asmc, Lambda_v=1e300),
+        sim=dataclasses.replace(cfg.sim, duration=1.0)),
+    "inside_substep": lambda cfg: dict(
+        platoon=dataclasses.replace(cfg.platoon, start_poses=(
+            (100.0, 100.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0))),
+        sim=dataclasses.replace(cfg.sim, duration=2.0)),
+    "controller_math": lambda cfg: dict(
+        platoon=dataclasses.replace(
+            cfg.platoon, follower_heading="predecessor",
+            start_poses=((14.0, 0.0, 1e308), (13.0, 0.0, -1e308),
+                         (12.0, 0.0, 0.0))),
+        sim=dataclasses.replace(cfg.sim, duration=1.0)),
+    "infinite_force_at_step_0": lambda cfg: dict(
+        asmc=dataclasses.replace(cfg.asmc, Lambda_v=1e308, gain_clamp=None),
+        platoon=dataclasses.replace(cfg.platoon, start_poses=(
+            (16.0, 1.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0))),
+        sim=dataclasses.replace(cfg.sim, duration=1.0)),
+    "leader_plant_at_step_0": lambda cfg: dict(
+        robot=(dataclasses.replace(cfg.robot, m=1e-300), cfg.robot, cfg.robot),
+        sim=dataclasses.replace(cfg.sim, duration=1.0)),
+    "follower_control_before_leader_plant": lambda cfg: dict(
+        robot=(dataclasses.replace(cfg.robot, m=1e-300), cfg.robot, cfg.robot),
+        **ABORTS["controller_math"](cfg)),
+}
+
+
+def test_abort_with_no_finite_record_reports_no_step(cfg):
+    # the leader's force is -inf at step 0, so no record of it is finite;
+    # the diagnostic used to print that row and an unwritten gap row
+    k, t, r, diag = _abort_of(cfg, **ABORTS["infinite_force_at_step_0"](cfg))
+    assert (k, t, r) == (0, 0.0, 0)
+    assert diag == {"step": None, "robot": 1}
+
+
+class TestPipeline:
+    """Robot groups in forked processes give the serial trace and abort."""
+
+    @pytest.fixture(autouse=True)
+    def pipeline_any_length(self, monkeypatch):
+        # let the short episodes here split, count the forks, and fail a
+        # test that hangs on a wait between groups
+        import os
+        import signal
+
+        from platoon_asmc import engine
+
+        monkeypatch.setattr(engine, "MIN_GROUP_ROBOT_STEPS", 1)
+        self.forks = []
+        fork = os.fork
+
+        def counted_fork():
+            pid = fork()
+            if pid:
+                self.forks.append(pid)
+            return pid
+
+        def hung(*_):
+            raise TimeoutError("pipelined episode still running after 60 s")
+
+        monkeypatch.setattr(os, "fork", counted_fork)
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(60)
+        try:
+            yield
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert _children() == []
+
+    @staticmethod
+    def _bits(trace):
+        return trace.rec.tobytes(), trace.t.tobytes(), trace.gap_err.tobytes()
+
+    @pytest.mark.parametrize("heading", ["tangent", "predecessor"])
+    @pytest.mark.parametrize("controller", ["proposed", "baseline"])
+    def test_trace_is_bitwise_the_serial_trace(self, cfg, controller, heading):
+        platoon = dataclasses.replace(cfg.platoon, follower_heading=heading)
+        sim = dataclasses.replace(cfg.sim, duration=1.0, seed=5)
+        traces = {p: run_episode(cfg.robot, cfg.kinematic, cfg.asmc, platoon,
+                                 cfg.arena, sim, controller, processes=p)
+                  for p in (1, 2, 3)}
+        assert len(self.forks) == 0 + 1 + 2
+        for p in (2, 3):
+            assert self._bits(traces[p]) == self._bits(traces[1])
+
+    @pytest.mark.parametrize("controller", ["proposed", "baseline"])
+    def test_eight_robots_in_eight_processes(self, cfg, controller):
+        platoon = dataclasses.replace(cfg.platoon, n_robots=8, gap_des=4.0,
+                                      follower_heading="predecessor")
+        sim = dataclasses.replace(cfg.sim, duration=1.0, dt_plant=1e-2)
+        serial, split = (run_episode(cfg.robot, cfg.kinematic, cfg.asmc,
+                                     platoon, cfg.arena, sim, controller,
+                                     processes=p) for p in (1, 8))
+        assert len(self.forks) == 7
+        assert self._bits(split) == self._bits(serial)
+
+    @pytest.mark.parametrize("case", sorted(ABORTS))
+    def test_abort_is_the_serial_abort(self, cfg, case):
+        serial = _abort_of(cfg, processes=1, **ABORTS[case](cfg))
+        for p in (2, 3):
+            assert _abort_of(cfg, processes=p, **ABORTS[case](cfg)) == serial
+
+    def test_child_exception_is_raised_in_the_caller(self, cfg, monkeypatch):
+        import os
+
+        from platoon_asmc import engine
+
+        caller = os.getpid()
+        follower_target = engine.follower_target
+
+        def fails_in_a_child(*args):
+            if os.getpid() != caller:
+                raise KeyError("from a child")
+            return follower_target(*args)
+
+        monkeypatch.setattr(engine, "follower_target", fails_in_a_child)
+        sim = dataclasses.replace(cfg.sim, duration=1.0)
+        with pytest.raises(KeyError, match="from a child"):
+            run_episode(cfg.robot, cfg.kinematic, cfg.asmc, cfg.platoon,
+                        cfg.arena, sim, "proposed", processes=3)
+
+    def test_rejects_bad_process_count(self, cfg):
+        for bad in (0, -1, 1.5, True):
+            with pytest.raises(ValueError, match="processes"):
+                run_episode(cfg.robot, cfg.kinematic, cfg.asmc, cfg.platoon,
+                            cfg.arena, cfg.sim, "proposed", processes=bad)
+
+
+def test_group_bounds():
+    import threading
+
+    from platoon_asmc.engine import MIN_GROUP_ROBOT_STEPS, _group_bounds
+
+    assert _group_bounds(8, 501, 2) == [(0, 4), (4, 8)]
+    assert _group_bounds(3, 801, 2) == [(0, 2), (2, 3)]
+    assert _group_bounds(3, 801, 8) == [(0, 1), (1, 2), (2, 3)]
+    assert _group_bounds(3, 801, 1) == [(0, 3)]
+    # each group holds at least MIN_GROUP_ROBOT_STEPS robot-steps
+    n = MIN_GROUP_ROBOT_STEPS
+    assert _group_bounds(2, n - 1, 2) == [(0, 2)]
+    assert _group_bounds(2, n, 2) == [(0, 1), (1, 2)]
+    # a child forked while another thread runs could inherit a held lock
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        assert _group_bounds(8, 501, 2) == [(0, 8)]
+    finally:
+        stop.set()
+        thread.join()

@@ -1,0 +1,103 @@
+"""Fuzz of whole episodes: short runs of edited default documents end in
+exit 0, or exit 2 or 3 with one `error:` line, and never in a traceback.
+Where the document validates, the pipelined engine gives the serial result.
+"""
+
+import contextlib
+import io
+import json
+import math
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
+
+from platoon_asmc import EpisodeAborted, engine, run_episode
+from platoon_asmc.cli import main
+from platoon_asmc.config import ConfigError, default_config, from_dict
+
+GAINS = [("kinematic", k) for k in ("k1", "k2", "k3")] + [
+    ("asmc", k) for k in ("Lambda_v", "Lambda_w", "phi_v", "phi_w",
+                          "epsilon_bl", "k_init", "alpha_v0", "alpha_w0")]
+SCALES = st.sampled_from((0.0, -1.0, 1e-3, 0.1, 1.0, 10.0, 1e3, 1e300,
+                          math.inf)) | st.floats(-10.0, 100.0)
+POSE = st.tuples(st.floats(-40.0, 40.0), st.floats(-40.0, 40.0),
+                 st.floats(-4.0, 4.0)).map(list)
+
+
+@st.composite
+def episodes(draw):
+    """The default document, 0.05-0.5 s long under one controller, with one
+    or two edits: the robot count, start poses, cruise speed, a gain, the
+    desired gap or the heading mode."""
+    doc = default_config().to_dict()
+    doc["sim"]["duration"] = draw(st.integers(5, 50)) / 100
+    doc["controller"] = draw(st.sampled_from(("proposed", "baseline")))
+    platoon = doc["platoon"]
+    for _ in range(draw(st.integers(1, 2))):
+        edit = draw(st.sampled_from(("n_robots", "start_poses", "v_d", "gain",
+                                     "gap_des", "follower_heading")))
+        if edit == "n_robots":
+            platoon["n_robots"] = draw(st.integers(1, 5))
+        elif edit == "start_poses":
+            # the course starts at (14, 0) heading north
+            nominal = [[14.0 - 0.2 * r, -1.0 * r, 1.6]
+                       for r in range(platoon["n_robots"])]
+            platoon["start_poses"] = draw(
+                st.lists(POSE, min_size=1, max_size=5) | st.just(nominal))
+        elif edit == "v_d":
+            platoon["v_d"] = draw(st.floats(-1.0, 5.0))
+        elif edit == "gain":
+            section, key = draw(st.sampled_from(GAINS))
+            doc[section][key] = draw(SCALES)
+        elif edit == "gap_des":
+            platoon["gap_des"] = draw(st.floats(-1.0, 8.0))
+        else:
+            platoon["follower_heading"] = draw(
+                st.sampled_from(("tangent", "predecessor")))
+    return doc
+
+
+def _outcome(cfg, processes):
+    """The trace bytes, or the abort's fields, of one run of `cfg`."""
+    try:
+        tr = run_episode(cfg.robot, cfg.kinematic, cfg.asmc, cfg.platoon,
+                         cfg.arena, cfg.sim, cfg.controller,
+                         processes=processes)
+    except EpisodeAborted as e:
+        return e.step, e.t, e.robot, e.diagnostic
+    return tr.rec.tobytes(), tr.t.tobytes(), tr.gap_err.tobytes()
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(episodes())
+def test_episode_exits_cleanly_and_pipelines_exactly(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_file = Path(tmp) / "cfg.json"
+        cfg_file.write_text(json.dumps(doc))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["run", "--config", str(cfg_file), "--out",
+                         str(Path(tmp) / "out"), "--quiet"])
+    lines = err.getvalue().splitlines()
+    event(f"exit {code}")
+    assert code in (0, 2, 3)
+    if code == 0:
+        assert lines == []
+    else:
+        assert len(lines) == 1 and lines[0].startswith("error: kind=")
+
+    try:
+        cfg = from_dict(doc)
+        cfg.validate()
+    except ConfigError:
+        assert code == 2
+        return
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "MIN_GROUP_ROBOT_STEPS", 1)
+        serial = _outcome(cfg, 1)
+        assert _outcome(cfg, 2) == serial
+    assert (code == 3) == (len(serial) == 4)
