@@ -395,12 +395,9 @@ def run_episode(
     ep = _Episode(
         path=path, robots=robots, states=states, markers=markers,
         adaptives=[AdaptiveState.fresh(asmc.k_init) for _ in range(R)],
-        kin=kin, asmc=asmc, proposed=controller == "proposed",
-        packed=arena.pack(), n_periods=N, cp=cp, n_sub=sim.substeps(),
-        lead_start_arc=lead_start_arc, v_d=platoon.v_d,
-        gap_des=platoon.gap_des,
-        heading_from_predecessor=platoon.follower_heading == "predecessor",
-        buf=buf, rows=memoryview(buf).cast("d"),
+        kin=kin, asmc=asmc, platoon=platoon, sim=sim,
+        proposed=controller == "proposed", packed=arena.pack(),
+        lead_start_arc=lead_start_arc, buf=buf,
         marks=log_view[:8 * n_rows].cast("q"),
         aborts=log_view[8 * n_rows:].cast("q"))
     if G == 1:
@@ -423,8 +420,8 @@ def run_episode(
 @dataclass
 class _Episode:
     """What every robot group of one episode reads: the fixed inputs, the
-    per-robot state lists (each group advances only its own robots), and
-    flat views into the buffer of records, markers and aborts."""
+    per-robot state lists (each group advances only its own robots), the
+    buffer of records, and flat views of the markers and aborts."""
 
     path: Path
     robots: list[RobotParams]
@@ -433,17 +430,12 @@ class _Episode:
     adaptives: list[AdaptiveState]
     kin: KinematicGains
     asmc: AsmcConfig
+    platoon: PlatoonConfig
+    sim: SimConfig
     proposed: bool
     packed: tuple
-    n_periods: int
-    cp: float
-    n_sub: int
     lead_start_arc: float
-    v_d: float
-    gap_des: float
-    heading_from_predecessor: bool
     buf: bytearray | mmap.mmap
-    rows: memoryview
     marks: memoryview
     aborts: memoryview
 
@@ -462,11 +454,13 @@ def _run_group(ep: _Episode, g: int, lo: int, hi: int,
     """
     path, robots, states, markers = ep.path, ep.robots, ep.states, ep.markers
     adaptives, kin, asmc, proposed = ep.adaptives, ep.kin, ep.asmc, ep.proposed
-    packed, N, cp, n_sub = ep.packed, ep.n_periods, ep.cp, ep.n_sub
+    packed, lead_start_arc = ep.packed, ep.lead_start_arc
+    N, cp, n_sub = ep.sim.n_periods(), ep.sim.control_period, ep.sim.substeps()
     h = cp / n_sub
-    lead_start_arc, v_d, gap_des = ep.lead_start_arc, ep.v_d, ep.gap_des
-    heading_from_predecessor = ep.heading_from_predecessor
-    buf, rows, marks, aborts = ep.buf, ep.rows, ep.marks, ep.aborts
+    v_d, gap_des = ep.platoon.v_d, ep.platoon.gap_des
+    heading_from_predecessor = ep.platoon.follower_heading == "predecessor"
+    buf, marks, aborts = ep.buf, ep.marks, ep.aborts
+    rows = memoryview(buf).cast("d")
     R = len(states)
     abort_steps = aborts[::3]
     nf = len(PER_ROBOT_FIELDS)

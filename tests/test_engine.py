@@ -38,6 +38,51 @@ class TestSimConfig:
         assert SimConfig(duration=1.0).n_periods() == 100
 
 
+def _abort_of(cfg, **edits):
+    """(step, t, robot, diagnostic) of the EpisodeAborted the edited default
+    episode raises."""
+    args = dict(robot=cfg.robot, kin=cfg.kinematic, asmc=cfg.asmc,
+                platoon=cfg.platoon, arena=cfg.arena, sim=cfg.sim,
+                controller="proposed")
+    args.update(edits)
+    with pytest.raises(EpisodeAborted) as exc:
+        run_episode(**args)
+    e = exc.value
+    return e.step, e.t, e.robot, e.diagnostic
+
+
+# The abort cases TestRunEpisode checks, plus: an F of -inf at step 0; a leader
+# whose plant overflows at step 0, after every robot's control ran; and that
+# leader ahead of a follower whose control fails at step 0, which comes
+# first although the leader's group finds its own abort first.
+ABORTS = {
+    "plant_overflow": lambda cfg: dict(
+        asmc=dataclasses.replace(cfg.asmc, Lambda_v=1e300),
+        sim=dataclasses.replace(cfg.sim, duration=1.0)),
+    "inside_substep": lambda cfg: dict(
+        platoon=dataclasses.replace(cfg.platoon, start_poses=(
+            (100.0, 100.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0))),
+        sim=dataclasses.replace(cfg.sim, duration=2.0)),
+    "controller_math": lambda cfg: dict(
+        platoon=dataclasses.replace(
+            cfg.platoon, follower_heading="predecessor",
+            start_poses=((14.0, 0.0, 1e308), (13.0, 0.0, -1e308),
+                         (12.0, 0.0, 0.0))),
+        sim=dataclasses.replace(cfg.sim, duration=1.0)),
+    "infinite_force_at_step_0": lambda cfg: dict(
+        asmc=dataclasses.replace(cfg.asmc, Lambda_v=1e308, gain_clamp=None),
+        platoon=dataclasses.replace(cfg.platoon, start_poses=(
+            (16.0, 1.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0))),
+        sim=dataclasses.replace(cfg.sim, duration=1.0)),
+    "leader_plant_at_step_0": lambda cfg: dict(
+        robot=(dataclasses.replace(cfg.robot, m=1e-300), cfg.robot, cfg.robot),
+        sim=dataclasses.replace(cfg.sim, duration=1.0)),
+    "follower_control_before_leader_plant": lambda cfg: dict(
+        robot=(dataclasses.replace(cfg.robot, m=1e-300), cfg.robot, cfg.robot),
+        **ABORTS["controller_math"](cfg)),
+}
+
+
 class TestRunEpisode:
     def test_near_equilibrium_on_straight_frictionless_path(self, straight_path):
         sim = SimConfig(duration=10.0)
@@ -132,12 +177,7 @@ class TestRunEpisode:
 
     def test_abort_carries_diagnostic_record(self, cfg):
         # an absurd linear gain overflows the plant within a few periods
-        bad = dataclasses.replace(cfg.asmc, Lambda_v=1e300)
-        sim = dataclasses.replace(cfg.sim, duration=1.0)
-        with pytest.raises(EpisodeAborted) as exc:
-            run_episode(cfg.robot, cfg.kinematic, bad, cfg.platoon,
-                        cfg.arena, sim, "proposed")
-        diag = exc.value.diagnostic
+        diag = _abort_of(cfg, **ABORTS["plant_overflow"](cfg))[3]
         assert {"step", "robot", "x", "v", "s_v"} <= set(diag)
         assert all(math.isfinite(v) for k, v in diag.items()
                    if isinstance(v, float))
@@ -145,32 +185,18 @@ class TestRunEpisode:
     def test_state_blowing_up_inside_a_substep_aborts(self, cfg):
         # a start pose far off its slot drives the plant to inf within an RK4
         # substep, where math.cos(inf) raises ValueError
-        platoon = dataclasses.replace(
-            cfg.platoon,
-            start_poses=((100.0, 100.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0)))
-        sim = dataclasses.replace(cfg.sim, duration=2.0)
-        with pytest.raises(EpisodeAborted) as exc:
-            run_episode(cfg.robot, cfg.kinematic, cfg.asmc, platoon,
-                        cfg.arena, sim, "proposed")
-        assert exc.value.robot == 0
-        diag = exc.value.diagnostic
-        assert diag["step"] < exc.value.step
+        step, _, robot, diag = _abort_of(cfg, **ABORTS["inside_substep"](cfg))
+        assert robot == 0
+        assert diag["step"] < step
         assert all(math.isfinite(v) for v in diag.values()
                    if isinstance(v, float))
 
     def test_controller_math_error_aborts_before_recording(self, cfg):
         # headings of +-1e308 make the follower's heading error overflow to
         # inf at the first step, which wrap_angle's math.fmod rejects
-        platoon = dataclasses.replace(
-            cfg.platoon, follower_heading="predecessor",
-            start_poses=((14.0, 0.0, 1e308), (13.0, 0.0, -1e308),
-                         (12.0, 0.0, 0.0)))
-        sim = dataclasses.replace(cfg.sim, duration=1.0)
-        with pytest.raises(EpisodeAborted) as exc:
-            run_episode(cfg.robot, cfg.kinematic, cfg.asmc, platoon,
-                        cfg.arena, sim, "proposed")
-        assert (exc.value.step, exc.value.robot) == (0, 1)
-        assert exc.value.diagnostic == {"step": None, "robot": 2}
+        step, _, robot, diag = _abort_of(cfg, **ABORTS["controller_math"](cfg))
+        assert (step, robot) == (0, 1)
+        assert diag == {"step": None, "robot": 2}
 
     def test_baseline_matches_proposed_when_state_terms_are_inactive(
             self, straight_path):
@@ -358,51 +384,6 @@ def _children() -> list[int]:
 
     return [int(pid) for task in Path("/proc/self/task").iterdir()
             for pid in (task / "children").read_text().split()]
-
-
-def _abort_of(cfg, **edits):
-    """(step, t, robot, diagnostic) of the EpisodeAborted the edited default
-    episode raises."""
-    args = dict(robot=cfg.robot, kin=cfg.kinematic, asmc=cfg.asmc,
-                platoon=cfg.platoon, arena=cfg.arena, sim=cfg.sim,
-                controller="proposed")
-    args.update(edits)
-    with pytest.raises(EpisodeAborted) as exc:
-        run_episode(**args)
-    e = exc.value
-    return e.step, e.t, e.robot, e.diagnostic
-
-
-# The abort cases of TestRunEpisode, plus: an F of -inf at step 0; a leader
-# whose plant overflows at step 0, after every robot's control ran; and that
-# leader ahead of a follower whose control fails at step 0, which comes
-# first although the leader's group finds its own abort first.
-ABORTS = {
-    "plant_overflow": lambda cfg: dict(
-        asmc=dataclasses.replace(cfg.asmc, Lambda_v=1e300),
-        sim=dataclasses.replace(cfg.sim, duration=1.0)),
-    "inside_substep": lambda cfg: dict(
-        platoon=dataclasses.replace(cfg.platoon, start_poses=(
-            (100.0, 100.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0))),
-        sim=dataclasses.replace(cfg.sim, duration=2.0)),
-    "controller_math": lambda cfg: dict(
-        platoon=dataclasses.replace(
-            cfg.platoon, follower_heading="predecessor",
-            start_poses=((14.0, 0.0, 1e308), (13.0, 0.0, -1e308),
-                         (12.0, 0.0, 0.0))),
-        sim=dataclasses.replace(cfg.sim, duration=1.0)),
-    "infinite_force_at_step_0": lambda cfg: dict(
-        asmc=dataclasses.replace(cfg.asmc, Lambda_v=1e308, gain_clamp=None),
-        platoon=dataclasses.replace(cfg.platoon, start_poses=(
-            (16.0, 1.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0))),
-        sim=dataclasses.replace(cfg.sim, duration=1.0)),
-    "leader_plant_at_step_0": lambda cfg: dict(
-        robot=(dataclasses.replace(cfg.robot, m=1e-300), cfg.robot, cfg.robot),
-        sim=dataclasses.replace(cfg.sim, duration=1.0)),
-    "follower_control_before_leader_plant": lambda cfg: dict(
-        robot=(dataclasses.replace(cfg.robot, m=1e-300), cfg.robot, cfg.robot),
-        **ABORTS["controller_math"](cfg)),
-}
 
 
 def test_abort_with_no_finite_record_reports_no_step(cfg):
