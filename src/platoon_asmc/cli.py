@@ -13,6 +13,7 @@ import argparse
 import concurrent.futures
 import dataclasses
 import json
+import math
 import os
 import sys
 from pathlib import Path as FsPath
@@ -34,6 +35,11 @@ OUT_ENV_VAR = "PLATOON_ASMC_OUT"
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_ABORT = 3
+
+
+class ReportNotFinite(ArithmeticError):
+    """An episode ran to the end, but an RMS of its report is not finite:
+    the errors were too large to square."""
 
 
 def _fail(kind: str, message: str) -> int:
@@ -80,7 +86,8 @@ def _episode_job(cfg_doc: dict, controller: str, csv_path: str,
     """Run one episode, export its trace and return its RMS report; used
     directly and as the worker for concurrent 'both' runs, which then send
     back the small report rather than the whole trace. `processes` caps the
-    episode's pipeline groups (see `run_episode`).
+    episode's pipeline groups (see `run_episode`). Raises ReportNotFinite,
+    before anything is written, when the report is not finite.
 
     The config crosses to the worker as a plain dict and is rebuilt here, not
     pickled as a `RunConfig`: on CPython 3.11 an unpickled dataclass instance
@@ -91,8 +98,16 @@ def _episode_job(cfg_doc: dict, controller: str, csv_path: str,
     trace = run_episode(cfg.robot, cfg.kinematic, cfg.asmc, cfg.platoon,
                         cfg.arena, cfg.sim, controller, path=path,
                         scenario_label=cfg.scenario_hash(), processes=processes)
+    report = mx.report_from_trace(trace, cfg.metrics.warmup_cutoff)
+    columns = {"rms_x": report.rms_x, "rms_y": report.rms_y,
+               "rms_gap": report.rms_gap}
+    bad = {name: list(values) for name, values in columns.items()
+           if not all(map(math.isfinite, values))}
+    if bad:
+        raise ReportNotFinite(
+            f"controller={controller}; RMS report not finite: {bad}")
     mx.export_trace(trace, csv_path)
-    return mx.report_from_trace(trace, cfg.metrics.warmup_cutoff)
+    return report
 
 
 def run_command(args: argparse.Namespace) -> int:
@@ -140,6 +155,8 @@ def run_command(args: argparse.Namespace) -> int:
     except EpisodeAborted as exc:
         return _fail("abort", f"step={exc.step}; t={exc.t:.3f}; "
                               f"robot={exc.robot + 1}; last_record={exc.diagnostic}")
+    except ReportNotFinite as exc:
+        return _fail("abort", str(exc))
 
     mx.write_plotspec(out_dir / "plotspec.txt", cfg.platoon.n_robots)
 

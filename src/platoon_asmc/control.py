@@ -98,6 +98,9 @@ class AsmcConfig:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
         if self.gain_clamp is not None and not self.gain_clamp > 0:
             raise ValueError(f"gain_clamp must be > 0 or null, got {self.gain_clamp}")
+        if self.gain_clamp is not None and self.k_init > self.gain_clamp:
+            raise ValueError(
+                f"k_init {self.k_init} exceeds gain_clamp {self.gain_clamp}")
 
     def max_alpha(self) -> float:
         return max(self.alpha_v0, self.alpha_v1, self.alpha_w2,

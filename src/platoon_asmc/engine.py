@@ -4,8 +4,11 @@ Runs the full platoon at a fixed control rate: per control period each robot
 (lead first) computes its reference, posture error, velocity command, sliding
 variables, wrench and gain update; the plant then advances with RK4 substeps
 under a zero-order-hold wrench, with the arena's friction field and breaker
-disturbances evaluated at every integrator stage. Identical inputs produce
-bit-identical traces.
+disturbances evaluated at every integrator stage. Each robot's plant
+right-hand side is built once per episode (`vehicle.plant_rhs_for`), and
+the whole loop runs inside one `np.errstate` so that the per-step path
+projection need not enter its own. Identical inputs produce bit-identical
+traces.
 
 Coupling runs one way, down the platoon: a follower reads only its
 predecessor's path marker and heading at the same step. So `run_episode`
@@ -44,10 +47,11 @@ from .platoon import (
     figure_eight_lap,
     follower_target,
     nearest_index,
+    nearest_index_unguarded,
     pose_at_arc,
     tile_lap,
 )
-from .vehicle import RobotParams, RobotState, plant_rhs, wheel_torque_split
+from .vehicle import RobotParams, RobotState, plant_rhs_for, wheel_torque_split
 
 CONTROLLERS = ("proposed", "baseline")
 
@@ -226,22 +230,19 @@ def _jittered_arena(arena: Arena, seed: int | None) -> Arena:
     return replace(arena, speed_breakers=jittered)
 
 
-def _integrate_robot(x, y, th, v, w, F, tau, n, h, params, arena):
-    """n RK4 steps of size h under a held wrench; `arena` is a packed
-    `(scales, breakers)` pair, re-evaluated by `plant_rhs` at every stage."""
+def _integrate_robot(x, y, th, v, w, F, tau, n, h, rhs):
+    """n RK4 steps of size h under a held wrench; `rhs` is the robot's plant
+    right-hand side from `vehicle.plant_rhs_for`, called at every stage."""
     h2 = 0.5 * h
     h6 = h / 6.0
     for _ in range(n):
-        a1, b1, c1, d1, e1 = plant_rhs(x, y, th, v, w, F, tau, params, arena)
-        a2, b2, c2, d2, e2 = plant_rhs(x + h2 * a1, y + h2 * b1, th + h2 * c1,
-                                       v + h2 * d1, w + h2 * e1, F, tau,
-                                       params, arena)
-        a3, b3, c3, d3, e3 = plant_rhs(x + h2 * a2, y + h2 * b2, th + h2 * c2,
-                                       v + h2 * d2, w + h2 * e2, F, tau,
-                                       params, arena)
-        a4, b4, c4, d4, e4 = plant_rhs(x + h * a3, y + h * b3, th + h * c3,
-                                       v + h * d3, w + h * e3, F, tau,
-                                       params, arena)
+        a1, b1, c1, d1, e1 = rhs(x, y, th, v, w, F, tau)
+        a2, b2, c2, d2, e2 = rhs(x + h2 * a1, y + h2 * b1, th + h2 * c1,
+                                 v + h2 * d1, w + h2 * e1, F, tau)
+        a3, b3, c3, d3, e3 = rhs(x + h2 * a2, y + h2 * b2, th + h2 * c2,
+                                 v + h2 * d2, w + h2 * e2, F, tau)
+        a4, b4, c4, d4, e4 = rhs(x + h * a3, y + h * b3, th + h * c3,
+                                 v + h * d3, w + h * e3, F, tau)
         x += h6 * (a1 + 2.0 * (a2 + a3) + a4)
         y += h6 * (b1 + 2.0 * (b2 + b3) + b4)
         th += h6 * (c1 + 2.0 * (c2 + c3) + c4)
@@ -259,7 +260,8 @@ def integrate_plant(state: RobotState, F: float, tau: float, params: RobotParams
     """
     x, y, th, v, w = _integrate_robot(
         state.x, state.y, state.theta, state.v, state.omega, F, tau,
-        n_steps, dt, params, NO_ARENA if arena is None else arena.pack())
+        n_steps, dt,
+        plant_rhs_for(params, NO_ARENA if arena is None else arena.pack()))
     return RobotState(x=x, y=y, theta=th, v=v, omega=w)
 
 
@@ -350,7 +352,7 @@ def run_episode(
         if lead_start_arc is None:
             lead_start_arc = default_start
     lead_start_arc = lead_start_on(path, platoon, sim, lead_start_arc)
-    arena = _jittered_arena(arena, sim.seed)
+    packed = _jittered_arena(arena, sim.seed).pack()
 
     mean_spacing = path.total_length / (len(path) - 1)
     start_arcs = [lead_start_arc - r * platoon.gap_des for r in range(R)]
@@ -396,14 +398,17 @@ def run_episode(
         path=path, robots=robots, states=states, markers=markers,
         adaptives=[AdaptiveState.fresh(asmc.k_init) for _ in range(R)],
         kin=kin, asmc=asmc, platoon=platoon, sim=sim,
-        proposed=controller == "proposed", packed=arena.pack(),
+        proposed=controller == "proposed",
+        plants=[plant_rhs_for(rp, packed) for rp in robots],
         lead_start_arc=lead_start_arc, buf=buf,
         marks=log_view[:8 * n_rows].cast("q"),
         aborts=log_view[8 * n_rows:].cast("q"))
-    if G == 1:
-        _run_group(ep, 0, 0, R, None, None)
-    else:
-        _run_pipeline(ep, bounds)
+    # the groups project without entering an errstate per call
+    with np.errstate(over="ignore"):
+        if G == 1:
+            _run_group(ep, 0, 0, R, None, None)
+        else:
+            _run_pipeline(ep, bounds)
 
     k, phase, r = min(map(tuple, aborts.tolist()))
     if k != _NO_ABORT:
@@ -433,7 +438,7 @@ class _Episode:
     platoon: PlatoonConfig
     sim: SimConfig
     proposed: bool
-    packed: tuple
+    plants: list
     lead_start_arc: float
     buf: bytearray | mmap.mmap
     marks: memoryview
@@ -454,7 +459,7 @@ def _run_group(ep: _Episode, g: int, lo: int, hi: int,
     """
     path, robots, states, markers = ep.path, ep.robots, ep.states, ep.markers
     adaptives, kin, asmc, proposed = ep.adaptives, ep.kin, ep.asmc, ep.proposed
-    packed, lead_start_arc = ep.packed, ep.lead_start_arc
+    plants, lead_start_arc = ep.plants, ep.lead_start_arc
     N, cp, n_sub = ep.sim.n_periods(), ep.sim.control_period, ep.sim.substeps()
     h = cp / n_sub
     v_d, gap_des = ep.platoon.v_d, ep.platoon.gap_des
@@ -485,7 +490,8 @@ def _run_group(ep: _Episode, g: int, lo: int, hi: int,
         base = k * R
         for r in range(lo, hi):
             st = states[r]
-            markers[r] = m = nearest_index(path, st.x, st.y, markers[r])
+            markers[r] = m = nearest_index_unguarded(path, st.x, st.y,
+                                                     markers[r])
             marks[base + r] = m
             if r == 0:
                 xr, yr, thr, kappa = pose_at_arc(path, lead_arc)
@@ -542,7 +548,7 @@ def _run_group(ep: _Episode, g: int, lo: int, hi: int,
             try:
                 nx, ny, nth, nv, nw = _integrate_robot(
                     st.x, st.y, st.theta, st.v, st.omega, F, tau, n_sub, h,
-                    robots[r], packed)
+                    plants[r])
                 finite = all(map(isfinite, (nx, ny, nth, nv, nw)))
             except (ValueError, OverflowError):
                 # the state ran off inside a substep, where math.cos(inf) raises
@@ -718,6 +724,7 @@ def run_kinematic_episode(
     """
     N = int(round(duration / control_period))
     h = control_period / n_sub
+    rhs = plant_rhs_for(_FRICTIONLESS, NO_ARENA)
     x0, y0, th0, _ = pose_at_arc(path, start_arc)
     if initial_pose is not None:
         x0, y0, th0 = initial_pose
@@ -739,6 +746,5 @@ def run_kinematic_episode(
         if k == N:
             break
         x, y, th, _, _ = _integrate_robot(x, y, th, cmd.v_c, cmd.omega_c,
-                                          0.0, 0.0, n_sub, h, _FRICTIONLESS,
-                                          NO_ARENA)
+                                          0.0, 0.0, n_sub, h, rhs)
     return KinematicRun(t=t_arr, e1=e1, e2=e2, e3=e3, x=xs, y=ys)

@@ -20,11 +20,13 @@ from .engine import PER_ROBOT_FIELDS, Trace
 
 
 def rms(series) -> float:
-    """Root mean square of a series; empty input is an error."""
+    """Root mean square of a series; empty input is an error. Squares that
+    overflow make it inf, without a warning."""
     arr = np.asarray(series, dtype=float)
     if arr.size == 0:
         raise ValueError("rms of an empty series is undefined")
-    return float(np.sqrt(np.mean(arr * arr)))
+    with np.errstate(over="ignore"):
+        return float(np.sqrt(np.mean(arr * arr)))
 
 
 def masked_rms(series, mask) -> float:

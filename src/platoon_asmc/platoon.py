@@ -289,19 +289,28 @@ def nearest_index(path: Path, x: float, y: float, hint: int | None = None,
     With a hint, only indices within +-window of it are searched. That keeps
     the projection from jumping to the other branch at the figure-eight
     crossing and makes per-step progress tracking monotone in practice.
+    A squared distance that overflows counts as inf, without a warning.
     """
+    with np.errstate(over="ignore"):
+        return nearest_index_unguarded(path, x, y, hint, window)
+
+
+def nearest_index_unguarded(path: Path, x: float, y: float,
+                            hint: int | None = None, window: int = 200) -> int:
+    """`nearest_index` in the caller's numpy error state, for a caller that
+    already ignores overflow (the engine runs a whole episode in one
+    `np.errstate`); entering one costs about as much as the search."""
     if hint is None:
         lo, hi = 0, len(path)
     else:
         lo = max(0, hint - window)
         hi = min(len(path), hint + window + 1)
-    with np.errstate(over="ignore"):
-        dx = path.cx[lo:hi] - x
-        dy = path.cy[lo:hi] - y
-        # squared distance, in place in the two temporaries
-        dx *= dx
-        dy *= dy
-        dx += dy
+    dx = path.cx[lo:hi] - x
+    dy = path.cy[lo:hi] - y
+    # squared distance, in place in the two temporaries
+    dx *= dx
+    dy *= dy
+    dx += dy
     # argmin on the reversed slice returns the last (largest-index) minimum.
     return hi - 1 - int(dx[::-1].argmin())
 

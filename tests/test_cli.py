@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import warnings
 from pathlib import Path
 
 import pytest
@@ -257,6 +258,25 @@ class TestRunCommand:
         assert err.count("\n") == 1
         assert "Traceback" not in err
 
+    def test_rms_overflow_is_an_abort(self, tmp_path, capsys):
+        # every robot-step is finite, but the baseline's unclamped 1e300
+        # gains make errors whose squares overflow in the RMS report
+        doc = tiny_config(controller="baseline",
+                          **{"asmc.k_init": 1e300, "asmc.gain_clamp": None,
+                             "platoon.v_d": 4.745, "sim.duration": 0.2})
+        p = write_config(tmp_path, doc)
+        out = tmp_path / "x"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["run", "--config", str(p), "--out", str(out),
+                         "--quiet"])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("error: kind=abort")
+        assert "RMS report not finite" in err
+        assert err.count("\n") == 1
+        assert sorted(f.name for f in out.iterdir()) == ["config_echo.json"]
+
     @pytest.mark.parametrize("keys,value", [
         (("metrics", "warmup_cutoff"), math.nan),
         (("robot", "f_kr"), math.nan),
@@ -283,9 +303,12 @@ class TestRunCommand:
         (("sim", "duration"), 1e12),
         # not a whole number of 10 ms control periods
         (("sim", "duration"), 1.005),
+        # the gains would start above the cap that bounds them
+        (("asmc", "k_init"), 2e4),
     ], ids=["m_str", "n_robots_float", "n_robots_bool", "amp_force_str",
             "quadrant_mu_str", "path_file_int", "duration_inf",
-            "warmup_past_end", "duration_huge", "duration_off_grid"])
+            "warmup_past_end", "duration_huge", "duration_off_grid",
+            "k_init_over_clamp"])
     def test_bad_value_is_rejected_by_validation(self, tmp_path, capfd, keys,
                                                  value):
         assert_one_validation_error(tmp_path, capfd, keys, value)

@@ -1,6 +1,7 @@
 """Fuzz of whole episodes: short runs of edited default documents end in
-exit 0, or exit 2 or 3 with one `error:` line, and never in a traceback.
-Where the document validates, the pipelined engine gives the serial result.
+exit 0, or exit 2 or 3 with one `error:` line, and never in a traceback or
+a warning. Where the document validates, the pipelined engine gives the
+serial result.
 """
 
 import contextlib
@@ -8,14 +9,15 @@ import io
 import json
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, event, given, settings
+from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
 from platoon_asmc import EpisodeAborted, engine, run_episode
-from platoon_asmc.cli import main
+from platoon_asmc.cli import _load_path, main
 from platoon_asmc.config import ConfigError, default_config, from_dict
 
 GAINS = [("kinematic", k) for k in ("k1", "k2", "k3")] + [
@@ -28,17 +30,40 @@ POSE = st.tuples(st.floats(-40.0, 40.0), st.floats(-40.0, 40.0),
 
 
 @st.composite
+def courses(draw):
+    """Text of a `path_file`: a straight line or an arc of 2-400 points,
+    possibly too short for the run, or a malformed file."""
+    n = draw(st.integers(2, 400))
+    step = draw(st.floats(0.01, 1.0))
+    shape = draw(st.sampled_from(("line", "arc", "not_finite", "empty")))
+    if shape == "line":
+        xs, ys = [i * step for i in range(n)], [0.0] * n
+    elif shape == "arc":
+        r = draw(st.floats(0.5, 50.0))
+        xs = [r * math.cos(i * step / r) for i in range(n)]
+        ys = [r * math.sin(i * step / r) for i in range(n)]
+    elif shape == "not_finite":
+        xs, ys = [0.0, math.nan, 2.0], [0.0, 0.0, 0.0]
+    else:
+        xs = ys = []
+    return "".join(f"{x!r} {y!r}\n" for x, y in zip(xs, ys))
+
+
+@st.composite
 def episodes(draw):
     """The default document, 0.05-0.5 s long under one controller, with one
     or two edits: the robot count, start poses, cruise speed, a gain, the
-    desired gap or the heading mode."""
+    gain cap, the desired gap, the heading mode or the course; and the text
+    of the course file, or None."""
     doc = default_config().to_dict()
+    course = None
     doc["sim"]["duration"] = draw(st.integers(5, 50)) / 100
     doc["controller"] = draw(st.sampled_from(("proposed", "baseline")))
     platoon = doc["platoon"]
     for _ in range(draw(st.integers(1, 2))):
         edit = draw(st.sampled_from(("n_robots", "start_poses", "v_d", "gain",
-                                     "gap_des", "follower_heading")))
+                                     "gain_clamp", "gap_des",
+                                     "follower_heading", "path_file")))
         if edit == "n_robots":
             platoon["n_robots"] = draw(st.integers(1, 5))
         elif edit == "start_poses":
@@ -52,19 +77,32 @@ def episodes(draw):
         elif edit == "gain":
             section, key = draw(st.sampled_from(GAINS))
             doc[section][key] = draw(SCALES)
+        elif edit == "gain_clamp":
+            doc["asmc"]["gain_clamp"] = draw(st.sampled_from((None, 1e-3)))
         elif edit == "gap_des":
             platoon["gap_des"] = draw(st.floats(-1.0, 8.0))
-        else:
+        elif edit == "follower_heading":
             platoon["follower_heading"] = draw(
                 st.sampled_from(("tangent", "predecessor")))
-    return doc
+        else:
+            course = draw(courses())
+    return doc, course
 
 
-def _outcome(cfg, processes):
+# every robot-step is finite, but the squares of its errors overflow in the
+# RMS report
+OVERFLOW = default_config().to_dict()
+OVERFLOW["asmc"].update(k_init=1e300, gain_clamp=None)
+OVERFLOW["platoon"]["v_d"] = 4.745
+OVERFLOW["sim"]["duration"] = 0.2
+OVERFLOW["controller"] = "baseline"
+
+
+def _outcome(cfg, path, processes):
     """The trace bytes, or the abort's fields, of one run of `cfg`."""
     try:
         tr = run_episode(cfg.robot, cfg.kinematic, cfg.asmc, cfg.platoon,
-                         cfg.arena, cfg.sim, cfg.controller,
+                         cfg.arena, cfg.sim, cfg.controller, path=path,
                          processes=processes)
     except EpisodeAborted as e:
         return e.step, e.t, e.robot, e.diagnostic
@@ -74,30 +112,41 @@ def _outcome(cfg, processes):
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(episodes())
-def test_episode_exits_cleanly_and_pipelines_exactly(doc):
+@example((OVERFLOW, None))
+def test_episode_exits_cleanly_and_pipelines_exactly(episode):
+    doc, course = episode
     with tempfile.TemporaryDirectory() as tmp:
+        if course is not None:
+            doc["path_file"] = str(Path(tmp) / "course.txt")
+            Path(doc["path_file"]).write_text(course)
         cfg_file = Path(tmp) / "cfg.json"
         cfg_file.write_text(json.dumps(doc))
         err = io.StringIO()
-        with contextlib.redirect_stderr(err):
+        with contextlib.redirect_stderr(err), warnings.catch_warnings():
+            warnings.simplefilter("error")
             code = main(["run", "--config", str(cfg_file), "--out",
                          str(Path(tmp) / "out"), "--quiet"])
-    lines = err.getvalue().splitlines()
-    event(f"exit {code}")
-    assert code in (0, 2, 3)
-    if code == 0:
-        assert lines == []
-    else:
-        assert len(lines) == 1 and lines[0].startswith("error: kind=")
+        lines = err.getvalue().splitlines()
+        event(f"exit {code}")
+        assert code in (0, 2, 3)
+        if code == 0:
+            assert lines == []
+        else:
+            assert len(lines) == 1 and lines[0].startswith("error: kind=")
 
-    try:
-        cfg = from_dict(doc)
-        cfg.validate()
-    except ConfigError:
-        assert code == 2
-        return
+        try:
+            cfg = from_dict(doc)
+            cfg.validate()
+            path = _load_path(cfg)
+        except ConfigError:
+            assert code == 2
+            return
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine, "MIN_GROUP_ROBOT_STEPS", 1)
-        serial = _outcome(cfg, 1)
-        assert _outcome(cfg, 2) == serial
-    assert (code == 3) == (len(serial) == 4)
+        serial = _outcome(cfg, path, 1)
+        assert _outcome(cfg, path, 2) == serial
+    if len(serial) == 4:
+        assert code == 3
+    elif code == 3:
+        # the episode ran to its end; only its RMS report can abort the run
+        assert "RMS report not finite" in lines[0]
