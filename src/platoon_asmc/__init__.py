@@ -45,7 +45,6 @@ from .metrics import (
     rms,
 )
 from .platoon import (
-    FollowerTarget,
     Path,
     PlatoonConfig,
     build_path,
@@ -54,14 +53,11 @@ from .platoon import (
     load_path_xy,
     nearest_index,
     pose_at_arc,
-    reference_pose,
-    reference_velocity,
     target_waypoint,
 )
 from .vehicle import (
     RobotParams,
     RobotState,
-    plant_rhs,
     wheel_torque_split,
 )
 

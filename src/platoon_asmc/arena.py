@@ -36,6 +36,11 @@ class SpeedBreaker:
                 raise ValueError(f"{name} must be finite, got {value}")
         if not self.half_width > 0:
             raise ValueError(f"half_width must be > 0, got {self.half_width}")
+        try:
+            self.half_width ** 2  # as `Arena.pack` squares it
+        except OverflowError:
+            raise ValueError(f"half_width {self.half_width} is too large: "
+                             "its square overflows") from None
 
 
 @dataclass(frozen=True)

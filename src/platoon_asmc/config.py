@@ -78,13 +78,15 @@ class RunConfig:
                 f"[robot] {len(self.robot)} parameter sets for "
                 f"{self.platoon.n_robots} robots")
         # Bytes of an episode's big arrays: the trace columns and, with no
-        # path_file, the tiled default path's five. In floats, so that an
-        # absurd run gives inf, not an overflow (hence also the capped count).
+        # path_file, the tiled default path's five, which reach back over the
+        # platoon's length. In floats, so that an absurd run gives inf, not
+        # an overflow (hence also the capped count).
         sim, n = self.sim, min(self.platoon.n_robots, 2**53)
         need = 8 * (sim.duration / sim.control_period + 1) * \
             (len(PER_ROBOT_FIELDS) + 1) * n
         if self.path_file is None:
-            need += 8 * 5 * self.platoon.v_d * sim.duration / DEFAULT_SPACING
+            need += 8 * 5 * (self.platoon.v_d * sim.duration +
+                             (n - 1) * self.platoon.gap_des) / DEFAULT_SPACING
         memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
         if need > memory:
             raise ConfigError(

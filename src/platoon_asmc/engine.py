@@ -189,26 +189,34 @@ def default_path_for(platoon: PlatoonConfig, sim: SimConfig) -> tuple[Path, floa
     """Built-in figure-eight tiled with enough laps for the whole episode.
 
     Returns the path and the leader's starting arc position: the first vertex
-    of the second lap copy, i.e. exactly the (14, 0) course start, with a full
-    lap behind it so the followers (and the backward gap targeting) always
-    have path to walk back over.
+    of a later lap copy, i.e. exactly the (14, 0) course start, with whole
+    laps behind it, at least one and enough for the platoon's (n - 1) gaps,
+    so the followers (and the backward gap targeting) always have path to
+    walk back over.
     """
     lap_x, lap_y = figure_eight_lap()
     # the length of the one-lap course, summed as build_path sums its arc
     lap_len = float(np.cumsum(np.hypot(np.diff(lap_x), np.diff(lap_y)))[-1])
-    need = lap_len + platoon.v_d * sim.duration + lap_len
-    laps = max(3, int(math.ceil(need / lap_len)) + 1)
+    behind = max(1, math.ceil((platoon.n_robots - 1) * platoon.gap_des / lap_len))
+    need = behind * lap_len + platoon.v_d * sim.duration + lap_len
+    laps = max(2 + behind, int(math.ceil(need / lap_len)) + 1)
     path = tile_lap(lap_x, lap_y, laps)
-    return path, float(path.arc[len(lap_x)])
+    return path, float(path.arc[behind * len(lap_x)])
 
 
 def lead_start_on(path: Path, platoon: PlatoonConfig, sim: SimConfig,
                   lead_start_arc: float | None = None) -> float:
-    """The leader's starting arc position on `path`, checked so that its
-    reference stays on the path for the whole episode. On a custom path it
-    defaults to just far enough in for the followers to fit."""
+    """The leader's starting arc position on `path`, checked so that the
+    followers' start slots fit behind it and its reference stays on the path
+    for the whole episode. On a custom path it defaults to just far enough
+    in for the followers to fit."""
+    tail = (platoon.n_robots - 1) * platoon.gap_des
     if lead_start_arc is None:
-        lead_start_arc = (platoon.n_robots - 1) * platoon.gap_des
+        lead_start_arc = tail
+    if not lead_start_arc >= tail:
+        raise ValueError(
+            f"the leader starts at arc {lead_start_arc:.3f} m, short of the "
+            f"{tail:.3f} m its {platoon.n_robots - 1} followers need behind it")
     end = lead_start_arc + platoon.v_d * sim.n_periods() * sim.control_period
     if not 0.0 <= lead_start_arc <= end <= path.total_length:
         raise ValueError(
@@ -414,12 +422,18 @@ def run_episode(
     if k != _NO_ABORT:
         raise EpisodeAborted(k, k * cp, r, _diagnostic(
             rec, marks, path, platoon.gap_des, k, phase, r))
-    at = path.arc[marks]
-    gap_arr = at[:, :-1] - at[:, 1:]
-    gap_arr -= platoon.gap_des
     return Trace(controller=controller, scenario=scenario_label, n_robots=R,
                  control_period=cp, t=np.arange(n_rec) * cp, rec=rec,
-                 gap_err=gap_arr)
+                 gap_err=_gap_errors(path, marks, platoon.gap_des))
+
+
+def _gap_errors(path: Path, marks: np.ndarray, gap_des: float) -> np.ndarray:
+    """Arc-gap error arc[m_r] - arc[m_{r+1}] - gap_des of each consecutive
+    pair of path markers along the last axis of `marks`."""
+    at = path.arc[marks]
+    gap = at[..., :-1] - at[..., 1:]
+    gap -= gap_des
+    return gap
 
 
 @dataclass
@@ -497,19 +511,16 @@ def _run_group(ep: _Episode, g: int, lo: int, hi: int,
                 xr, yr, thr, kappa = pose_at_arc(path, lead_arc)
                 ref = VelocityReference(v_d, kappa * v_d)
             else:
-                if r > lo:
-                    lead = markers[r - 1]
-                else:
-                    # the predecessor runs upstream: read its step-k record
-                    if k >= ready:
-                        ready = _wait(recv_fd, k)
-                        if ready <= k:
-                            return k
-                    lead = marks[base + r - 1]
-                _, (xr, yr, thr), ref = follower_target(path, lead, gap_des, v_d)
+                # the predecessor's step-k record; upstream of robot lo it is
+                # another group's, published through recv_fd
+                if r == lo and k >= ready:
+                    ready = _wait(recv_fd, k)
+                    if ready <= k:
+                        return k
+                xr, yr, thr, ref = follower_target(path, marks[base + r - 1],
+                                                   gap_des, v_d)
                 if heading_from_predecessor:
-                    thr = states[r - 1].theta if r > lo else \
-                        rows[(base + r - 1) * nf + _THETA]
+                    thr = rows[(base + r - 1) * nf + _THETA]
 
             ad = adaptives[r]
             gains_now = ad.gains()
@@ -536,7 +547,8 @@ def _run_group(ep: _Episode, g: int, lo: int, hi: int,
                      cmd.v_c, cmd.omega_c, F, tau, tau_r, tau_l,
                      sv.s_v, sv.s_w, *gains_now, xr - st.x, yr - st.y)
 
-            if not (isfinite(F) and isfinite(tau)):
+            if not (isfinite(F) and isfinite(tau) and isfinite(tau_r)
+                    and isfinite(tau_l)):
                 abort(k, 0, r)
                 return k
 
@@ -678,13 +690,11 @@ def _diagnostic(rec: np.ndarray, marks: np.ndarray, path: Path,
         j -= 1
     if j < 0:
         return {"step": None, "robot": r + 1}
-    arc = path.arc.item
-    m = marks[j].tolist()
     return {
         "step": j,
         "robot": r + 1,
         **dict(zip(PER_ROBOT_FIELDS, rec[j, r].tolist())),
-        "gap_err": [(arc(a) - arc(b)) - gap_des for a, b in zip(m, m[1:])],
+        "gap_err": _gap_errors(path, marks[j], gap_des).tolist(),
     }
 
 

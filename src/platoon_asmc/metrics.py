@@ -29,11 +29,6 @@ def rms(series) -> float:
         return float(np.sqrt(np.mean(arr * arr)))
 
 
-def masked_rms(series, mask) -> float:
-    """RMS over the samples selected by a boolean mask."""
-    return rms(np.asarray(series, dtype=float)[np.asarray(mask, dtype=bool)])
-
-
 def quadrant_mask(trace: Trace, robot: int, quadrant: int) -> np.ndarray:
     """Samples where robot `robot` (0-based) is inside the given quadrant
     (1..4, half-open axes convention of `arena.quadrant_of`)."""
@@ -112,11 +107,8 @@ def compare_reports(baseline: RmsReport, proposed: RmsReport) -> list[Comparison
 def build_report(trace_proposed: Trace, trace_baseline: Trace,
                  warmup_cutoff: float = 0.0
                  ) -> tuple[RmsReport, RmsReport, list[ComparisonRow]]:
-    """Reports for both controllers plus the comparison table."""
-    if trace_proposed.scenario != trace_baseline.scenario:
-        raise ValueError(
-            f"scenario mismatch: {trace_proposed.scenario!r} vs "
-            f"{trace_baseline.scenario!r}")
+    """Reports for both controllers plus the comparison table, which
+    `compare_reports` refuses for traces of different scenarios."""
     rp = report_from_trace(trace_proposed, warmup_cutoff)
     rb = report_from_trace(trace_baseline, warmup_cutoff)
     return rp, rb, compare_reports(rb, rp)

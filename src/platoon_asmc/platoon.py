@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -206,10 +205,10 @@ class PlatoonConfig:
     def validate(self) -> None:
         if self.n_robots < 1:
             raise ValueError(f"n_robots must be >= 1, got {self.n_robots}")
-        if not self.gap_des > 0:
-            raise ValueError(f"gap_des must be > 0, got {self.gap_des}")
-        if not self.v_d > 0:
-            raise ValueError(f"v_d must be > 0, got {self.v_d}")
+        if not 0 < self.gap_des < math.inf:
+            raise ValueError(f"gap_des must be finite and > 0, got {self.gap_des}")
+        if not 0 < self.v_d < math.inf:
+            raise ValueError(f"v_d must be finite and > 0, got {self.v_d}")
         if self.start_poses is not None and len(self.start_poses) != self.n_robots:
             raise ValueError(
                 f"start_poses has {len(self.start_poses)} entries for "
@@ -221,12 +220,6 @@ class PlatoonConfig:
             raise ValueError(
                 f"follower_heading must be one of {FOLLOWER_HEADING_MODES}, "
                 f"got {self.follower_heading!r}")
-
-
-class FollowerTarget(NamedTuple):
-    index: int
-    pose: tuple[float, float, float]
-    velocity: VelocityReference
 
 
 def target_waypoint(path: Path, leader_index: int, gap_des: float) -> int:
@@ -256,30 +249,17 @@ def target_waypoint(path: Path, leader_index: int, gap_des: float) -> int:
     return lo
 
 
-def reference_pose(path: Path, index: int) -> tuple[float, float, float]:
-    """Waypoint position with the forward-difference tangent as heading
-    (backward difference at the last index)."""
-    if not 0 <= index < len(path):
-        raise ValueError(f"index {index} outside path of {len(path)} points")
-    cx, cy = path.cx.item, path.cy.item
-    j = index if index < len(path) - 1 else index - 1
-    theta = math.atan2(cy(j + 1) - cy(j), cx(j + 1) - cx(j))
-    return cx(index), cy(index), theta
-
-
-def reference_velocity(path: Path, index: int, v_d: float) -> VelocityReference:
-    """Reference twist at a waypoint: v_d along the path, omega_d = curvature * v_d."""
-    if not 0 <= index < len(path):
-        raise ValueError(f"index {index} outside path of {len(path)} points")
-    return VelocityReference(v_d, path.curvature.item(index) * v_d)
-
-
-def follower_target(path: Path, leader_index: int, gap_des: float,
-                    v_d: float) -> FollowerTarget:
-    """Full follower reference: target waypoint plus its pose and twist."""
+def follower_target(path: Path, leader_index: int, gap_des: float, v_d: float
+                    ) -> tuple[float, float, float, VelocityReference]:
+    """A follower's reference (x, y, theta, twist) at the `target_waypoint`:
+    heading the forward-difference tangent (backward at the last index),
+    twist v_d along the path with omega_d = curvature * v_d."""
     idx = target_waypoint(path, leader_index, gap_des)
-    return FollowerTarget(idx, reference_pose(path, idx),
-                          reference_velocity(path, idx, v_d))
+    cx, cy = path.cx.item, path.cy.item
+    j = idx if idx < len(path) - 1 else idx - 1
+    theta = math.atan2(cy(j + 1) - cy(j), cx(j + 1) - cx(j))
+    return (cx(idx), cy(idx), theta,
+            VelocityReference(v_d, path.curvature.item(idx) * v_d))
 
 
 def nearest_index(path: Path, x: float, y: float, hint: int | None = None,

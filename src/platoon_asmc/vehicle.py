@@ -4,8 +4,7 @@
 the per-wheel Coulomb + viscous friction scaled by the arena's quadrant
 friction field, and the speed-breaker disturbances, all evaluated at one
 state. It binds one robot's parameters and arena once and returns the
-right-hand side that the engine's RK4 calls at every integrator stage;
-`plant_rhs` evaluates it at one state.
+right-hand side that the engine's RK4 calls at every integrator stage.
 """
 
 from __future__ import annotations
@@ -168,14 +167,6 @@ def plant_rhs_for(params: RobotParams, arena: tuple):
         )
 
     return rhs
-
-
-def plant_rhs(x: float, y: float, theta: float, v: float, omega: float,
-              F: float, tau: float, params: RobotParams, arena: tuple
-              ) -> tuple[float, float, float, float, float]:
-    """Time derivative of (x, y, theta, v, omega) under the wrench (F, tau):
-    one call of `plant_rhs_for(params, arena)`."""
-    return plant_rhs_for(params, arena)(x, y, theta, v, omega, F, tau)
 
 
 def wheel_torque_split(F: float, tau: float, params: RobotParams

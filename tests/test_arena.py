@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from platoon_asmc import Arena, RobotParams, SpeedBreaker, plant_rhs
+from platoon_asmc import Arena, RobotParams, SpeedBreaker
 from platoon_asmc.arena import NO_ARENA, quadrant_of
+from platoon_asmc.vehicle import plant_rhs_for
 
 # Unit mass and inertia, so the stage derivative reads the forces back exactly.
 VISCOUS = RobotParams(m=1.0, J=1.0, f_kr=0.0, f_kl=0.0, f_cr=1.0, f_cl=1.0)
@@ -14,16 +15,16 @@ FRICTIONLESS = RobotParams(m=1.0, J=1.0, f_kr=0.0, f_kl=0.0, f_cr=0.0, f_cl=0.0)
 def friction_scale_at(arena, x, y):
     """Friction multiplier at (x, y), as the ratio of the stage's viscous
     friction there to the unscaled friction at the same speed."""
-    dv = plant_rhs(x, y, 0.0, 1.0, 0.0, 0.0, 0.0, VISCOUS, arena.pack())[3]
-    dv_unit = plant_rhs(x, y, 0.0, 1.0, 0.0, 0.0, 0.0, VISCOUS, NO_ARENA)[3]
+    dv = plant_rhs_for(VISCOUS, arena.pack())(x, y, 0.0, 1.0, 0.0, 0.0, 0.0)[3]
+    dv_unit = plant_rhs_for(VISCOUS, NO_ARENA)(x, y, 0.0, 1.0, 0.0, 0.0, 0.0)[3]
     return dv / dv_unit
 
 
 def breaker_disturbance(arena, x, y, v):
     """(d_v, d_w) the stage adds at (x, y, v): with no friction and no wrench
     they are the negated accelerations."""
-    _, _, _, dv, dw = plant_rhs(x, y, 0.0, v, 0.0, 0.0, 0.0, FRICTIONLESS,
-                                arena.pack())
+    _, _, _, dv, dw = plant_rhs_for(FRICTIONLESS, arena.pack())(
+        x, y, 0.0, v, 0.0, 0.0, 0.0)
     return -dv, -dw
 
 

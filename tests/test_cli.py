@@ -258,6 +258,19 @@ class TestRunCommand:
         assert err.count("\n") == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("key,value", [("R", 1e308), ("L", 1e-310)])
+    def test_non_finite_wheel_torque_is_an_abort(self, tmp_path, capsys, key,
+                                                 value):
+        # a finite wrench whose split into wheel torques overflows
+        p = write_config(tmp_path, tiny_config(**{f"robot.{key}": value}))
+        out = tmp_path / "x"
+        code = main(["run", "--config", str(p), "--out", str(out), "--quiet"])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("error: kind=abort")
+        assert err.count("\n") == 1
+        assert sorted(f.name for f in out.iterdir()) == ["config_echo.json"]
+
     def test_rms_overflow_is_an_abort(self, tmp_path, capsys):
         # every robot-step is finite, but the baseline's unclamped 1e300
         # gains make errors whose squares overflow in the RMS report
@@ -305,10 +318,16 @@ class TestRunCommand:
         (("sim", "duration"), 1.005),
         # the gains would start above the cap that bounds them
         (("asmc", "k_init"), 2e4),
+        # `Arena.pack` squares the half-width
+        (("arena", "speed_breakers", 0, "half_width"), 1e300),
+        # the course would reach 2e9 m back behind the leader
+        (("platoon", "gap_des"), 1e9),
+        (("platoon", "gap_des"), float("inf")),
     ], ids=["m_str", "n_robots_float", "n_robots_bool", "amp_force_str",
             "quadrant_mu_str", "path_file_int", "duration_inf",
             "warmup_past_end", "duration_huge", "duration_off_grid",
-            "k_init_over_clamp"])
+            "k_init_over_clamp", "breaker_width_squared_overflows",
+            "gap_des_huge", "gap_des_inf"])
     def test_bad_value_is_rejected_by_validation(self, tmp_path, capfd, keys,
                                                  value):
         assert_one_validation_error(tmp_path, capfd, keys, value)

@@ -16,7 +16,7 @@ from platoon_asmc import (
     run_episode,
     run_kinematic_episode,
 )
-from platoon_asmc.engine import default_path_for, integrate_plant
+from platoon_asmc.engine import default_path_for, integrate_plant, lead_start_on
 
 FRICTIONLESS = RobotParams(f_kr=0, f_kl=0, f_cr=0, f_cl=0)
 
@@ -130,6 +130,22 @@ class TestRunEpisode:
         tr = run_episode(cfg.robot, cfg.kinematic, cfg.asmc, cfg.platoon,
                          cfg.arena, sim, "proposed")
         assert np.max(np.abs(tr.gap_err)) <= 0.05
+
+    def test_platoon_longer_than_a_lap_starts_in_its_slots(self, cfg):
+        # two 50 m gaps reach back past one 73.4 m lap of the built-in course
+        sim = dataclasses.replace(cfg.sim, duration=0.0)
+        long = dataclasses.replace(cfg.platoon, gap_des=50.0)
+        tr = run_episode(cfg.robot, cfg.kinematic, cfg.asmc, long,
+                         cfg.arena, sim, "proposed")
+        assert len({(tr["x"][0, r], tr["y"][0, r]) for r in range(3)}) == 3
+        assert np.max(np.abs(tr.gap_err[0])) < 0.05
+
+    def test_rejects_leader_start_short_of_its_followers(self, cfg):
+        sim = dataclasses.replace(cfg.sim, duration=1.0)
+        path, start = default_path_for(cfg.platoon, sim)
+        long = dataclasses.replace(cfg.platoon, gap_des=50.0)
+        with pytest.raises(ValueError, match="followers need"):
+            lead_start_on(path, long, sim, start)
 
     def test_per_robot_parameter_sets(self, cfg):
         sim = dataclasses.replace(cfg.sim, duration=1.0)
@@ -288,7 +304,8 @@ def test_integrator_matches_scipy_reference(cfg, inside_breaker):
     entirely inside one; band-edge crossings are inherently step-limited)."""
     from scipy.integrate import solve_ivp
 
-    from platoon_asmc import SpeedBreaker, plant_rhs
+    from platoon_asmc import SpeedBreaker
+    from platoon_asmc.vehicle import plant_rhs_for
 
     params = cfg.robot
     if inside_breaker:
@@ -303,7 +320,7 @@ def test_integrator_matches_scipy_reference(cfg, inside_breaker):
     packed = arena.pack()
 
     def rhs(_t, s):
-        return plant_rhs(*s, *wrench, params, packed)
+        return plant_rhs_for(params, packed)(*s, *wrench)
 
     T = 2.0
     ref = solve_ivp(rhs, (0.0, T), start, method="RK45", rtol=1e-12,
@@ -331,7 +348,7 @@ def test_default_course_traverses_quadrants_in_order(cfg):
 def test_fast_path_matches_public_ops_bitwise(cfg):
     """One RK4 step of the engine's integrator must equal the same step
     composed by hand from the public stage function, bit for bit."""
-    from platoon_asmc import plant_rhs
+    from platoon_asmc.vehicle import plant_rhs_for
 
     params = cfg.robot
     packed = cfg.arena.pack()
@@ -339,7 +356,7 @@ def test_fast_path_matches_public_ops_bitwise(cfg):
     h = 1e-3
 
     def rhs(s):
-        return plant_rhs(*s, F, tau, params, packed)
+        return plant_rhs_for(params, packed)(*s, F, tau)
 
     def shift(s, d, w):
         return [si + w * di for si, di in zip(s, d)]

@@ -1,7 +1,7 @@
 """Fuzz of whole episodes: short runs of edited default documents end in
 exit 0, or exit 2 or 3 with one `error:` line, and never in a traceback or
 a warning. Where the document validates, the pipelined engine gives the
-serial result.
+serial result, and a run that exits 0 has a finite trace.
 """
 
 import contextlib
@@ -12,6 +12,7 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
@@ -25,6 +26,12 @@ GAINS = [("kinematic", k) for k in ("k1", "k2", "k3")] + [
                           "epsilon_bl", "k_init", "alpha_v0", "alpha_w0")]
 SCALES = st.sampled_from((0.0, -1.0, 1e-3, 0.1, 1.0, 10.0, 1e3, 1e300,
                           math.inf)) | st.floats(-10.0, 100.0)
+# a band's half-width: 1e300 squares to an overflow in `Arena.pack`
+WIDTHS = st.sampled_from((0.0, 1e-3, 20.0, 1e6, 1e154, 1e300, math.inf)) | \
+    st.floats(-1.0, 50.0)
+# wheel radius and half-track: 1e308 and a subnormal 1e-310 overflow the
+# split of a finite wrench into wheel torques
+ROBOT_SIZES = st.sampled_from((1e-310, 1e-6, 1e-3, 1.0, 1e3, 1e308))
 POSE = st.tuples(st.floats(-40.0, 40.0), st.floats(-40.0, 40.0),
                  st.floats(-4.0, 4.0)).map(list)
 
@@ -53,8 +60,9 @@ def courses(draw):
 def episodes(draw):
     """The default document, 0.05-0.5 s long under one controller, with one
     or two edits: the robot count, start poses, cruise speed, a gain, the
-    gain cap, the desired gap, the heading mode or the course; and the text
-    of the course file, or None."""
+    gain cap, the desired gap, the heading mode, a speed breaker, the wheel
+    radius or half-track, or the course; and the text of the course file,
+    or None."""
     doc = default_config().to_dict()
     course = None
     doc["sim"]["duration"] = draw(st.integers(5, 50)) / 100
@@ -63,7 +71,8 @@ def episodes(draw):
     for _ in range(draw(st.integers(1, 2))):
         edit = draw(st.sampled_from(("n_robots", "start_poses", "v_d", "gain",
                                      "gain_clamp", "gap_des",
-                                     "follower_heading", "path_file")))
+                                     "follower_heading", "breaker", "robot",
+                                     "path_file")))
         if edit == "n_robots":
             platoon["n_robots"] = draw(st.integers(1, 5))
         elif edit == "start_poses":
@@ -80,10 +89,18 @@ def episodes(draw):
         elif edit == "gain_clamp":
             doc["asmc"]["gain_clamp"] = draw(st.sampled_from((None, 1e-3)))
         elif edit == "gap_des":
-            platoon["gap_des"] = draw(st.floats(-1.0, 8.0))
+            platoon["gap_des"] = draw(st.floats(-1.0, 60.0))
         elif edit == "follower_heading":
             platoon["follower_heading"] = draw(
                 st.sampled_from(("tangent", "predecessor")))
+        elif edit == "breaker":
+            band = draw(st.sampled_from(doc["arena"]["speed_breakers"]))
+            key = draw(st.sampled_from(("half_width", "amp_force",
+                                        "amp_torque")))
+            band[key] = draw(WIDTHS if key == "half_width" else SCALES)
+        elif edit == "robot":
+            doc["robot"][draw(st.sampled_from(("R", "L")))] = \
+                draw(ROBOT_SIZES)
         else:
             course = draw(courses())
     return doc, course
@@ -147,6 +164,8 @@ def test_episode_exits_cleanly_and_pipelines_exactly(episode):
         assert _outcome(cfg, path, 2) == serial
     if len(serial) == 4:
         assert code == 3
+    elif code == 0:
+        assert all(np.isfinite(np.frombuffer(b)).all() for b in serial)
     elif code == 3:
         # the episode ran to its end; only its RMS report can abort the run
         assert "RMS report not finite" in lines[0]

@@ -13,7 +13,6 @@ from platoon_asmc.metrics import (
     RmsReport,
     compare_reports,
     csv_header,
-    masked_rms,
     render_report_text,
     report_to_json,
     write_plotspec,
@@ -40,9 +39,6 @@ class TestRms:
     def test_scale_equivariance(self, xs, c):
         assert math.isclose(rms([c * x for x in xs]), abs(c) * rms(xs),
                             rel_tol=1e-9, abs_tol=1e-9)
-
-    def test_masked_rms(self):
-        assert masked_rms([1.0, 100.0, 1.0], [True, False, True]) == 1.0
 
 
 class TestReports:

@@ -13,8 +13,6 @@ from platoon_asmc import (
     load_path_xy,
     nearest_index,
     pose_at_arc,
-    reference_pose,
-    reference_velocity,
     target_waypoint,
 )
 from platoon_asmc.engine import SimConfig, default_path_for, run_episode
@@ -22,6 +20,16 @@ from platoon_asmc.engine import SimConfig, default_path_for, run_episode
 
 def unit_path(n=11):
     return build_path(np.arange(n, dtype=float), np.zeros(n))
+
+
+def waypoint_pose(path, index):
+    """(x, y, theta) of the follower reference at waypoint `index`, which a
+    zero gap targets."""
+    return follower_target(path, index, 0.0, 1.0)[:3]
+
+
+def waypoint_twist(path, index, v_d):
+    return follower_target(path, index, 0.0, v_d)[3]
 
 
 def brute_force_target(path, leader_index, gap_des):
@@ -106,44 +114,44 @@ def test_target_matches_oracle_at_every_index_of_default_path(gap):
 
 class TestReferencePose:
     def test_horizontal_tangent(self):
-        assert reference_pose(unit_path(), 4)[2] == 0.0
+        assert waypoint_pose(unit_path(), 4)[2] == 0.0
 
     def test_diagonal_tangent(self):
         n = 20
         p = build_path(np.arange(n, dtype=float), np.arange(n, dtype=float))
-        assert math.isclose(reference_pose(p, 7)[2], math.pi / 4, rel_tol=1e-12)
+        assert math.isclose(waypoint_pose(p, 7)[2], math.pi / 4, rel_tol=1e-12)
 
     def test_last_index_uses_backward_difference(self):
         p = unit_path()
-        assert reference_pose(p, len(p) - 1)[2] == 0.0
+        assert waypoint_pose(p, len(p) - 1)[2] == 0.0
 
     def test_circle_tangent(self):
         ang = np.deg2rad(np.arange(0, 360))
         p = build_path(5 * np.cos(ang), 5 * np.sin(ang))
-        x, y, th = reference_pose(p, 90)
+        x, y, th = waypoint_pose(p, 90)
         assert abs(abs(th) - math.pi) < 0.02
 
 
 class TestReferenceVelocity:
     def test_straight_line_zero_yaw(self):
-        assert reference_velocity(unit_path(), 5, 2.0).omega_d == 0.0
+        assert waypoint_twist(unit_path(), 5, 2.0).omega_d == 0.0
 
     def test_circle_curvature(self):
         ang = np.deg2rad(np.arange(0, 360))
         p = build_path(5 * np.cos(ang), 5 * np.sin(ang))
-        ref = reference_velocity(p, 90, 2.0)
+        ref = waypoint_twist(p, 90, 2.0)
         assert math.isclose(ref.omega_d, 0.4, rel_tol=0.02)
         assert ref.omega_d > 0  # counter-clockwise circle turns left
 
     def test_zero_speed_scales_to_zero(self):
         ang = np.deg2rad(np.arange(0, 360))
         p = build_path(5 * np.cos(ang), 5 * np.sin(ang))
-        assert reference_velocity(p, 90, 0.0).omega_d == 0.0
+        assert waypoint_twist(p, 90, 0.0).omega_d == 0.0
 
     def test_endpoint_curvature_is_zero(self):
         p = unit_path()
-        assert reference_velocity(p, 0, 2.0).omega_d == 0.0
-        assert reference_velocity(p, len(p) - 1, 2.0).omega_d == 0.0
+        assert waypoint_twist(p, 0, 2.0).omega_d == 0.0
+        assert waypoint_twist(p, len(p) - 1, 2.0).omega_d == 0.0
 
 
 class TestGapError:
@@ -178,8 +186,9 @@ def test_follower_target_depends_only_on_predecessor_index():
         a = follower_target(p, leader, 3.0, 2.0)
         b = follower_target(p, leader, 3.0, 2.0)
         assert a == b
-        assert a.index == target_waypoint(p, leader, 3.0)
-        assert a.pose == reference_pose(p, a.index)
+        index = target_waypoint(p, leader, 3.0)
+        assert a == follower_target(p, index, 0.0, 2.0)
+        assert a[:2] == (p.cx[index], p.cy[index])
 
 
 class TestFigureEight:
@@ -366,10 +375,9 @@ class TestReferenceSamplingIsExact:
     def test_reference_pose_and_velocity_at_every_vertex(self, paths):
         for p in paths:
             for i in range(len(p)):
-                assert same_bits(reference_pose(p, i),
-                                 numpy_reference_pose(p, i)), i
-                assert same_bits(reference_velocity(p, i, 1.7),
-                                 (1.7, float(p.curvature[i]) * 1.7)), i
+                x, y, theta, twist = follower_target(p, i, 0.0, 1.7)
+                assert same_bits((x, y, theta), numpy_reference_pose(p, i)), i
+                assert same_bits(twist, (1.7, float(p.curvature[i]) * 1.7)), i
 
 
 class TestPoseAtArc:
@@ -400,5 +408,10 @@ class TestPlatoonConfig:
             PlatoonConfig(gap_des=0.0).validate()
         with pytest.raises(ValueError, match="v_d"):
             PlatoonConfig(v_d=-1.0).validate()
+        # an infinite gap puts the leader's own slot at arc 0 * inf = nan
+        with pytest.raises(ValueError, match="gap_des must be finite"):
+            PlatoonConfig(n_robots=1, gap_des=math.inf).validate()
+        with pytest.raises(ValueError, match="v_d must be finite"):
+            PlatoonConfig(v_d=math.inf).validate()
         with pytest.raises(ValueError, match="start_poses"):
             PlatoonConfig(n_robots=2, start_poses=((0, 0, 0),)).validate()

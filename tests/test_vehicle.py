@@ -4,10 +4,11 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from platoon_asmc import Arena, RobotParams, RobotState, SpeedBreaker, plant_rhs, \
+from platoon_asmc import Arena, RobotParams, RobotState, SpeedBreaker, \
     wheel_torque_split
 from platoon_asmc.arena import NO_ARENA
 from platoon_asmc.engine import integrate_plant
+from platoon_asmc.vehicle import plant_rhs_for
 
 finite = st.floats(min_value=-50, max_value=50, allow_nan=False)
 nonneg = st.floats(min_value=0, max_value=10, allow_nan=False)
@@ -22,7 +23,7 @@ def params(**kw):
 
 def deriv(p, x=0.0, y=0.0, theta=0.0, v=0.0, omega=0.0, F=0.0, tau=0.0,
           arena=NO_ARENA):
-    return plant_rhs(x, y, theta, v, omega, F, tau, p, arena)
+    return plant_rhs_for(p, arena)(x, y, theta, v, omega, F, tau)
 
 
 def friction_forces(v, omega, p):
