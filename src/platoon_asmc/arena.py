@@ -29,7 +29,7 @@ class SpeedBreaker:
     amp_force: float = 2.0
     amp_torque: float = 0.2
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         for name in ("x", "y", "half_width", "amp_force", "amp_torque"):
             value = getattr(self, name)
             if not math.isfinite(value):
@@ -57,7 +57,7 @@ class Arena:
     mu_lateral: float = 0.1
     speed_breakers: tuple[SpeedBreaker, ...] = ()
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if len(self.quadrant_mu) != 4:
             raise ValueError(f"quadrant_mu needs 4 values, got {len(self.quadrant_mu)}")
         for i, mu in enumerate(self.quadrant_mu, start=1):
@@ -66,8 +66,6 @@ class Arena:
                     f"quadrant_mu[{i}] must be finite and > 0, got {mu}")
         if not self.mu_lateral > 0:
             raise ValueError(f"mu_lateral must be > 0, got {self.mu_lateral}")
-        for b in self.speed_breakers:
-            b.validate()
 
     def pack(self) -> tuple[tuple[float, ...], tuple[tuple[float, ...], ...]]:
         """(scales, breakers) for `vehicle.plant_rhs_for`: the friction

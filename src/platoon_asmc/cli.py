@@ -51,12 +51,13 @@ def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
     """Command-line flags take precedence over config-file values."""
     if args.controller is not None:
         cfg = dataclasses.replace(cfg, controller=args.controller)
-    if args.duration is not None:
-        cfg = dataclasses.replace(
-            cfg, sim=dataclasses.replace(cfg.sim, duration=args.duration))
-    if args.dt is not None:
-        cfg = dataclasses.replace(
-            cfg, sim=dataclasses.replace(cfg.sim, dt_plant=args.dt))
+    sim = {k: v for k, v in (("duration", args.duration),
+                             ("dt_plant", args.dt)) if v is not None}
+    if sim:
+        try:
+            cfg = dataclasses.replace(cfg, sim=dataclasses.replace(cfg.sim, **sim))
+        except ValueError as exc:
+            raise ConfigError(f"[sim] {exc}") from exc
     if args.out is not None:
         cfg = dataclasses.replace(cfg, output_dir=args.out)
     return cfg

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 from .arena import Arena, SpeedBreaker
 from .control import AsmcConfig, KinematicGains
-from .engine import CONTROLLERS, PER_ROBOT_FIELDS, SimConfig
+from .engine import CONTROLLERS, PER_ROBOT_FIELDS, SimConfig, check_sections
 from .platoon import DEFAULT_SPACING, PlatoonConfig
 from .vehicle import RobotParams
 
@@ -42,7 +42,7 @@ class MetricsConfig:
 
     warmup_cutoff: float = 0.0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not self.warmup_cutoff >= 0:
             raise ValueError(
                 f"warmup_cutoff must be >= 0, got {self.warmup_cutoff}")
@@ -63,20 +63,11 @@ class RunConfig:
     controller: str = "both"
 
     def validate(self) -> None:
-        for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            parts = value if isinstance(value, tuple) else (value,)
-            for i, part in enumerate(parts):
-                try:
-                    getattr(part, "validate", lambda: None)()
-                except ValueError as exc:
-                    where = f"{f.name}[{i}]" if parts is value else f.name
-                    raise ConfigError(f"[{where}] {exc}") from exc
-        if isinstance(self.robot, tuple) and \
-                len(self.robot) != self.platoon.n_robots:
-            raise ConfigError(
-                f"[robot] {len(self.robot)} parameter sets for "
-                f"{self.platoon.n_robots} robots")
+        """The run-level rules; each section checked its own when built."""
+        try:
+            check_sections(self.robot, self.asmc, self.platoon, self.sim)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         # Bytes of an episode's big arrays: the trace columns and, with no
         # path_file, the tiled default path's five, which reach back over the
         # platoon's length. In floats, so that an absurd run gives inf, not
@@ -101,10 +92,6 @@ class RunConfig:
             raise ConfigError(
                 f"[controller] must be one of {CONTROLLERS + ('both',)}, "
                 f"got {self.controller!r}")
-        if self.asmc.max_alpha() * self.sim.control_period >= 1.0:
-            raise ConfigError(
-                "[asmc] leakage rate too fast for the control period: require "
-                "max(alpha_*) * control_period < 1")
 
     def scenario_hash(self) -> str:
         """Digest of everything that defines the physics and references; two
@@ -165,9 +152,9 @@ def _build(hint, value, where: str):
             raise ConfigError(f"[{where}] unknown key(s): {', '.join(unknown)}")
         prefix = f"{where}." if where != "config" else ""
         kwargs = {k: _build(hints[k], v, prefix + k) for k, v in value.items()}
-        try:
+        try:  # a section checks its own values as it is built
             return arm(**kwargs)
-        except TypeError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"[{where}] {exc}") from exc
     if isinstance(value, list):
         items = typing.get_args(arm)
@@ -187,8 +174,9 @@ def _build(hint, value, where: str):
 
 
 def from_dict(doc: dict) -> RunConfig:
-    """Build a RunConfig from a parsed JSON document (strict keys, no validation
-    of invariants yet; call .validate() after)."""
+    """Build a RunConfig from a parsed JSON document: strict keys and types,
+    each section checked as it is built. `RunConfig.validate` adds the rules
+    of the run as a whole."""
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
     return _build(RunConfig, doc, "config")

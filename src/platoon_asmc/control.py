@@ -34,7 +34,7 @@ class KinematicGains:
     k2: float = 3.0
     k3: float = 2.0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         for name in ("k1", "k2", "k3"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
@@ -87,7 +87,7 @@ class AsmcConfig:
     k_init: float = 0.01
     gain_clamp: float | None = 1e4
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         positive = (
             "phi_v", "phi_w", "Lambda_v", "Lambda_w",
             "alpha_v0", "alpha_v1", "alpha_w2", "alpha_w0", "alpha_w1", "alpha_v2",

@@ -34,7 +34,7 @@ import random
 import signal
 import struct
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -86,7 +86,7 @@ class SimConfig:
     duration: float = 600.0
     seed: int | None = None
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not self.dt_plant > 0:
             raise ValueError(f"dt_plant must be > 0, got {self.dt_plant}")
         if self.dt_plant > self.control_period:
@@ -225,17 +225,34 @@ def lead_start_on(path: Path, platoon: PlatoonConfig, sim: SimConfig,
     return lead_start_arc
 
 
-def _jittered_arena(arena: Arena, seed: int | None) -> Arena:
-    """Apply the optional seeded amplitude jitter (+-10%) to breaker bands."""
-    if seed is None or not arena.speed_breakers:
-        return arena
+def check_sections(robot: RobotParams | list[RobotParams] | tuple[RobotParams, ...],
+                   asmc: AsmcConfig, platoon: PlatoonConfig,
+                   sim: SimConfig) -> None:
+    """The rules that tie the sections of one run together; each section
+    checked its own when it was built. Raises ValueError, naming the section
+    at fault in brackets, for a count of robot parameter sets other than one
+    or `n_robots`, and for adaptive leakage too fast for the control period
+    (the gains stay positive only while max(alpha_*) * control_period < 1)."""
+    if not isinstance(robot, RobotParams) and len(robot) != platoon.n_robots:
+        raise ValueError(f"[robot] {len(robot)} parameter sets for "
+                         f"{platoon.n_robots} robots")
+    if asmc.max_alpha() * sim.control_period >= 1.0:
+        raise ValueError(
+            "[asmc] adaptive leakage too fast for the control period: require "
+            "max(alpha_*) * control_period < 1, got "
+            f"{asmc.max_alpha() * sim.control_period:.3g}")
+
+
+def _jittered_arena(arena: Arena, seed: int | None) -> tuple:
+    """`arena.pack()` with the optional seeded amplitude jitter (+-10%)
+    applied to its breaker bands."""
+    scales, breakers = arena.pack()
+    if seed is None:
+        return scales, breakers
     rng = random.Random(seed)
-    jittered = tuple(
-        replace(b, amp_force=b.amp_force * rng.uniform(0.9, 1.1),
-                amp_torque=b.amp_torque * rng.uniform(0.9, 1.1))
-        for b in arena.speed_breakers
-    )
-    return replace(arena, speed_breakers=jittered)
+    return scales, tuple(
+        (x, y, hw2, af * rng.uniform(0.9, 1.1), at * rng.uniform(0.9, 1.1))
+        for x, y, hw2, af, at in breakers)
 
 
 def _integrate_robot(x, y, th, v, w, F, tau, n, h, rhs):
@@ -333,34 +350,16 @@ def run_episode(
         raise ValueError(f"controller must be one of {CONTROLLERS}, got {controller!r}")
     if processes is not None and (type(processes) is not int or processes < 1):
         raise ValueError(f"processes must be an int >= 1 or None, got {processes!r}")
-    if isinstance(robot, RobotParams):
-        robots = [robot] * platoon.n_robots
-    else:
-        robots = list(robot)
-        if len(robots) != platoon.n_robots:
-            raise ValueError(
-                f"got {len(robots)} robot parameter sets for "
-                f"{platoon.n_robots} robots")
-    for rp in robots:
-        rp.validate()
-    kin.validate()
-    asmc.validate()
-    platoon.validate()
-    arena.validate()
-    sim.validate()
-    if asmc.max_alpha() * sim.control_period >= 1.0:
-        raise ValueError(
-            "adaptive leakage too fast for the control period: require "
-            f"max(alpha) * control_period < 1, got "
-            f"{asmc.max_alpha() * sim.control_period:.3g}")
+    check_sections(robot, asmc, platoon, sim)
 
     R = platoon.n_robots
+    robots = [robot] * R if isinstance(robot, RobotParams) else list(robot)
     if path is None:
         path, default_start = default_path_for(platoon, sim)
         if lead_start_arc is None:
             lead_start_arc = default_start
     lead_start_arc = lead_start_on(path, platoon, sim, lead_start_arc)
-    packed = _jittered_arena(arena, sim.seed).pack()
+    packed = _jittered_arena(arena, sim.seed)
 
     mean_spacing = path.total_length / (len(path) - 1)
     start_arcs = [lead_start_arc - r * platoon.gap_des for r in range(R)]

@@ -202,7 +202,7 @@ class PlatoonConfig:
     start_poses: tuple[tuple[float, float, float], ...] | None = None
     follower_heading: str = "tangent"
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.n_robots < 1:
             raise ValueError(f"n_robots must be >= 1, got {self.n_robots}")
         if not 0 < self.gap_des < math.inf:

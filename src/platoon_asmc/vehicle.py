@@ -37,7 +37,7 @@ class RobotParams:
     f_cr: float = 0.6
     f_cl: float = 0.6
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         for name in ("m", "J", "R", "L"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
@@ -177,7 +177,5 @@ def wheel_torque_split(F: float, tau: float, params: RobotParams
     tau_r = R*(F + tau/L)/2 and tau_l = R*(F - tau/L)/2. Round-tripping
     recovers (F, tau) exactly up to floating point.
     """
-    if params.R <= 0 or params.L <= 0:
-        raise ValueError("wheel_torque_split requires R > 0 and L > 0")
     t = tau / params.L
     return 0.5 * params.R * (F + t), 0.5 * params.R * (F - t)

@@ -58,11 +58,11 @@ class TestFrictionField:
 
     def test_validation(self):
         with pytest.raises(ValueError, match="quadrant_mu"):
-            Arena(quadrant_mu=(0.1, 0.1, 0.1)).validate()
+            Arena(quadrant_mu=(0.1, 0.1, 0.1))
         with pytest.raises(ValueError, match="quadrant_mu"):
-            Arena(quadrant_mu=(0.1, 0.1, 0.0, 0.1)).validate()
+            Arena(quadrant_mu=(0.1, 0.1, 0.0, 0.1))
         with pytest.raises(ValueError, match="half_width"):
-            Arena(speed_breakers=(SpeedBreaker(0, 0, 0.0),)).validate()
+            Arena(speed_breakers=(SpeedBreaker(0, 0, 0.0),))
 
 
 class TestSpeedBreakers:

@@ -6,6 +6,7 @@ No episode runs here; the CLI tests cover the exit codes."""
 import copy
 import math
 
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -93,3 +94,16 @@ def test_edited_document_validates_or_raises_config_error(doc):
     again = from_dict(cfg.to_dict())
     assert again == cfg
     assert again.scenario_hash() == cfg.scenario_hash()
+
+
+@pytest.mark.parametrize("doc,message", [
+    ({"robot": [{}, {"m": -1.0}, {}]},
+     "[robot[1]] m must be finite and > 0, got -1.0"),
+    ({"arena": {"speed_breakers": [{"x": 0, "y": 0, "half_width": 0}]}},
+     "[arena.speed_breakers[0]] half_width must be > 0, got 0.0"),
+    ({"robot": [{}, {}]}, "[robot] 2 parameter sets for 3 robots"),
+], ids=["robot_list", "breaker", "robot_count"])
+def test_error_names_the_field_once(doc, message):
+    with pytest.raises(ConfigError) as exc:
+        from_dict(doc).validate()
+    assert str(exc.value) == message

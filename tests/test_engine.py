@@ -24,14 +24,14 @@ FRICTIONLESS = RobotParams(f_kr=0, f_kl=0, f_cr=0, f_cl=0)
 class TestSimConfig:
     def test_rejects_bad_steps(self):
         with pytest.raises(ValueError, match="dt_plant"):
-            SimConfig(dt_plant=0.0).validate()
+            SimConfig(dt_plant=0.0)
         with pytest.raises(ValueError, match="exceeds"):
-            SimConfig(dt_plant=0.02, control_period=0.01).validate()
+            SimConfig(dt_plant=0.02, control_period=0.01)
         with pytest.raises(ValueError, match="integer multiple"):
-            SimConfig(dt_plant=0.003, control_period=0.01).validate()
+            SimConfig(dt_plant=0.003, control_period=0.01)
         # rounding to 100 periods would simulate 1.00 s
         with pytest.raises(ValueError, match="duration 1.005"):
-            SimConfig(duration=1.005).validate()
+            SimConfig(duration=1.005)
 
     def test_period_counts(self):
         assert SimConfig(duration=0.0).n_periods() == 0
@@ -171,7 +171,7 @@ class TestRunEpisode:
         assert not np.array_equal(a["wc"][:, 1:], b["wc"][:, 1:])
         assert np.array_equal(a["wc"][:, 0], b["wc"][:, 0])  # leader unaffected
         with pytest.raises(ValueError, match="follower_heading"):
-            dataclasses.replace(cfg.platoon, follower_heading="gps").validate()
+            dataclasses.replace(cfg.platoon, follower_heading="gps")
 
     def test_rejects_path_too_short_for_the_run(self, cfg, straight_path):
         # the 200 m straight path holds 99 s of the leader at 2 m/s

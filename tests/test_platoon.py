@@ -403,15 +403,15 @@ class TestPoseAtArc:
 class TestPlatoonConfig:
     def test_validates_counts_and_gaps(self):
         with pytest.raises(ValueError, match="n_robots"):
-            PlatoonConfig(n_robots=0).validate()
+            PlatoonConfig(n_robots=0)
         with pytest.raises(ValueError, match="gap_des"):
-            PlatoonConfig(gap_des=0.0).validate()
+            PlatoonConfig(gap_des=0.0)
         with pytest.raises(ValueError, match="v_d"):
-            PlatoonConfig(v_d=-1.0).validate()
+            PlatoonConfig(v_d=-1.0)
         # an infinite gap puts the leader's own slot at arc 0 * inf = nan
         with pytest.raises(ValueError, match="gap_des must be finite"):
-            PlatoonConfig(n_robots=1, gap_des=math.inf).validate()
+            PlatoonConfig(n_robots=1, gap_des=math.inf)
         with pytest.raises(ValueError, match="v_d must be finite"):
-            PlatoonConfig(v_d=math.inf).validate()
+            PlatoonConfig(v_d=math.inf)
         with pytest.raises(ValueError, match="start_poses"):
-            PlatoonConfig(n_robots=2, start_poses=((0, 0, 0),)).validate()
+            PlatoonConfig(n_robots=2, start_poses=((0, 0, 0),))
