@@ -32,7 +32,6 @@ from .engine import (
     EpisodeAborted,
     SimConfig,
     Trace,
-    integrate_plant,
     run_episode,
     run_kinematic_episode,
 )
@@ -48,7 +47,6 @@ from .platoon import (
     Path,
     PlatoonConfig,
     build_path,
-    figure_eight,
     follower_target,
     load_path_xy,
     nearest_index,

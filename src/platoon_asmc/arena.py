@@ -64,8 +64,13 @@ class Arena:
             if not (math.isfinite(mu) and mu > 0):
                 raise ValueError(
                     f"quadrant_mu[{i}] must be finite and > 0, got {mu}")
-        if not self.mu_lateral > 0:
-            raise ValueError(f"mu_lateral must be > 0, got {self.mu_lateral}")
+            if not math.isfinite(mu / self.quadrant_mu[0]):  # as `pack` scales
+                raise ValueError(
+                    f"quadrant_mu[{i}] / quadrant_mu[1] must be finite, got "
+                    f"{mu} / {self.quadrant_mu[0]}")
+        if not 0 < self.mu_lateral < math.inf:
+            raise ValueError(
+                f"mu_lateral must be finite and > 0, got {self.mu_lateral}")
 
     def pack(self) -> tuple[tuple[float, ...], tuple[tuple[float, ...], ...]]:
         """(scales, breakers) for `vehicle.plant_rhs_for`: the friction

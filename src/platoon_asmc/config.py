@@ -5,12 +5,17 @@ a dataclass takes a JSON object with known keys only (absent keys keep their
 defaults); `tuple[X, ...]` and fixed-length `tuple[X, Y, Z]` take lists;
 `A | B` takes the arm that fits the value's JSON shape; a scalar must match
 its type (bool is never a number, `int` fields take integers only).
-Integers in number fields are stored, and echoed, as floats. Unknown keys,
-violated invariants, a run too large for the machine's memory and (in the
-CLI) a `path_file` that is missing, malformed or too short for the run are
-validation errors naming the field, raised before any output is written.
-The effective configuration is echoed back to JSON; re-running from the
-echo reproduces the run byte-for-byte.
+Integers in number fields are stored, and echoed, as floats.
+
+Each section's dataclass checks its own values when it is built (every
+number finite, plus the section's own ranges), so a section that exists is
+valid; the builder reports a rejected value as a ConfigError naming its
+place in the document. `RunConfig.validate` adds the rules of the run as a
+whole: those that tie sections together (`engine.check_sections`), memory,
+warm-up and controller. These errors, and (in the CLI) a `path_file` that
+is missing, malformed or too short for the run, come before any output is
+written. The effective configuration is echoed back to JSON; re-running
+from the echo reproduces the run byte-for-byte.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ import dataclasses
 import functools
 import hashlib
 import json
+import math
 import os
 import types
 import typing
@@ -43,9 +49,9 @@ class MetricsConfig:
     warmup_cutoff: float = 0.0
 
     def __post_init__(self) -> None:
-        if not self.warmup_cutoff >= 0:
+        if not 0 <= self.warmup_cutoff < math.inf:
             raise ValueError(
-                f"warmup_cutoff must be >= 0, got {self.warmup_cutoff}")
+                f"warmup_cutoff must be finite and >= 0, got {self.warmup_cutoff}")
 
 
 @dataclass(frozen=True)

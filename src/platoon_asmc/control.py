@@ -36,8 +36,9 @@ class KinematicGains:
 
     def __post_init__(self) -> None:
         for name in ("k1", "k2", "k3"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
 
 
 # The per-step values are NamedTuples, built once per robot-step and read
@@ -94,10 +95,12 @@ class AsmcConfig:
             "epsilon_bl", "k_init",
         )
         for name in positive:
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
-        if self.gain_clamp is not None and not self.gain_clamp > 0:
-            raise ValueError(f"gain_clamp must be > 0 or null, got {self.gain_clamp}")
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
+        if self.gain_clamp is not None and not 0 < self.gain_clamp < math.inf:
+            raise ValueError(
+                f"gain_clamp must be finite and > 0 or null, got {self.gain_clamp}")
         if self.gain_clamp is not None and self.k_init > self.gain_clamp:
             raise ValueError(
                 f"k_init {self.k_init} exceeds gain_clamp {self.gain_clamp}")

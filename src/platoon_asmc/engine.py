@@ -87,12 +87,14 @@ class SimConfig:
     seed: int | None = None
 
     def __post_init__(self) -> None:
-        if not self.dt_plant > 0:
-            raise ValueError(f"dt_plant must be > 0, got {self.dt_plant}")
+        for name in ("dt_plant", "control_period"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
         if self.dt_plant > self.control_period:
             raise ValueError(
                 f"dt_plant {self.dt_plant} exceeds control_period {self.control_period}")
-        # substeps() cannot round an infinite or NaN ratio
+        # substeps() cannot round an infinite ratio (a subnormal dt_plant)
         if not (self.control_period / self.dt_plant < math.inf and
                 abs(self.substeps() * self.dt_plant - self.control_period)
                 <= 1e-9 * self.control_period):
@@ -274,20 +276,6 @@ def _integrate_robot(x, y, th, v, w, F, tau, n, h, rhs):
         v += h6 * (d1 + 2.0 * (d2 + d3) + d4)
         w += h6 * (e1 + 2.0 * (e2 + e3) + e4)
     return x, y, th, v, w
-
-
-def integrate_plant(state: RobotState, F: float, tau: float, params: RobotParams,
-                    dt: float, n_steps: int, arena: Arena | None = None) -> RobotState:
-    """Integrate one robot under a constant wrench (F, tau) (RK4, fixed step).
-
-    With arena=None there is no friction scaling and no disturbance; this is
-    the path the integrator-order checks drive directly.
-    """
-    x, y, th, v, w = _integrate_robot(
-        state.x, state.y, state.theta, state.v, state.omega, F, tau,
-        n_steps, dt,
-        plant_rhs_for(params, NO_ARENA if arena is None else arena.pack()))
-    return RobotState(x=x, y=y, theta=th, v=v, omega=w)
 
 
 def usable_cores() -> int:

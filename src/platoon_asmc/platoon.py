@@ -123,43 +123,31 @@ def tile_lap(lap_x, lap_y, laps: int) -> Path:
     return Path(cx=cx, cy=cy, arc=arc, tangent=tangent, curvature=curvature)
 
 
-def figure_eight_lap(scale: float = 14.0, spacing: float = DEFAULT_SPACING
-                     ) -> tuple[np.ndarray, np.ndarray]:
+def figure_eight_lap() -> tuple[np.ndarray, np.ndarray]:
     """Waypoints of one closed figure-eight lap through all four quadrants,
-    from (scale, 0); the seam back to the first point is one more segment.
+    from (14, 0); the seam back to the first point is one more segment.
 
-    Lemniscate x = a cos(t)/(1+sin^2 t), y = a sin(t) cos(t)/(1+sin^2 t),
-    resampled at uniform arc spacing (~`spacing`). Traversal from (a, 0) runs
-    Q1 -> Q3 -> Q2 -> Q4 and back to the start.
+    Lemniscate x = a cos(t)/(1+sin^2 t), y = a sin(t) cos(t)/(1+sin^2 t)
+    with a = 14 m, resampled at uniform arc spacing (~DEFAULT_SPACING).
+    Traversal from (a, 0) runs Q1 -> Q3 -> Q2 -> Q4 and back to the start.
     """
-    if scale <= 0 or spacing <= 0:
-        raise ValueError("figure_eight requires scale > 0 and spacing > 0")
     t = np.linspace(0.0, 2.0 * math.pi, 20001)
     denom = 1.0 + np.sin(t) ** 2
-    x = scale * np.cos(t) / denom
-    y = scale * np.sin(t) * np.cos(t) / denom
+    x = 14.0 * np.cos(t) / denom
+    y = 14.0 * np.sin(t) * np.cos(t) / denom
     chord = np.concatenate(([0.0], np.cumsum(np.hypot(np.diff(x), np.diff(y)))))
     lap_len = chord[-1]
     # Round the per-lap sample count so lap copies tile seamlessly: the seam
     # segment has the same length as every other segment.
-    n = max(2, int(round(lap_len / spacing)))
+    n = int(round(lap_len / DEFAULT_SPACING))
     s = np.arange(n) * (lap_len / n)
     return np.interp(s, chord, x), np.interp(s, chord, y)
 
 
-def figure_eight(scale: float = 14.0, spacing: float = DEFAULT_SPACING,
-                 laps: int = 1) -> Path:
-    """Figure-eight course (`figure_eight_lap`) repeated `laps` times."""
-    if laps < 1:
-        raise ValueError(f"figure_eight requires laps >= 1, got {laps}")
-    return tile_lap(*figure_eight_lap(scale, spacing), laps)
-
-
-def load_path_xy(path_file: str, spacing: float | None = None) -> Path:
+def load_path_xy(path_file: str) -> Path:
     """Load waypoints from a text file with one 'x y' pair per line.
 
-    Lines starting with '#' and blank lines are skipped. When `spacing` is
-    given the polyline is resampled at that uniform arc spacing.
+    Lines starting with '#' and blank lines are skipped.
     """
     xs: list[float] = []
     ys: list[float] = []
@@ -175,11 +163,7 @@ def load_path_xy(path_file: str, spacing: float | None = None) -> Path:
                     f"{path_file}:{ln}: expected 'x y', got {line!r}") from None
             xs.append(x)
             ys.append(y)
-    p = build_path(xs, ys)
-    if spacing is not None:
-        s = np.arange(0.0, p.total_length, spacing)
-        return build_path(np.interp(s, p.arc, p.cx), np.interp(s, p.arc, p.cy))
-    return p
+    return build_path(xs, ys)
 
 
 FOLLOWER_HEADING_MODES = ("tangent", "predecessor")

@@ -20,10 +20,11 @@ import pytest
 from platoon_asmc import default_config, run_episode, run_kinematic_episode
 from platoon_asmc.cli import main as cli_main
 from platoon_asmc.config import dump_config
-from platoon_asmc.engine import default_path_for, integrate_plant
+from platoon_asmc.arena import NO_ARENA
+from platoon_asmc.engine import _integrate_robot, default_path_for
 from platoon_asmc.metrics import quadrant_mask, rms
 from platoon_asmc.platoon import build_path, pose_at_arc, target_waypoint
-from platoon_asmc.vehicle import RobotParams, RobotState
+from platoon_asmc.vehicle import RobotParams, plant_rhs_for
 
 GAIN_COLS = ("K_v0", "K_v1", "K_w2", "K_w0", "K_w1", "K_v2")
 EPISODE_SECONDS = 600.0
@@ -163,9 +164,10 @@ def test_criterion_6_rk4_convergence_order():
         - (a * T / w0) * math.cos(th)
     errs = []
     for dt in (4e-3, 2e-3, 1e-3):
-        out = integrate_plant(RobotState(v=v0, omega=w0), F, 0.0, params, dt,
-                              int(round(T / dt)))
-        errs.append(math.hypot(out.x - xa, out.y - ya))
+        x, y, *_ = _integrate_robot(0.0, 0.0, 0.0, v0, w0, F, 0.0,
+                                    int(round(T / dt)), dt,
+                                    plant_rhs_for(params, NO_ARENA))
+        errs.append(math.hypot(x - xa, y - ya))
     orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
     ok = min(orders) >= 3.7
     _criterion(6, ok, f"observed orders {orders[0]:.2f}, {orders[1]:.2f} >= 3.7")

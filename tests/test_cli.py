@@ -323,11 +323,16 @@ class TestRunCommand:
         # the course would reach 2e9 m back behind the leader
         (("platoon", "gap_des"), 1e9),
         (("platoon", "gap_des"), float("inf")),
+        (("kinematic", "k1"), float("inf")),
+        # the friction scale mu_q / mu_1 of a quadrant overflows
+        (("arena", "quadrant_mu", 1), 1e308),
+        (("arena", "quadrant_mu", 0), 1e-320),
     ], ids=["m_str", "n_robots_float", "n_robots_bool", "amp_force_str",
             "quadrant_mu_str", "path_file_int", "duration_inf",
             "warmup_past_end", "duration_huge", "duration_off_grid",
             "k_init_over_clamp", "breaker_width_squared_overflows",
-            "gap_des_huge", "gap_des_inf"])
+            "gap_des_huge", "gap_des_inf", "k1_inf", "quadrant_ratio_huge",
+            "quadrant_ratio_tiny_base"])
     def test_bad_value_is_rejected_by_validation(self, tmp_path, capfd, keys,
                                                  value):
         assert_one_validation_error(tmp_path, capfd, keys, value)

@@ -1,5 +1,6 @@
-"""Fuzz of the config schema: edited copies of the default document either
-validate or raise ConfigError, and whatever validates survives its own echo.
+"""The config schema: edited copies of the default document either validate
+or raise ConfigError naming the field, whatever validates survives its own
+echo, and no number of any section may be infinite or NaN.
 
 No episode runs here; the CLI tests cover the exit codes."""
 
@@ -107,3 +108,19 @@ def test_error_names_the_field_once(doc, message):
     with pytest.raises(ConfigError) as exc:
         from_dict(doc).validate()
     assert str(exc.value) == message
+
+
+FLOAT_FIELDS = [p for p, v in paths(default_config().to_dict())
+                if isinstance(v, float)]
+
+
+@pytest.mark.parametrize("path", FLOAT_FIELDS,
+                         ids=[".".join(map(str, p)) for p in FLOAT_FIELDS])
+def test_non_finite_number_is_rejected(path):
+    # with the gain cap lifted, nothing bounds k_init from above
+    for clamp in (1e4, None):
+        for value in (math.inf, -math.inf, math.nan):
+            doc = edited(("asmc", "gain_clamp"), clamp)
+            lookup(doc, path[:-1])[path[-1]] = value
+            with pytest.raises(ConfigError, match="finite"):
+                from_dict(doc).validate()

@@ -11,12 +11,14 @@ from platoon_asmc import (
     KinematicGains,
     PlatoonConfig,
     RobotParams,
-    RobotState,
     SimConfig,
     run_episode,
     run_kinematic_episode,
 )
-from platoon_asmc.engine import default_path_for, integrate_plant, lead_start_on
+from platoon_asmc.arena import NO_ARENA
+from platoon_asmc.engine import _integrate_robot, default_path_for, lead_start_on
+from platoon_asmc.platoon import figure_eight_lap, pose_at_arc, tile_lap
+from platoon_asmc.vehicle import plant_rhs_for
 
 FRICTIONLESS = RobotParams(f_kr=0, f_kl=0, f_cr=0, f_cl=0)
 
@@ -248,9 +250,10 @@ class TestIntegratorQuality:
         xa, ya = analytic()
         errs = []
         for dt in (4e-3, 2e-3, 1e-3):
-            out = integrate_plant(RobotState(v=v0, omega=w0), F, 0.0, p, dt,
-                                  int(round(T / dt)))
-            errs.append(math.hypot(out.x - xa, out.y - ya))
+            x, y, *_ = _integrate_robot(0.0, 0.0, 0.0, v0, w0, F, 0.0,
+                                        int(round(T / dt)), dt,
+                                        plant_rhs_for(p, NO_ARENA))
+            errs.append(math.hypot(x - xa, y - ya))
         orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
         assert min(orders) >= 3.7, f"observed orders {orders}"
 
@@ -270,11 +273,12 @@ class TestIntegratorQuality:
     def test_energy_decays_without_actuation(self):
         # symmetric friction dissipates: kinetic energy is non-increasing
         p = RobotParams()
-        st = RobotState(v=2.0, omega=1.0)
-        ke = 0.5 * p.m * st.v ** 2 + 0.5 * p.J * st.omega ** 2
+        rhs = plant_rhs_for(p, NO_ARENA)
+        st = (0.0, 0.0, 0.0, 2.0, 1.0)
+        ke = 0.5 * p.m * st[3] ** 2 + 0.5 * p.J * st[4] ** 2
         for _ in range(3000):
-            st = integrate_plant(st, 0.0, 0.0, p, dt=1e-3, n_steps=1)
-            ke_next = 0.5 * p.m * st.v ** 2 + 0.5 * p.J * st.omega ** 2
+            st = _integrate_robot(*st, 0.0, 0.0, 1, 1e-3, rhs)
+            ke_next = 0.5 * p.m * st[3] ** 2 + 0.5 * p.J * st[4] ** 2
             assert ke_next <= ke + 1e-15
             ke = ke_next
 
@@ -305,7 +309,6 @@ def test_integrator_matches_scipy_reference(cfg, inside_breaker):
     from scipy.integrate import solve_ivp
 
     from platoon_asmc import SpeedBreaker
-    from platoon_asmc.vehicle import plant_rhs_for
 
     params = cfg.robot
     if inside_breaker:
@@ -325,11 +328,10 @@ def test_integrator_matches_scipy_reference(cfg, inside_breaker):
     T = 2.0
     ref = solve_ivp(rhs, (0.0, T), start, method="RK45", rtol=1e-12,
                     atol=1e-12)
-    mine = integrate_plant(RobotState(*start), *wrench, params,
-                           dt=1e-3, n_steps=2000, arena=arena)
+    mine = _integrate_robot(*start, *wrench, 2000, 1e-3,
+                            plant_rhs_for(params, packed))
     assert ref.success
-    err = np.max(np.abs(np.array([mine.x, mine.y, mine.theta, mine.v,
-                                  mine.omega]) - ref.y[:, -1]))
+    err = np.max(np.abs(np.array(mine) - ref.y[:, -1]))
     assert err < 1e-8, err
 
 
@@ -337,9 +339,8 @@ def test_default_course_traverses_quadrants_in_order(cfg):
     # one lap runs Q1 -> Q3 -> Q2 -> Q4; the high-friction stretch (Q3) and
     # the breaker placements rely on this ordering
     from platoon_asmc.arena import quadrant_of
-    from platoon_asmc.platoon import figure_eight, pose_at_arc
 
-    p = figure_eight(laps=1)
+    p = tile_lap(*figure_eight_lap(), 1)
     seen = [quadrant_of(*pose_at_arc(p, f * p.total_length)[:2])
             for f in (0.125, 0.375, 0.625, 0.875)]
     assert seen == [1, 3, 2, 4]
@@ -348,8 +349,6 @@ def test_default_course_traverses_quadrants_in_order(cfg):
 def test_fast_path_matches_public_ops_bitwise(cfg):
     """One RK4 step of the engine's integrator must equal the same step
     composed by hand from the public stage function, bit for bit."""
-    from platoon_asmc.vehicle import plant_rhs_for
-
     params = cfg.robot
     packed = cfg.arena.pack()
     F, tau = 0.7, -0.05
@@ -361,27 +360,22 @@ def test_fast_path_matches_public_ops_bitwise(cfg):
     def shift(s, d, w):
         return [si + w * di for si, di in zip(s, d)]
 
-    for start in (RobotState(x=1.0, y=1.0, v=2.0, omega=0.3),
-                  RobotState(x=-1.0, y=-1.0, v=1.5, omega=-0.2),
-                  RobotState(x=-2.709293, y=2.525828, v=2.0),  # inside breaker
-                  RobotState(x=0.0, y=-0.5, v=-0.4, omega=1.0)):
-        s0 = [start.x, start.y, start.theta, start.v, start.omega]
+    for s0 in ([1.0, 1.0, 0.0, 2.0, 0.3],
+               [-1.0, -1.0, 0.0, 1.5, -0.2],
+               [-2.709293, 2.525828, 0.0, 2.0, 0.0],  # inside breaker
+               [0.0, -0.5, 0.0, -0.4, 1.0]):
         k1 = rhs(s0)
         k2 = rhs(shift(s0, k1, h / 2))
         k3 = rhs(shift(s0, k2, h / 2))
         k4 = rhs(shift(s0, k3, h))
         manual = tuple(s0[i] + h / 6 * (k1[i] + 2.0 * (k2[i] + k3[i]) + k4[i])
                        for i in range(5))
-        engine_step = integrate_plant(start, F, tau, params, h, 1,
-                                      arena=cfg.arena)
-        assert (engine_step.x, engine_step.y, engine_step.theta,
-                engine_step.v, engine_step.omega) == manual
+        assert _integrate_robot(*s0, F, tau, 1, h,
+                                plant_rhs_for(params, packed)) == manual
 
 
 class TestKinematicBypass:
     def test_posture_errors_decay_on_figure_eight(self, cfg):
-        from platoon_asmc.platoon import pose_at_arc
-
         path, s0 = default_path_for(cfg.platoon,
                                     dataclasses.replace(cfg.sim, duration=25.0))
         x0, y0, th0, _ = pose_at_arc(path, s0)

@@ -25,7 +25,9 @@ GAINS = [("kinematic", k) for k in ("k1", "k2", "k3")] + [
     ("asmc", k) for k in ("Lambda_v", "Lambda_w", "phi_v", "phi_w",
                           "epsilon_bl", "k_init", "alpha_v0", "alpha_w0")]
 SCALES = st.sampled_from((0.0, -1.0, 1e-3, 0.1, 1.0, 10.0, 1e3, 1e300,
-                          math.inf)) | st.floats(-10.0, 100.0)
+                          math.inf, -math.inf)) | st.floats(-10.0, 100.0)
+# a breaker amplitude that the seeded jitter, up to x1.1, can overflow
+AMPLITUDES = st.sampled_from((2.0, 1e300, 1.7e308)) | st.floats(0.0, 1.7e308)
 # a band's half-width: 1e300 squares to an overflow in `Arena.pack`
 WIDTHS = st.sampled_from((0.0, 1e-3, 20.0, 1e6, 1e154, 1e300, math.inf)) | \
     st.floats(-1.0, 50.0)
@@ -60,9 +62,9 @@ def courses(draw):
 def episodes(draw):
     """The default document, 0.05-0.5 s long under one controller, with one
     or two edits: the robot count, start poses, cruise speed, a gain, the
-    gain cap, the desired gap, the heading mode, a speed breaker, the wheel
-    radius or half-track, or the course; and the text of the course file,
-    or None."""
+    gain cap, the desired gap, the heading mode, a speed breaker, the seed
+    with a breaker's amplitude and width, the wheel radius or half-track, or
+    the course; and the text of the course file, or None."""
     doc = default_config().to_dict()
     course = None
     doc["sim"]["duration"] = draw(st.integers(5, 50)) / 100
@@ -71,8 +73,8 @@ def episodes(draw):
     for _ in range(draw(st.integers(1, 2))):
         edit = draw(st.sampled_from(("n_robots", "start_poses", "v_d", "gain",
                                      "gain_clamp", "gap_des",
-                                     "follower_heading", "breaker", "robot",
-                                     "path_file")))
+                                     "follower_heading", "breaker", "seed",
+                                     "robot", "path_file")))
         if edit == "n_robots":
             platoon["n_robots"] = draw(st.integers(1, 5))
         elif edit == "start_poses":
@@ -98,6 +100,12 @@ def episodes(draw):
             key = draw(st.sampled_from(("half_width", "amp_force",
                                         "amp_torque")))
             band[key] = draw(WIDTHS if key == "half_width" else SCALES)
+        elif edit == "seed":
+            doc["sim"]["seed"] = draw(st.integers(0, 2**32))
+            band = draw(st.sampled_from(doc["arena"]["speed_breakers"]))
+            band["half_width"] = draw(WIDTHS)
+            band[draw(st.sampled_from(("amp_force", "amp_torque")))] = \
+                draw(AMPLITUDES)
         elif edit == "robot":
             doc["robot"][draw(st.sampled_from(("R", "L")))] = \
                 draw(ROBOT_SIZES)
@@ -113,6 +121,13 @@ OVERFLOW["asmc"].update(k_init=1e300, gain_clamp=None)
 OVERFLOW["platoon"]["v_d"] = 4.745
 OVERFLOW["sim"]["duration"] = 0.2
 OVERFLOW["controller"] = "baseline"
+
+# the seed's first jitter factor, x1.0689, takes a band's amplitude past the
+# largest float; the band covers the start
+JITTER = default_config().to_dict()
+JITTER["arena"]["speed_breakers"][0].update(half_width=20.0, amp_force=1.7e308)
+JITTER["sim"].update(seed=0, duration=0.2)
+JITTER["controller"] = "proposed"
 
 
 def _outcome(cfg, path, processes):
@@ -130,6 +145,7 @@ def _outcome(cfg, path, processes):
           suppress_health_check=[HealthCheck.too_slow])
 @given(episodes())
 @example((OVERFLOW, None))
+@example((JITTER, None))
 def test_episode_exits_cleanly_and_pipelines_exactly(episode):
     doc, course = episode
     with tempfile.TemporaryDirectory() as tmp:

@@ -8,7 +8,6 @@ import pytest
 from platoon_asmc import (
     PlatoonConfig,
     build_path,
-    figure_eight,
     follower_target,
     load_path_xy,
     nearest_index,
@@ -16,6 +15,7 @@ from platoon_asmc import (
     target_waypoint,
 )
 from platoon_asmc.engine import SimConfig, default_path_for, run_episode
+from platoon_asmc.platoon import figure_eight_lap, tile_lap
 
 
 def unit_path(n=11):
@@ -193,17 +193,17 @@ def test_follower_target_depends_only_on_predecessor_index():
 
 class TestFigureEight:
     def test_starts_at_scaled_point(self):
-        p = figure_eight(scale=14.0, laps=1)
+        p = tile_lap(*figure_eight_lap(), 1)
         assert p.cx[0] == 14.0 and p.cy[0] == 0.0
 
     def test_uniform_spacing_and_monotone_arc(self):
-        p = figure_eight(laps=2)
+        p = tile_lap(*figure_eight_lap(), 2)
         seg = np.diff(p.arc)
         assert np.all(seg > 0)
         assert np.max(np.abs(seg - np.mean(seg))) < 0.005
 
     def test_covers_all_quadrants(self):
-        p = figure_eight(laps=1)
+        p = tile_lap(*figure_eight_lap(), 1)
         assert np.any((p.cx > 0) & (p.cy > 0))
         assert np.any((p.cx < 0) & (p.cy > 0))
         assert np.any((p.cx < 0) & (p.cy < 0))
@@ -211,15 +211,15 @@ class TestFigureEight:
 
     @pytest.mark.parametrize("laps", [1, 2, 3, 4])
     def test_tiled_curvature_equals_per_vertex_curvature(self, laps):
-        p = figure_eight(laps=laps)
+        p = tile_lap(*figure_eight_lap(), laps)
         per_vertex = build_path(p.cx, p.cy)
         for name in ("cx", "cy", "arc", "tangent", "curvature"):
             assert getattr(p, name).tobytes() == \
                 getattr(per_vertex, name).tobytes(), name
 
     def test_lap_tiling_repeats_geometry(self):
-        one = figure_eight(laps=1)
-        two = figure_eight(laps=2)
+        one = tile_lap(*figure_eight_lap(), 1)
+        two = tile_lap(*figure_eight_lap(), 2)
         n = len(one)
         assert np.array_equal(two.cx[:n], one.cx)
         assert np.array_equal(two.cx[n:2 * n], one.cx)
@@ -266,7 +266,7 @@ class TestNearestIndex:
     def test_windowed_search_stays_local(self):
         # figure-eight crosses itself at the origin: with a hint on the first
         # branch the projection must not jump to the other branch
-        p = figure_eight(laps=1)
+        p = tile_lap(*figure_eight_lap(), 1)
         node = int(np.argmin(p.cx[:len(p) // 2] ** 2 + p.cy[:len(p) // 2] ** 2))
         got = nearest_index(p, 0.01, 0.0, hint=node, window=40)
         assert abs(got - node) <= 40
@@ -325,7 +325,7 @@ class TestNearestIndexOracle:
                 self.check(p, 14.0, -0.5, hint, window)
 
     def test_huge_and_nan_coordinates(self):
-        p = figure_eight(laps=1)
+        p = tile_lap(*figure_eight_lap(), 1)
         for x, y in ((1e200, 0.0), (-1e200, 1e200), (0.0, -1e200),
                      (math.nan, 0.0), (0.0, math.nan), (math.inf, 1.0)):
             self.check(p, x, y)
@@ -362,7 +362,8 @@ def same_bits(a, b):
 class TestReferenceSamplingIsExact:
     @pytest.fixture(scope="class")
     def paths(self):
-        return (figure_eight(laps=2), random_path(np.random.default_rng(2), 300))
+        return (tile_lap(*figure_eight_lap(), 2),
+                random_path(np.random.default_rng(2), 300))
 
     def test_pose_at_arc_at_every_vertex_and_random_arc(self, paths):
         rng = np.random.default_rng(21)

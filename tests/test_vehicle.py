@@ -4,10 +4,9 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from platoon_asmc import Arena, RobotParams, RobotState, SpeedBreaker, \
-    wheel_torque_split
+from platoon_asmc import Arena, RobotParams, SpeedBreaker, wheel_torque_split
 from platoon_asmc.arena import NO_ARENA
-from platoon_asmc.engine import integrate_plant
+from platoon_asmc.engine import _integrate_robot
 from platoon_asmc.vehicle import plant_rhs_for
 
 finite = st.floats(min_value=-50, max_value=50, allow_nan=False)
@@ -155,7 +154,7 @@ class TestWheelTorqueSplit:
 
 def test_frictionless_constant_force_gives_linear_velocity():
     p = params(m=2.0)
-    st0 = RobotState(v=0.25)
-    out = integrate_plant(st0, 1.5, 0.0, p, dt=1e-3, n_steps=4000)
+    v = _integrate_robot(0.0, 0.0, 0.0, 0.25, 0.0, 1.5, 0.0, 4000, 1e-3,
+                         plant_rhs_for(p, NO_ARENA))[3]
     # v(t) = v0 + (F/m) t exactly; RK4 is exact for a linear-in-t velocity
-    assert math.isclose(out.v, 0.25 + 0.75 * 4.0, rel_tol=1e-9)
+    assert math.isclose(v, 0.25 + 0.75 * 4.0, rel_tol=1e-9)
