@@ -238,11 +238,11 @@ def check_sections(robot: RobotParams | list[RobotParams] | tuple[RobotParams, .
     if not isinstance(robot, RobotParams) and len(robot) != platoon.n_robots:
         raise ValueError(f"[robot] {len(robot)} parameter sets for "
                          f"{platoon.n_robots} robots")
-    if asmc.max_alpha() * sim.control_period >= 1.0:
+    rate = asmc.max_alpha() * sim.control_period
+    if rate >= 1.0:
         raise ValueError(
             "[asmc] adaptive leakage too fast for the control period: require "
-            "max(alpha_*) * control_period < 1, got "
-            f"{asmc.max_alpha() * sim.control_period:.3g}")
+            f"max(alpha_*) * control_period < 1, got {rate:.3g}")
 
 
 def _jittered_arena(arena: Arena, seed: int | None) -> tuple:

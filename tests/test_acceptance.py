@@ -18,9 +18,9 @@ import numpy as np
 import pytest
 
 from platoon_asmc import default_config, run_episode, run_kinematic_episode
+from platoon_asmc.arena import NO_ARENA
 from platoon_asmc.cli import main as cli_main
 from platoon_asmc.config import dump_config
-from platoon_asmc.arena import NO_ARENA
 from platoon_asmc.engine import _integrate_robot, default_path_for
 from platoon_asmc.metrics import quadrant_mask, rms
 from platoon_asmc.platoon import build_path, pose_at_arc, target_waypoint
