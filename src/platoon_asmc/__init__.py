@@ -33,7 +33,6 @@ from .engine import (
     SimConfig,
     Trace,
     run_episode,
-    run_kinematic_episode,
 )
 from .metrics import (
     RmsReport,

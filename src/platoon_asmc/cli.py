@@ -3,8 +3,10 @@
 `platoon-asmc run` loads a JSON config (built-in defaults when omitted),
 applies flag overrides, runs the selected controller episode(s), and writes
 traces, reports, the plotspec and the effective-config echo into the output
-directory. Errors come back as a single machine-parseable line on stderr with
-a nonzero exit code.
+directory. Every episode runs in a worker of one process pool, which writes
+its trace and sends back its RMS report. Errors come back as a single
+machine-parseable line on stderr with a nonzero exit code: a bad config or
+an output that cannot be written is exit 2, an aborted episode exit 3.
 """
 
 from __future__ import annotations
@@ -55,9 +57,10 @@ def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
                              ("dt_plant", args.dt)) if v is not None}
     if sim:
         try:
-            cfg = dataclasses.replace(cfg, sim=dataclasses.replace(cfg.sim, **sim))
+            sim = dataclasses.replace(cfg.sim, **sim)
         except ValueError as exc:
             raise ConfigError(f"[sim] {exc}") from exc
+        cfg = dataclasses.replace(cfg, sim=sim)
     if args.out is not None:
         cfg = dataclasses.replace(cfg, output_dir=args.out)
     return cfg
@@ -84,11 +87,11 @@ def _load_path(cfg: RunConfig) -> Path | None:
 def _episode_job(cfg_doc: dict, controller: str, csv_path: str,
                  path: Path | None = None,
                  processes: int | None = None) -> mx.RmsReport:
-    """Run one episode, export its trace and return its RMS report; used
-    directly and as the worker for concurrent 'both' runs, which then send
-    back the small report rather than the whole trace. `processes` caps the
-    episode's pipeline groups (see `run_episode`). Raises ReportNotFinite,
-    before anything is written, when the report is not finite.
+    """Run one episode, export its trace and return its RMS report: the
+    pool worker of `run_command`, which gets back the small report rather
+    than the whole trace. `processes` caps the episode's pipeline groups
+    (see `run_episode`). Raises ReportNotFinite, before anything is written,
+    when the report is not finite.
 
     The config crosses to the worker as a plain dict and is rebuilt here, not
     pickled as a `RunConfig`: on CPython 3.11 an unpickled dataclass instance
@@ -115,63 +118,44 @@ def run_command(args: argparse.Namespace) -> int:
     try:
         cfg = load_config(args.config) if args.config else default_config()
         cfg = _apply_overrides(cfg, args)
-        cfg.validate()
         path = _load_path(cfg)
     except ConfigError as exc:
         return _fail("validation", str(exc))
 
     out_dir = _resolve_out_dir(cfg)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        return _fail("validation", f"cannot create output directory: {exc}")
-
-    dump_config(cfg, out_dir / "config_echo.json")
     controllers = ["proposed", "baseline"] if cfg.controller == "both" \
         else [cfg.controller]
     say = (lambda *a: None) if args.quiet else print
-
     doc = cfg.to_dict()
-    reports: dict[str, mx.RmsReport] = {}
     try:
-        if len(controllers) == 2:
-            say(f"running {controllers} episodes concurrently "
-                f"({cfg.sim.duration:g} s simulated each)...")
-            # the two episodes share the cores between their pipelines
-            processes = max(1, usable_cores() // 2)
-            with concurrent.futures.ProcessPoolExecutor(max_workers=2) as pool:
-                futures = {
-                    c: pool.submit(_episode_job, doc, c,
-                                   str(out_dir / f"trace_{c}.csv"), path,
-                                   processes)
-                    for c in controllers
-                }
-                for c, fut in futures.items():
-                    reports[c] = fut.result()
-        else:
-            c = controllers[0]
-            say(f"running {c} episode ({cfg.sim.duration:g} s simulated)...")
-            reports[c] = _episode_job(doc, c, str(out_dir / f"trace_{c}.csv"),
-                                      path)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        dump_config(cfg, out_dir / "config_echo.json")
+        say(f"running {', '.join(controllers)} "
+            f"({cfg.sim.duration:g} s simulated)...")
+        # concurrent episodes share the cores between their pipelines
+        processes = max(1, usable_cores() // len(controllers))
+        with concurrent.futures.ProcessPoolExecutor(len(controllers)) as pool:
+            futures = {c: pool.submit(_episode_job, doc, c,
+                                      str(out_dir / f"trace_{c}.csv"), path,
+                                      processes)
+                       for c in controllers}
+            reports = {c: fut.result() for c, fut in futures.items()}
+
+        mx.write_plotspec(out_dir / "plotspec.txt", cfg.platoon.n_robots)
+        ordered = [reports[c] for c in ("baseline", "proposed") if c in reports]
+        comparison = mx.compare_reports(*ordered) if len(ordered) == 2 else None
+        text = mx.render_report_text(ordered, comparison)
+        (out_dir / "report.txt").write_text(text)
+        with open(out_dir / "report.json", "w") as fh:
+            json.dump(mx.report_to_json(ordered, comparison), fh, indent=2)
+            fh.write("\n")
+    except OSError as exc:
+        return _fail("validation", f"cannot write output to {out_dir}: {exc}")
     except EpisodeAborted as exc:
         return _fail("abort", f"step={exc.step}; t={exc.t:.3f}; "
                               f"robot={exc.robot + 1}; last_record={exc.diagnostic}")
     except ReportNotFinite as exc:
         return _fail("abort", str(exc))
-
-    mx.write_plotspec(out_dir / "plotspec.txt", cfg.platoon.n_robots)
-
-    if len(reports) == 2:
-        ordered = [reports["baseline"], reports["proposed"]]
-        comparison = mx.compare_reports(*ordered)
-    else:
-        ordered = list(reports.values())
-        comparison = None
-    text = mx.render_report_text(ordered, comparison)
-    (out_dir / "report.txt").write_text(text)
-    with open(out_dir / "report.json", "w") as fh:
-        json.dump(mx.report_to_json(ordered, comparison), fh, indent=2)
-        fh.write("\n")
 
     say(text)
     say(f"artifacts written to {out_dir}/")

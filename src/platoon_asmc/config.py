@@ -7,15 +7,16 @@ defaults); `tuple[X, ...]` and fixed-length `tuple[X, Y, Z]` take lists;
 its type (bool is never a number, `int` fields take integers only).
 Integers in number fields are stored, and echoed, as floats.
 
-Each section's dataclass checks its own values when it is built (every
-number finite, plus the section's own ranges), so a section that exists is
-valid; the builder reports a rejected value as a ConfigError naming its
-place in the document. `RunConfig.validate` adds the rules of the run as a
-whole: those that tie sections together (`engine.check_sections`), memory,
-warm-up and controller. These errors, and (in the CLI) a `path_file` that
-is missing, malformed or too short for the run, come before any output is
-written. The effective configuration is echoed back to JSON; re-running
-from the echo reproduces the run byte-for-byte.
+Each dataclass checks its own values when it is built, so a section or a
+`RunConfig` that exists is valid. A section checks that every number is
+finite and in the section's own ranges; the builder reports a rejected value
+as a ConfigError naming its place in the document. A `RunConfig` adds, in
+`RunConfig.validate`, the rules of the run as a whole: those that tie
+sections together (`engine.check_sections`), memory, warm-up and
+controller. These errors, and (in the CLI) a `path_file` that is missing,
+malformed or too short for the run, come before any output is written. The
+effective configuration is echoed back to JSON; re-running from the echo
+reproduces the run byte-for-byte.
 """
 
 from __future__ import annotations
@@ -68,8 +69,12 @@ class RunConfig:
     output_dir: str | None = None
     controller: str = "both"
 
+    def __post_init__(self) -> None:
+        self.validate()
+
     def validate(self) -> None:
-        """The run-level rules; each section checked its own when built."""
+        """The run-level rules, checked when the config is built; each
+        section checked its own when it was built."""
         try:
             check_sections(self.robot, self.asmc, self.platoon, self.sim)
         except ValueError as exc:
@@ -160,6 +165,8 @@ def _build(hint, value, where: str):
         kwargs = {k: _build(hints[k], v, prefix + k) for k, v in value.items()}
         try:  # a section checks its own values as it is built
             return arm(**kwargs)
+        except ConfigError:
+            raise
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"[{where}] {exc}") from exc
     if isinstance(value, list):
@@ -181,8 +188,7 @@ def _build(hint, value, where: str):
 
 def from_dict(doc: dict) -> RunConfig:
     """Build a RunConfig from a parsed JSON document: strict keys and types,
-    each section checked as it is built. `RunConfig.validate` adds the rules
-    of the run as a whole."""
+    each section and then the run as a whole checked as it is built."""
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
     return _build(RunConfig, doc, "config")

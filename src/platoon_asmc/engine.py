@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import control as ctl
-from .arena import NO_ARENA, Arena
+from .arena import Arena
 from .control import AdaptiveState, AsmcConfig, KinematicGains, VelocityReference
 from .platoon import (
     Path,
@@ -684,64 +684,3 @@ def _diagnostic(rec: np.ndarray, marks: np.ndarray, path: Path,
         "gap_err": _gap_errors(path, marks[j], gap_des).tolist(),
     }
 
-
-# Plant parameters for the kinematics-only runner: with zero wrench and no
-# friction the velocities stay at the commanded values over a period.
-_FRICTIONLESS = RobotParams(f_kr=0.0, f_kl=0.0, f_cr=0.0, f_cl=0.0)
-
-
-@dataclass
-class KinematicRun:
-    """Posture-error history of a kinematics-only tracking run."""
-
-    t: np.ndarray
-    e1: np.ndarray
-    e2: np.ndarray
-    e3: np.ndarray
-    x: np.ndarray
-    y: np.ndarray
-
-
-def run_kinematic_episode(
-    kin: KinematicGains,
-    v_d: float,
-    path: Path,
-    start_arc: float,
-    duration: float,
-    control_period: float = 1e-2,
-    initial_pose: tuple[float, float, float] | None = None,
-    n_sub: int = 10,
-) -> KinematicRun:
-    """Track the arc-parameterized reference with the dynamics bypassed.
-
-    The commanded (v_c, omega_c) feed the kinematics directly (perfect
-    velocity tracking): each period the plant's (v, omega) is reset to the
-    command and the pose integrates with the plant RK4 under zero wrench,
-    without friction or arena. Used to check the kinematic loop in isolation.
-    """
-    N = int(round(duration / control_period))
-    h = control_period / n_sub
-    rhs = plant_rhs_for(_FRICTIONLESS, NO_ARENA)
-    x0, y0, th0, _ = pose_at_arc(path, start_arc)
-    if initial_pose is not None:
-        x0, y0, th0 = initial_pose
-    x, y, th = x0, y0, th0
-
-    t_arr = np.arange(N + 1) * control_period
-    e1 = np.empty(N + 1)
-    e2 = np.empty(N + 1)
-    e3 = np.empty(N + 1)
-    xs = np.empty(N + 1)
-    ys = np.empty(N + 1)
-    for k in range(N + 1):
-        xr, yr, thr, kappa = pose_at_arc(path, start_arc + v_d * (k * control_period))
-        err = ctl.posture_error(x, y, th, xr, yr, thr)
-        cmd = ctl.kinematic_control(
-            err, VelocityReference(v_d=v_d, omega_d=kappa * v_d), kin)
-        e1[k], e2[k], e3[k] = err.e1, err.e2, err.e3
-        xs[k], ys[k] = x, y
-        if k == N:
-            break
-        x, y, th, _, _ = _integrate_robot(x, y, th, cmd.v_c, cmd.omega_c,
-                                          0.0, 0.0, n_sub, h, rhs)
-    return KinematicRun(t=t_arr, e1=e1, e2=e2, e3=e3, x=xs, y=ys)

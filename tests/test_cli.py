@@ -258,6 +258,25 @@ class TestRunCommand:
         assert err.count("\n") == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("blocked", ["config_echo.json",
+                                         "trace_proposed.csv"])
+    @pytest.mark.parametrize("controller", ["proposed", "both"])
+    def test_unwritable_output_is_a_validation_error(self, tmp_path, capfd,
+                                                     controller, blocked):
+        # a directory stands where an output file goes; the trace is written
+        # in a pool worker, and its error must cross back intact
+        out = tmp_path / "x"
+        (out / blocked).mkdir(parents=True)
+        p = write_config(tmp_path, tiny_config(controller=controller,
+                                               **{"sim.duration": 0.5}))
+        code = main(["run", "--config", str(p), "--out", str(out), "--quiet"])
+        err = capfd.readouterr().err
+        assert code == 2
+        assert err.startswith("error: kind=validation")
+        assert blocked in err
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("key,value", [("R", 1e308), ("L", 1e-310)])
     def test_non_finite_wheel_torque_is_an_abort(self, tmp_path, capsys, key,
                                                  value):

@@ -5,13 +5,20 @@ echo, and no number of any section may be infinite or NaN.
 No episode runs here; the CLI tests cover the exit codes."""
 
 import copy
+import dataclasses
 import math
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from platoon_asmc.config import ConfigError, default_config, from_dict
+from platoon_asmc.config import (
+    ConfigError,
+    MetricsConfig,
+    RunConfig,
+    default_config,
+    from_dict,
+)
 
 # the edge values by name, as plain draws reach them too rarely
 EDGES = st.sampled_from((0, -1, 2**64, 10**400, 0.0, -0.0, 5e-324, 1e-300,
@@ -103,11 +110,22 @@ def test_edited_document_validates_or_raises_config_error(doc):
     ({"arena": {"speed_breakers": [{"x": 0, "y": 0, "half_width": 0}]}},
      "[arena.speed_breakers[0]] half_width must be > 0, got 0.0"),
     ({"robot": [{}, {}]}, "[robot] 2 parameter sets for 3 robots"),
-], ids=["robot_list", "breaker", "robot_count"])
+    ({"controller": "x"}, "[controller] must be one of "
+                          "('proposed', 'baseline', 'both'), got 'x'"),
+], ids=["robot_list", "breaker", "robot_count", "controller"])
 def test_error_names_the_field_once(doc, message):
     with pytest.raises(ConfigError) as exc:
         from_dict(doc).validate()
     assert str(exc.value) == message
+
+
+def test_run_config_checks_itself_when_built():
+    with pytest.raises(ConfigError, match=r"^\[controller\]"):
+        RunConfig(controller="x")
+    # the default run is 600 s long
+    with pytest.raises(ConfigError, match=r"^\[metrics\] warmup_cutoff 700"):
+        dataclasses.replace(default_config(),
+                            metrics=MetricsConfig(warmup_cutoff=700.0))
 
 
 FLOAT_FIELDS = [p for p, v in paths(default_config().to_dict())

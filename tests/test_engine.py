@@ -13,7 +13,6 @@ from platoon_asmc import (
     RobotParams,
     SimConfig,
     run_episode,
-    run_kinematic_episode,
 )
 from platoon_asmc.arena import NO_ARENA
 from platoon_asmc.engine import _integrate_robot, default_path_for, lead_start_on
@@ -372,21 +371,6 @@ def test_fast_path_matches_public_ops_bitwise(cfg):
                        for i in range(5))
         assert _integrate_robot(*s0, F, tau, 1, h,
                                 plant_rhs_for(params, packed)) == manual
-
-
-class TestKinematicBypass:
-    def test_posture_errors_decay_on_figure_eight(self, cfg):
-        path, s0 = default_path_for(cfg.platoon,
-                                    dataclasses.replace(cfg.sim, duration=25.0))
-        x0, y0, th0, _ = pose_at_arc(path, s0)
-        offset_pose = (x0 - 0.5 * math.sin(th0), y0 + 0.5 * math.cos(th0),
-                       th0 + 0.3)
-        run = run_kinematic_episode(cfg.kinematic, cfg.platoon.v_d, path, s0,
-                                    duration=10.0, initial_pose=offset_pose)
-        tail = run.t >= 9.0
-        worst = max(np.max(np.abs(run.e1[tail])), np.max(np.abs(run.e2[tail])),
-                    np.max(np.abs(run.e3[tail])))
-        assert worst <= 1e-3
 
 
 def _children() -> list[int]:

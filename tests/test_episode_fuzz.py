@@ -60,15 +60,16 @@ def courses(draw):
 
 @st.composite
 def episodes(draw):
-    """The default document, 0.05-0.5 s long under one controller, with one
-    or two edits: the robot count, start poses, cruise speed, a gain, the
-    gain cap, the desired gap, the heading mode, a speed breaker, the seed
-    with a breaker's amplitude and width, the wheel radius or half-track, or
-    the course; and the text of the course file, or None."""
+    """The default document, 0.05-0.5 s long under one controller or both,
+    with one or two edits: the robot count, start poses, cruise speed, a
+    gain, the gain cap, the desired gap, the heading mode, a speed breaker,
+    the seed with a breaker's amplitude and width, the wheel radius or
+    half-track, or the course; and the text of the course file, or None."""
     doc = default_config().to_dict()
     course = None
     doc["sim"]["duration"] = draw(st.integers(5, 50)) / 100
-    doc["controller"] = draw(st.sampled_from(("proposed", "baseline")))
+    doc["controller"] = draw(st.sampled_from(("proposed", "baseline",
+                                              "both")))
     platoon = doc["platoon"]
     for _ in range(draw(st.integers(1, 2))):
         edit = draw(st.sampled_from(("n_robots", "start_poses", "v_d", "gain",
@@ -130,11 +131,11 @@ JITTER["sim"].update(seed=0, duration=0.2)
 JITTER["controller"] = "proposed"
 
 
-def _outcome(cfg, path, processes):
-    """The trace bytes, or the abort's fields, of one run of `cfg`."""
+def _outcome(cfg, controller, path, processes):
+    """The trace bytes, or the abort's fields, of one episode of `cfg`."""
     try:
         tr = run_episode(cfg.robot, cfg.kinematic, cfg.asmc, cfg.platoon,
-                         cfg.arena, cfg.sim, cfg.controller, path=path,
+                         cfg.arena, cfg.sim, controller, path=path,
                          processes=processes)
     except EpisodeAborted as e:
         return e.step, e.t, e.robot, e.diagnostic
@@ -169,19 +170,21 @@ def test_episode_exits_cleanly_and_pipelines_exactly(episode):
 
         try:
             cfg = from_dict(doc)
-            cfg.validate()
             path = _load_path(cfg)
         except ConfigError:
             assert code == 2
             return
+    controllers = engine.CONTROLLERS if cfg.controller == "both" \
+        else (cfg.controller,)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine, "MIN_GROUP_ROBOT_STEPS", 1)
-        serial = _outcome(cfg, path, 1)
-        assert _outcome(cfg, path, 2) == serial
-    if len(serial) == 4:
+        serial = [_outcome(cfg, c, path, 1) for c in controllers]
+        assert [_outcome(cfg, c, path, 2) for c in controllers] == serial
+    if any(len(s) == 4 for s in serial):
         assert code == 3
     elif code == 0:
-        assert all(np.isfinite(np.frombuffer(b)).all() for b in serial)
+        assert all(np.isfinite(np.frombuffer(b)).all()
+                   for s in serial for b in s)
     elif code == 3:
-        # the episode ran to its end; only its RMS report can abort the run
+        # the episodes ran to their end; only an RMS report can abort the run
         assert "RMS report not finite" in lines[0]
