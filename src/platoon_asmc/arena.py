@@ -11,6 +11,7 @@ and the metrics.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 
 # Packed arena (see `Arena.pack`) with unit friction scales and no breakers.
@@ -72,14 +73,19 @@ class Arena:
             raise ValueError(
                 f"mu_lateral must be finite and > 0, got {self.mu_lateral}")
 
-    def pack(self) -> tuple[tuple[float, ...], tuple[tuple[float, ...], ...]]:
+    def pack(self, seed: int | None = None
+             ) -> tuple[tuple[float, ...], tuple[tuple[float, ...], ...]]:
         """(scales, breakers) for `vehicle.plant_rhs_for`: the friction
         multiplier mu_q / mu_1 of quadrants 1..4, and per breaker the tuple
-        (x, y, half_width**2, amp_force, amp_torque)."""
+        (x, y, half_width**2, amp_force, amp_torque). A seed scales each
+        breaker's amp_force, then its amp_torque, by a factor in [0.9, 1.1]
+        drawn from `random.Random(seed)`."""
         base = self.quadrant_mu[0]
         scales = tuple(mu / base for mu in self.quadrant_mu)
-        breakers = tuple((b.x, b.y, b.half_width ** 2, b.amp_force, b.amp_torque)
-                         for b in self.speed_breakers)
+        rng = None if seed is None else random.Random(seed)
+        jitter = (lambda: 1.0) if rng is None else lambda: rng.uniform(0.9, 1.1)
+        breakers = tuple((b.x, b.y, b.half_width ** 2, b.amp_force * jitter(),
+                          b.amp_torque * jitter()) for b in self.speed_breakers)
         return scales, breakers
 
 

@@ -29,7 +29,8 @@ from .config import (
     from_dict,
     load_config,
 )
-from .engine import EpisodeAborted, lead_start_on, run_episode, usable_cores
+from .engine import (CONTROLLERS, EpisodeAborted, lead_start_on, run_episode,
+                     usable_cores)
 from .platoon import Path, load_path_xy
 
 OUT_ENV_VAR = "PLATOON_ASMC_OUT"
@@ -123,8 +124,7 @@ def run_command(args: argparse.Namespace) -> int:
         return _fail("validation", str(exc))
 
     out_dir = _resolve_out_dir(cfg)
-    controllers = ["proposed", "baseline"] if cfg.controller == "both" \
-        else [cfg.controller]
+    controllers = CONTROLLERS if cfg.controller == "both" else (cfg.controller,)
     say = (lambda *a: None) if args.quiet else print
     doc = cfg.to_dict()
     try:
@@ -142,7 +142,8 @@ def run_command(args: argparse.Namespace) -> int:
             reports = {c: fut.result() for c, fut in futures.items()}
 
         mx.write_plotspec(out_dir / "plotspec.txt", cfg.platoon.n_robots)
-        ordered = [reports[c] for c in ("baseline", "proposed") if c in reports]
+        # baseline first, as `compare_reports` takes them
+        ordered = [reports[c] for c in reversed(controllers)]
         comparison = mx.compare_reports(*ordered) if len(ordered) == 2 else None
         text = mx.render_report_text(ordered, comparison)
         (out_dir / "report.txt").write_text(text)
@@ -171,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="run one or both controller episodes")
     run_p.add_argument("--config", metavar="PATH",
                        help="JSON config file (built-in defaults when omitted)")
-    run_p.add_argument("--controller", choices=["proposed", "baseline", "both"],
+    run_p.add_argument("--controller", choices=(*CONTROLLERS, "both"),
                        help="override the config's controller selection")
     run_p.add_argument("--duration", type=float, metavar="S",
                        help="override simulated duration in seconds")

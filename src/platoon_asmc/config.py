@@ -103,6 +103,9 @@ class RunConfig:
             raise ConfigError(
                 f"[controller] must be one of {CONTROLLERS + ('both',)}, "
                 f"got {self.controller!r}")
+        if "\0" in (self.output_dir or ""):  # no file system takes it
+            raise ConfigError(
+                f"[output_dir] must not contain a NUL byte, got {self.output_dir!r}")
 
     def scenario_hash(self) -> str:
         """Digest of everything that defines the physics and references; two
@@ -200,7 +203,7 @@ def load_config(path) -> RunConfig:
             doc = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad UTF-8, nesting or digits
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     return from_dict(doc)
 

@@ -138,18 +138,11 @@ class AdaptiveState:
 
 
 class SlidingVars(NamedTuple):
-    """Sliding variables and the signals they were built from.
-
-    int_v / int_w are the integral values actually used, so
-    s_v == e_v + phi_v * int_v holds exactly (likewise for the yaw channel).
-    """
+    """Sliding variables s = e + phi * int(e) of the velocity and yaw-rate
+    channels, and the norms |xi| = hypot(e, int(e)) that drive adaptation."""
 
     s_v: float
     s_w: float
-    e_v: float
-    e_w: float
-    int_v: float
-    int_w: float
     xi_v_norm: float
     xi_w_norm: float
 
@@ -196,7 +189,6 @@ def update_sliding(adaptive: AdaptiveState, v: float, omega: float,
     int_v = adaptive.int_ev
     int_w = adaptive.int_ew
     sv = SlidingVars(e_v + cfg.phi_v * int_v, e_w + cfg.phi_w * int_w,
-                     e_v, e_w, int_v, int_w,
                      math.hypot(e_v, int_v), math.hypot(e_w, int_w))
     adaptive.int_ev = int_v + e_v * dt
     adaptive.int_ew = int_w + e_w * dt

@@ -30,7 +30,6 @@ import math
 import mmap
 import os
 import pickle
-import random
 import signal
 import struct
 import threading
@@ -73,12 +72,19 @@ PER_ROBOT_FIELDS = (
 )
 
 
+def _whole_multiple(total: float, step: float) -> bool:
+    """Whether `total` is a whole multiple of `step`, within 1e-9 of `total`.
+    An infinite ratio (a subnormal step) cannot be rounded, so it is not."""
+    ratio = total / step
+    return ratio < math.inf and abs(round(ratio) * step - total) <= 1e-9 * total
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Timing of one episode: plant step, control period, duration, RNG seed.
 
     seed=None (the default) means fully deterministic inputs; a seed only adds
-    a reproducible per-breaker amplitude jitter drawn once per episode.
+    a reproducible per-breaker amplitude jitter, drawn by `Arena.pack`.
     """
 
     dt_plant: float = 1e-3
@@ -94,10 +100,7 @@ class SimConfig:
         if self.dt_plant > self.control_period:
             raise ValueError(
                 f"dt_plant {self.dt_plant} exceeds control_period {self.control_period}")
-        # substeps() cannot round an infinite ratio (a subnormal dt_plant)
-        if not (self.control_period / self.dt_plant < math.inf and
-                abs(self.substeps() * self.dt_plant - self.control_period)
-                <= 1e-9 * self.control_period):
+        if not _whole_multiple(self.control_period, self.dt_plant):
             raise ValueError(
                 f"control_period {self.control_period} is not an integer multiple "
                 f"of dt_plant {self.dt_plant}")
@@ -105,9 +108,7 @@ class SimConfig:
             raise ValueError(
                 f"duration must be finite and >= 0, got {self.duration}")
         # n_periods() rounds; a run must not silently change its length
-        if not (self.duration / self.control_period < math.inf and
-                abs(self.n_periods() * self.control_period - self.duration)
-                <= 1e-9 * self.duration):
+        if not _whole_multiple(self.duration, self.control_period):
             raise ValueError(
                 f"duration {self.duration} is not an integer multiple "
                 f"of control_period {self.control_period}")
@@ -160,7 +161,6 @@ class Trace:
     controller: str
     scenario: str
     n_robots: int
-    control_period: float
     t: np.ndarray
     rec: np.ndarray
     gap_err: np.ndarray
@@ -243,18 +243,6 @@ def check_sections(robot: RobotParams | list[RobotParams] | tuple[RobotParams, .
         raise ValueError(
             "[asmc] adaptive leakage too fast for the control period: require "
             f"max(alpha_*) * control_period < 1, got {rate:.3g}")
-
-
-def _jittered_arena(arena: Arena, seed: int | None) -> tuple:
-    """`arena.pack()` with the optional seeded amplitude jitter (+-10%)
-    applied to its breaker bands."""
-    scales, breakers = arena.pack()
-    if seed is None:
-        return scales, breakers
-    rng = random.Random(seed)
-    return scales, tuple(
-        (x, y, hw2, af * rng.uniform(0.9, 1.1), at * rng.uniform(0.9, 1.1))
-        for x, y, hw2, af, at in breakers)
 
 
 def _integrate_robot(x, y, th, v, w, F, tau, n, h, rhs):
@@ -347,7 +335,7 @@ def run_episode(
         if lead_start_arc is None:
             lead_start_arc = default_start
     lead_start_arc = lead_start_on(path, platoon, sim, lead_start_arc)
-    packed = _jittered_arena(arena, sim.seed)
+    packed = arena.pack(sim.seed)
 
     mean_spacing = path.total_length / (len(path) - 1)
     start_arcs = [lead_start_arc - r * platoon.gap_des for r in range(R)]
@@ -410,7 +398,7 @@ def run_episode(
         raise EpisodeAborted(k, k * cp, r, _diagnostic(
             rec, marks, path, platoon.gap_des, k, phase, r))
     return Trace(controller=controller, scenario=scenario_label, n_robots=R,
-                 control_period=cp, t=np.arange(n_rec) * cp, rec=rec,
+                 t=np.arange(n_rec) * cp, rec=rec,
                  gap_err=_gap_errors(path, marks, platoon.gap_des))
 
 

@@ -194,9 +194,10 @@ def export_trace(trace: Trace, path) -> None:
         raise OSError(f"failed writing trace to {path}: {exc}") from exc
 
 
-def load_trace(path, controller: str = "", scenario: str = "") -> Trace:
+def load_trace(path) -> Trace:
     """Read a trace CSV written by `export_trace` back into a Trace whose
-    arrays are views into the one parsed buffer."""
+    arrays are views into the one parsed buffer. The CSV holds no labels, so
+    its controller and scenario are empty."""
     with open(path) as fh:
         header = fh.readline().strip().split(",")
         n_robots = sum(1 for c in header
@@ -220,9 +221,8 @@ def load_trace(path, controller: str = "", scenario: str = "") -> Trace:
     gap_start = 1 + n_robots * n_fields
     t = raw[:, 0]
     rec = raw[:, 1:gap_start].reshape(len(raw), n_robots, n_fields)
-    cp = float(t[1] - t[0]) if len(t) > 1 else 0.0
-    return Trace(controller=controller, scenario=scenario, n_robots=n_robots,
-                 control_period=cp, t=t, rec=rec, gap_err=raw[:, gap_start:])
+    return Trace(controller="", scenario="", n_robots=n_robots, t=t, rec=rec,
+                 gap_err=raw[:, gap_start:])
 
 
 def write_plotspec(path, n_robots: int) -> None:

@@ -91,13 +91,18 @@ def _polyline(cx, cy) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     return cx, cy, arc, tangent
 
 
+def _interior_curvature(xs: list[float], ys: list[float]) -> list[float]:
+    """Menger curvature at each interior vertex of the polyline (xs, ys)."""
+    return [menger_curvature(xs[i - 1], ys[i - 1], xs[i], ys[i],
+                             xs[i + 1], ys[i + 1])
+            for i in range(1, len(xs) - 1)]
+
+
 def build_path(cx, cy) -> Path:
     """Construct a Path from raw coordinates, validating its invariants."""
     cx, cy, arc, tangent = _polyline(cx, cy)
-    curvature = np.zeros(len(cx))
-    for i in range(1, len(cx) - 1):
-        curvature[i] = menger_curvature(cx[i - 1], cy[i - 1], cx[i], cy[i],
-                                        cx[i + 1], cy[i + 1])
+    curvature = np.array(
+        [0.0, *_interior_curvature(cx.tolist(), cy.tolist()), 0.0])
     return Path(cx=cx, cy=cy, arc=arc, tangent=tangent, curvature=curvature)
 
 
@@ -105,20 +110,15 @@ def tile_lap(lap_x, lap_y, laps: int) -> Path:
     """A closed lap of waypoints repeated `laps` times, as one Path.
 
     Equal, bit for bit, to `build_path` on the tiled coordinates, but the
-    Menger curvature is computed once per lap vertex, over the closed lap
-    (neighbours wrap around the lap ends, as they do between copies), then
-    tiled, with the path's two open ends set to 0.
+    Menger curvature is computed once per lap vertex, over the lap padded
+    with its wrap-around neighbours (as they are between copies), then tiled,
+    with the path's two open ends set to 0.
     """
     cx, cy, arc, tangent = _polyline(np.tile(lap_x, laps), np.tile(lap_y, laps))
     xs = np.asarray(lap_x, dtype=float).tolist()
     ys = np.asarray(lap_y, dtype=float).tolist()
-    n = len(xs)
-    lap_curvature = [
-        menger_curvature(xs[i - 1], ys[i - 1], xs[i], ys[i],
-                         xs[(i + 1) % n], ys[(i + 1) % n])
-        for i in range(n)
-    ]
-    curvature = np.tile(lap_curvature, laps)
+    curvature = np.tile(_interior_curvature(xs[-1:] + xs + xs[:1],
+                                            ys[-1:] + ys + ys[:1]), laps)
     curvature[0] = curvature[-1] = 0.0
     return Path(cx=cx, cy=cy, arc=arc, tangent=tangent, curvature=curvature)
 

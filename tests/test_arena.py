@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -90,3 +91,30 @@ class TestSpeedBreakers:
                                       SpeedBreaker(0.1, 0.0, 1.0, amp_force=3.0)))
         d_v, _ = breaker_disturbance(arena, 0.0, 0.0, 5.0)
         assert math.isclose(d_v, 4.0, rel_tol=1e-12)
+
+
+class TestPack:
+    ARENA = Arena(quadrant_mu=(0.1, 0.2, 0.13, 0.1), speed_breakers=(
+        SpeedBreaker(1.0, 2.0, 0.5, amp_force=2.0, amp_torque=0.2),
+        SpeedBreaker(-3.0, 4.0, 0.25, amp_force=1.5, amp_torque=0.3)))
+
+    def test_no_seed_is_the_unjittered_arena(self):
+        scales, breakers = self.ARENA.pack()
+        assert self.ARENA.pack(None) == (scales, breakers)
+        assert scales == (1.0, 2.0, 1.3, 1.0)
+        assert breakers == ((1.0, 2.0, 0.25, 2.0, 0.2),
+                            (-3.0, 4.0, 0.0625, 1.5, 0.3))
+
+    def test_seed_jitters_amplitudes_reproducibly(self):
+        scales, breakers = self.ARENA.pack(7)
+        assert self.ARENA.pack(7) == (scales, breakers)
+        assert scales == self.ARENA.pack()[0]
+        # amp_force, then amp_torque, band by band, in the order of the draws
+        rng = random.Random(7)
+        for (x, y, hw2, af, at), plain in zip(breakers, self.ARENA.pack()[1]):
+            assert (x, y, hw2) == plain[:3]
+            for got, amp in ((af, plain[3]), (at, plain[4])):
+                factor = rng.uniform(0.9, 1.1)
+                assert 0.9 <= factor <= 1.1
+                assert got == amp * factor
+        assert self.ARENA.pack(8)[1] != breakers

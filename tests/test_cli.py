@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -71,6 +72,18 @@ class TestConfigParsing:
         p = write_config(tmp_path, {**tiny_config(), "typo_section": {}})
         assert main(["run", "--config", str(p), "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("raw", [
+        b"\xff\xfe{}",
+        b"[" * 200_000,
+        # past the interpreter's limit on the digits of an int
+        b'{"sim": {"seed": ' + b"9" * 5000 + b', "duration": 1}}',
+    ], ids=["not_utf8", "nested_too_deep", "int_too_long"])
+    def test_unreadable_json_is_rejected_by_validation(self, tmp_path, capfd,
+                                                       raw):
+        p = tmp_path / "cfg.json"
+        p.write_bytes(raw)
+        assert "is not valid JSON" in assert_rejected(tmp_path, capfd, p)
+
     def test_unknown_section_key(self, tmp_path, capsys):
         doc = tiny_config()
         doc["kinematic"]["k9"] = 1.0
@@ -133,7 +146,8 @@ class TestRunCommand:
         csv = tmp_path / "trace.csv"
         rep = _episode_job(doc, "baseline", str(csv))
         cfg = from_dict(doc)
-        trace = load_trace(csv, "baseline", cfg.scenario_hash())
+        trace = dataclasses.replace(load_trace(csv), controller="baseline",
+                                    scenario=cfg.scenario_hash())
         assert rep == report_from_trace(trace, 0.5)
 
     def test_single_controller_has_no_comparison(self, tmp_path):
@@ -346,12 +360,14 @@ class TestRunCommand:
         # the friction scale mu_q / mu_1 of a quadrant overflows
         (("arena", "quadrant_mu", 1), 1e308),
         (("arena", "quadrant_mu", 0), 1e-320),
+        # no file system takes a NUL in a path
+        (("output_dir",), "\0x"),
     ], ids=["m_str", "n_robots_float", "n_robots_bool", "amp_force_str",
             "quadrant_mu_str", "path_file_int", "duration_inf",
             "warmup_past_end", "duration_huge", "duration_off_grid",
             "k_init_over_clamp", "breaker_width_squared_overflows",
             "gap_des_huge", "gap_des_inf", "k1_inf", "quadrant_ratio_huge",
-            "quadrant_ratio_tiny_base"])
+            "quadrant_ratio_tiny_base", "output_dir_nul"])
     def test_bad_value_is_rejected_by_validation(self, tmp_path, capfd, keys,
                                                  value):
         assert_one_validation_error(tmp_path, capfd, keys, value)
@@ -373,16 +389,21 @@ class TestRunCommand:
 
 
 def assert_one_validation_error(tmp_path, capfd, keys, value):
-    """Set doc[keys...] = value in a tiny run and check that it ends with
-    exit 2 and exactly one `error: kind=validation` line, no traceback, and
-    before any output is written."""
+    """Set doc[keys...] = value in a tiny run and check that it is
+    rejected (see `assert_rejected`)."""
     doc = tiny_config()
     node = doc
     for key in keys[:-1]:
         node = node[key]
     node[keys[-1]] = value
-    p = write_config(tmp_path, doc)
-    code = main(["run", "--config", str(p), "--out", str(tmp_path / "x"),
+    assert_rejected(tmp_path, capfd, write_config(tmp_path, doc))
+
+
+def assert_rejected(tmp_path, capfd, config):
+    """Check that a run of the config file ends with exit 2 and exactly one
+    `error: kind=validation` line, no traceback, and before any output is
+    written; return the line."""
+    code = main(["run", "--config", str(config), "--out", str(tmp_path / "x"),
                  "--quiet"])
     err = capfd.readouterr().err
     assert code == 2
@@ -390,6 +411,7 @@ def assert_one_validation_error(tmp_path, capfd, keys, value):
     assert err.count("\n") == 1
     assert "Traceback" not in err
     assert not (tmp_path / "x").exists()
+    return err
 
 
 # sha256 of the trace CSVs from `run --duration 20` on the built-in default

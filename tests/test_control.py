@@ -28,8 +28,7 @@ GAIN_NAMES = ("K_v0", "K_v1", "K_w2", "K_w0", "K_w1", "K_v2")
 
 
 def sliding(s_v=0.0, s_w=0.0, xi_v=0.0, xi_w=0.0):
-    return SlidingVars(s_v=s_v, s_w=s_w, e_v=0.0, e_w=0.0, int_v=0.0,
-                       int_w=0.0, xi_v_norm=xi_v, xi_w_norm=xi_w)
+    return SlidingVars(s_v=s_v, s_w=s_w, xi_v_norm=xi_v, xi_w_norm=xi_w)
 
 
 class TestPostureError:
@@ -97,8 +96,9 @@ class TestSlidingVariables:
     def test_surface_identity_is_exact(self):
         ad = AdaptiveState(int_ev=0.7, int_ew=-0.3)
         sv = update_sliding(ad, 1.4, 0.2, VelocityCommand(1.1, 0.6), CFG, 0.01)
-        assert sv.s_v == sv.e_v + CFG.phi_v * sv.int_v
-        assert sv.s_w == sv.e_w + CFG.phi_w * sv.int_w
+        # s is built from the integral held before the call
+        assert sv.s_v == (1.4 - 1.1) + CFG.phi_v * 0.7
+        assert sv.s_w == (0.2 - 0.6) + CFG.phi_w * -0.3
 
     def test_xi_norm(self):
         ad = AdaptiveState(int_ev=2.0)

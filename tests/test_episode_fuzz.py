@@ -64,7 +64,8 @@ def episodes(draw):
     with one or two edits: the robot count, start poses, cruise speed, a
     gain, the gain cap, the desired gap, the heading mode, a speed breaker,
     the seed with a breaker's amplitude and width, the wheel radius or
-    half-track, or the course; and the text of the course file, or None."""
+    half-track, the output directory (relative, maybe with a NUL byte) or
+    the course; and the text of the course file, or None."""
     doc = default_config().to_dict()
     course = None
     doc["sim"]["duration"] = draw(st.integers(5, 50)) / 100
@@ -75,7 +76,7 @@ def episodes(draw):
         edit = draw(st.sampled_from(("n_robots", "start_poses", "v_d", "gain",
                                      "gain_clamp", "gap_des",
                                      "follower_heading", "breaker", "seed",
-                                     "robot", "path_file")))
+                                     "robot", "output_dir", "path_file")))
         if edit == "n_robots":
             platoon["n_robots"] = draw(st.integers(1, 5))
         elif edit == "start_poses":
@@ -110,6 +111,8 @@ def episodes(draw):
         elif edit == "robot":
             doc["robot"][draw(st.sampled_from(("R", "L")))] = \
                 draw(ROBOT_SIZES)
+        elif edit == "output_dir":
+            doc["output_dir"] = draw(st.text("o\0", min_size=1, max_size=3))
         else:
             course = draw(courses())
     return doc, course
@@ -153,13 +156,16 @@ def test_episode_exits_cleanly_and_pipelines_exactly(episode):
         if course is not None:
             doc["path_file"] = str(Path(tmp) / "course.txt")
             Path(doc["path_file"]).write_text(course)
+        out = ["--out", str(Path(tmp) / "out")]
+        if doc["output_dir"] is not None:  # the config's, not a flag's
+            doc["output_dir"] = str(Path(tmp) / doc["output_dir"])
+            out = []
         cfg_file = Path(tmp) / "cfg.json"
         cfg_file.write_text(json.dumps(doc))
         err = io.StringIO()
         with contextlib.redirect_stderr(err), warnings.catch_warnings():
             warnings.simplefilter("error")
-            code = main(["run", "--config", str(cfg_file), "--out",
-                         str(Path(tmp) / "out"), "--quiet"])
+            code = main(["run", "--config", str(cfg_file), *out, "--quiet"])
         lines = err.getvalue().splitlines()
         event(f"exit {code}")
         assert code in (0, 2, 3)

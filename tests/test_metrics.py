@@ -128,7 +128,7 @@ class TestTraceCsv:
         tr = short_traces["proposed"]
         f = tmp_path / "t.csv"
         export_trace(tr, f)
-        back = load_trace(f, controller=tr.controller, scenario=tr.scenario)
+        back = load_trace(f)
         a = report_from_trace(tr)
         b = report_from_trace(back)
         for x, y in zip(a.rms_x + a.rms_y + a.rms_gap,
