@@ -50,12 +50,9 @@ class Arena:
 
     quadrant_mu holds the surface friction value per quadrant; the scale
     applied to a robot's wheel friction coefficients is mu_quadrant / mu_1.
-    mu_lateral is recorded for completeness but unused: the longitudinal model
-    holds lateral grip constant, so there is no lateral slip channel.
     """
 
     quadrant_mu: tuple[float, float, float, float] = (0.1, 0.1, 0.13, 0.1)
-    mu_lateral: float = 0.1
     speed_breakers: tuple[SpeedBreaker, ...] = ()
 
     def __post_init__(self) -> None:
@@ -69,9 +66,6 @@ class Arena:
                 raise ValueError(
                     f"quadrant_mu[{i}] / quadrant_mu[1] must be finite, got "
                     f"{mu} / {self.quadrant_mu[0]}")
-        if not 0 < self.mu_lateral < math.inf:
-            raise ValueError(
-                f"mu_lateral must be finite and > 0, got {self.mu_lateral}")
 
     def pack(self, seed: int | None = None
              ) -> tuple[tuple[float, ...], tuple[tuple[float, ...], ...]]:

@@ -67,11 +67,6 @@ def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _resolve_out_dir(cfg: RunConfig) -> FsPath:
-    out = cfg.output_dir or os.environ.get(OUT_ENV_VAR) or "out"
-    return FsPath(out)
-
-
 def _load_path(cfg: RunConfig) -> Path | None:
     """The course in cfg.path_file, checked to hold the whole run; None for
     the built-in course."""
@@ -123,7 +118,7 @@ def run_command(args: argparse.Namespace) -> int:
     except ConfigError as exc:
         return _fail("validation", str(exc))
 
-    out_dir = _resolve_out_dir(cfg)
+    out_dir = FsPath(cfg.output_dir or os.environ.get(OUT_ENV_VAR) or "out")
     controllers = CONTROLLERS if cfg.controller == "both" else (cfg.controller,)
     say = (lambda *a: None) if args.quiet else print
     doc = cfg.to_dict()
@@ -189,7 +184,3 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     return args.func(args)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -195,40 +195,39 @@ def update_sliding(adaptive: AdaptiveState, v: float, omega: float,
     return sv
 
 
-def _sat(x: float) -> float:
-    """Boundary-layer saturation: clip to [-1, 1]."""
+def _switching(s: float, lam: float, rho: float, eps: float) -> float:
+    """The switching law of both controllers: -lam s - rho sat(s/eps), with
+    the boundary-layer saturation clipping s/eps to [-1, 1]."""
+    x = s / eps
     if x > 1.0:
-        return 1.0
-    if x < -1.0:
-        return -1.0
-    return x
+        x = 1.0
+    elif x < -1.0:
+        x = -1.0
+    return -lam * s - rho * x
 
 
 def asmc_force(sv: SlidingVars, adaptive: AdaptiveState, cfg: AsmcConfig) -> float:
     """Force law F = -Lambda_v s_v - rho_v sat(s_v/eps) with the
     state-dependent bound rho_v = K_v0 + K_v1 |xi_v| + K_w2 |xi_w|."""
     rho = adaptive.K_v0 + adaptive.K_v1 * sv.xi_v_norm + adaptive.K_w2 * sv.xi_w_norm
-    return -cfg.Lambda_v * sv.s_v - rho * _sat(sv.s_v / cfg.epsilon_bl)
+    return _switching(sv.s_v, cfg.Lambda_v, rho, cfg.epsilon_bl)
 
 
 def asmc_torque(sv: SlidingVars, adaptive: AdaptiveState, cfg: AsmcConfig) -> float:
     """Torque law, mirror of `asmc_force` on the yaw channel with
     rho_w = K_w0 + K_w1 |xi_w| + K_v2 |xi_v|."""
     rho = adaptive.K_w0 + adaptive.K_w1 * sv.xi_w_norm + adaptive.K_v2 * sv.xi_v_norm
-    return -cfg.Lambda_w * sv.s_w - rho * _sat(sv.s_w / cfg.epsilon_bl)
+    return _switching(sv.s_w, cfg.Lambda_w, rho, cfg.epsilon_bl)
 
 
 def baseline_asmc(sv: SlidingVars, adaptive: AdaptiveState,
                   cfg: AsmcConfig) -> tuple[float, float]:
-    """Bounded-gain comparison controller.
-
-    Same structure as the proposed laws but with the state-dependent terms
-    removed: rho_v = K_v0 and rho_w = K_w0 only, i.e. a switching gain that
-    can only track an a-priori-bounded uncertainty level.
+    """Bounded-gain comparison controller: the proposed laws with the
+    state-dependent terms masked off, rho_v = K_v0 and rho_w = K_w0, i.e. a
+    switching gain that can only track an a-priori-bounded uncertainty level.
     """
-    F = -cfg.Lambda_v * sv.s_v - adaptive.K_v0 * _sat(sv.s_v / cfg.epsilon_bl)
-    tau = -cfg.Lambda_w * sv.s_w - adaptive.K_w0 * _sat(sv.s_w / cfg.epsilon_bl)
-    return F, tau
+    return (_switching(sv.s_v, cfg.Lambda_v, adaptive.K_v0, cfg.epsilon_bl),
+            _switching(sv.s_w, cfg.Lambda_w, adaptive.K_w0, cfg.epsilon_bl))
 
 
 def _clamp_gain(k: float, clamp: float | None) -> float:
@@ -250,19 +249,15 @@ def adapt_gains(adaptive: AdaptiveState, sv: SlidingVars, cfg: AsmcConfig,
     Drives: K_v0 <- |s_v|; K_v1 <- |s_v||xi_v|; K_w0 <- |s_w|;
     K_w1 <- |s_w||xi_w|; and the cross-coupled pair K_w2 <- |s_w||xi_w|
     (used by the force law) and K_v2 <- |s_v||xi_v| (used by the torque law).
-    Each gain leaks at its own alpha rate.
+    Each gain leaks at its own alpha rate. K_v0 and K_w0 advance as in
+    `adapt_gains_baseline`; each update reads only its own gain.
     """
-    if not dt > 0:
-        raise ValueError(f"dt must be > 0, got {dt}")
-    abs_sv = abs(sv.s_v)
-    abs_sw = abs(sv.s_w)
-    drive_v = abs_sv * sv.xi_v_norm
-    drive_w = abs_sw * sv.xi_w_norm
+    adapt_gains_baseline(adaptive, sv, cfg, dt)
+    drive_v = abs(sv.s_v) * sv.xi_v_norm
+    drive_w = abs(sv.s_w) * sv.xi_w_norm
     c = cfg.gain_clamp
-    adaptive.K_v0 = _clamp_gain(adaptive.K_v0 + dt * (abs_sv - cfg.alpha_v0 * adaptive.K_v0), c)
     adaptive.K_v1 = _clamp_gain(adaptive.K_v1 + dt * (drive_v - cfg.alpha_v1 * adaptive.K_v1), c)
     adaptive.K_w2 = _clamp_gain(adaptive.K_w2 + dt * (drive_w - cfg.alpha_w2 * adaptive.K_w2), c)
-    adaptive.K_w0 = _clamp_gain(adaptive.K_w0 + dt * (abs_sw - cfg.alpha_w0 * adaptive.K_w0), c)
     adaptive.K_w1 = _clamp_gain(adaptive.K_w1 + dt * (drive_w - cfg.alpha_w1 * adaptive.K_w1), c)
     adaptive.K_v2 = _clamp_gain(adaptive.K_v2 + dt * (drive_v - cfg.alpha_v2 * adaptive.K_v2), c)
     return adaptive

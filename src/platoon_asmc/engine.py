@@ -339,22 +339,21 @@ def run_episode(
 
     mean_spacing = path.total_length / (len(path) - 1)
     start_arcs = [lead_start_arc - r * platoon.gap_des for r in range(R)]
-    if platoon.start_poses is not None:
-        poses = list(platoon.start_poses)
-    else:
-        poses = [pose_at_arc(path, s)[:3] for s in start_arcs]
+    slots = [pose_at_arc(path, s) for s in start_arcs]
+    poses = platoon.start_poses or slots
 
     # Robots enter the scenario at cruise: v = v_d with the local path
     # curvature's yaw rate, so the episode starts at the operating point
     # rather than with a standing-start catch-up transient.
     states = [
         RobotState(x=p[0], y=p[1], theta=p[2], v=platoon.v_d,
-                   omega=pose_at_arc(path, s)[3] * platoon.v_d)
-        for p, s in zip(poses, start_arcs)
+                   omega=slot[3] * platoon.v_d)
+        for p, slot in zip(poses, slots)
     ]
     # Initial progress markers; custom start poses must sit near their nominal
-    # along-path slots for the windowed projection to lock on.
-    init_window = max(200, int(round(20.0 / mean_spacing)))
+    # along-path slots for the windowed projection to lock on. A window as long
+    # as the path searches all of it, and caps a subnormal spacing's ratio.
+    init_window = max(200, int(round(min(20.0 / mean_spacing, len(path)))))
     markers = [
         nearest_index(path, st.x, st.y, hint=_index_at_arc(path, s), window=init_window)
         for st, s in zip(states, start_arcs)
@@ -369,9 +368,8 @@ def run_episode(
     # The records, and the log of markers and of each group's abort (step,
     # phase, robot); a pipeline shares both with its children.
     n_rows = n_rec * R
-    new_buffer = (lambda n: mmap.mmap(-1, n)) if G > 1 else bytearray
-    buf = new_buffer(n_rows * _ROW.size)
-    log = new_buffer(8 * (n_rows + 3 * G))
+    buf = mmap.mmap(-1, n_rows * _ROW.size)
+    log = mmap.mmap(-1, 8 * (n_rows + 3 * G))
     rec = np.frombuffer(buf, np.float64).reshape(n_rec, R, len(PER_ROBOT_FIELDS))
     marks = np.frombuffer(log, np.int64, n_rows).reshape(n_rec, R)
     aborts = np.frombuffer(log, np.int64, offset=8 * n_rows).reshape(G, 3)
@@ -388,10 +386,7 @@ def run_episode(
         aborts=log_view[8 * n_rows:].cast("q"))
     # the groups project without entering an errstate per call
     with np.errstate(over="ignore"):
-        if G == 1:
-            _run_group(ep, 0, 0, R, None, None)
-        else:
-            _run_pipeline(ep, bounds)
+        _run_pipeline(ep, bounds)
 
     k, phase, r = min(map(tuple, aborts.tolist()))
     if k != _NO_ABORT:
@@ -429,7 +424,7 @@ class _Episode:
     proposed: bool
     plants: list
     lead_start_arc: float
-    buf: bytearray | mmap.mmap
+    buf: mmap.mmap
     marks: memoryview
     aborts: memoryview
 
@@ -574,8 +569,9 @@ def _wait(fd: int, k: int) -> int:
 
 def _run_pipeline(ep: _Episode, bounds: list[tuple[int, int]]) -> None:
     """Run group 0 here and every later group in a forked child, each
-    reading its predecessor's progress from a pipe. Re-raises a child's
-    exception; no child outlives the call."""
+    reading its predecessor's progress from a pipe; one group runs here
+    alone, with no pipe. Re-raises a child's exception; no child outlives
+    the call."""
     G = len(bounds)
     progress = [os.pipe() for _ in range(G - 1)]  # group g -> group g + 1
     results = [os.pipe() for _ in range(G - 1)]   # group g + 1 -> caller
@@ -595,11 +591,12 @@ def _run_pipeline(ep: _Episode, bounds: list[tuple[int, int]]) -> None:
                 _child(ep, g, bounds[g], recv, send, result,
                        open_fds - {recv, send, result})
             pids[g] = pid
-        send = progress[0][1]
+        send = progress[0][1] if progress else None
         for fd in open_fds - {send, *(r for r, _ in results)}:
             close(fd)
         _publish(send, _run_group(ep, 0, *bounds[0], None, send))
-        close(send)  # a child still waiting on group 0 now reads EOF
+        if send is not None:
+            close(send)  # a child still waiting on group 0 now reads EOF
 
         failure = None
         for g in range(1, G):

@@ -74,19 +74,22 @@ def _polyline(cx, cy) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         raise ValueError(f"path needs at least 2 waypoints, got {len(cx)}")
     if not (np.isfinite(cx).all() and np.isfinite(cy).all()):
         raise ValueError("path coordinates must be finite")
-    seg = np.hypot(np.diff(cx), np.diff(cy))
+    # a path too long for floats overflows here; its length is rejected below
+    with np.errstate(over="ignore"):
+        seg = np.hypot(np.diff(cx), np.diff(cy))
+        arc = np.concatenate(([0.0], np.cumsum(seg)))
+        # Tangents: central difference inside, one-sided at the ends, unwrapped
+        # so interpolation between vertices never jumps across +-pi.
+        dx = np.empty(len(cx))
+        dy = np.empty(len(cy))
+        dx[1:-1] = cx[2:] - cx[:-2]
+        dy[1:-1] = cy[2:] - cy[:-2]
+        dx[0], dy[0] = cx[1] - cx[0], cy[1] - cy[0]
+        dx[-1], dy[-1] = cx[-1] - cx[-2], cy[-1] - cy[-2]
     if np.any(seg <= 0.0):
         raise ValueError("path has coincident consecutive waypoints")
-    arc = np.concatenate(([0.0], np.cumsum(seg)))
-
-    # Tangents: central difference inside, one-sided at the ends, unwrapped so
-    # linear interpolation between vertices never jumps across +-pi.
-    dx = np.empty(len(cx))
-    dy = np.empty(len(cy))
-    dx[1:-1] = cx[2:] - cx[:-2]
-    dy[1:-1] = cy[2:] - cy[:-2]
-    dx[0], dy[0] = cx[1] - cx[0], cy[1] - cy[0]
-    dx[-1], dy[-1] = cx[-1] - cx[-2], cy[-1] - cy[-2]
+    if not math.isfinite(arc[-1]):
+        raise ValueError(f"path length {arc[-1]} is not finite")
     tangent = np.unwrap(np.arctan2(dy, dx))
     return cx, cy, arc, tangent
 

@@ -49,8 +49,8 @@ class TestConfigParsing:
 
     def test_default_scenario_hash_is_pinned(self):
         shipped = load_config(REPO_ROOT / "configs" / "defaults.json")
-        assert shipped.scenario_hash() == "c668ffe41462"
-        assert default_config().scenario_hash() == "c668ffe41462"
+        assert shipped.scenario_hash() == "1e1a1ba7f263"
+        assert default_config().scenario_hash() == "1e1a1ba7f263"
 
     @pytest.mark.parametrize("section,key,value", [
         ("sim", "duration", 600), ("robot", "m", 1)])
@@ -85,11 +85,14 @@ class TestConfigParsing:
         assert "is not valid JSON" in assert_rejected(tmp_path, capfd, p)
 
     def test_unknown_section_key(self, tmp_path, capsys):
-        doc = tiny_config()
-        doc["kinematic"]["k9"] = 1.0
-        p = write_config(tmp_path, doc)
-        assert main(["run", "--config", str(p), "--out", str(tmp_path)]) == 2
-        assert "k9" in capsys.readouterr().err
+        # `arena.mu_lateral` was a setting that nothing read
+        for section, key in (("kinematic", "k9"), ("arena", "mu_lateral")):
+            doc = tiny_config()
+            doc[section][key] = 1.0
+            p = write_config(tmp_path, doc)
+            assert main(["run", "--config", str(p), "--out",
+                         str(tmp_path)]) == 2
+            assert key in capsys.readouterr().err
 
     def test_invariant_violation_names_field(self, tmp_path, capsys):
         p = write_config(tmp_path, tiny_config(**{"kinematic.k1": -1.0}))
@@ -378,7 +381,11 @@ class TestRunCommand:
         "0.0 0.0\nnan 0.0\n2.0 0.0\n",
         # 3 m long; the 1 s run's leader starts 2 m in and drives 2 m
         "".join(f"{0.05 * i} 0.0\n" for i in range(61)),
-    ], ids=["missing", "not_a_number", "not_finite", "too_short"])
+        # finite points whose segment, or whose arc length, overflows
+        "1e308 0\n-1e308 0\n",
+        "1e308 0\n0 0\n-1e308 0\n",
+    ], ids=["missing", "not_a_number", "not_finite", "too_short",
+            "segment_overflows", "length_overflows"])
     def test_bad_path_file_is_rejected_by_validation(self, tmp_path, capfd,
                                                      course):
         path_file = tmp_path / "course.txt"

@@ -1,4 +1,6 @@
+import copy
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -261,3 +263,124 @@ def test_frozen_gain_surface_attraction():
         F = asmc_force(sv, frozen, cfg)
         v += dt * (F - friction(v)) / m
         assert abs(friction(v)) < rho
+
+
+# The laws as they were written before both controllers shared one switching
+# law and `adapt_gains` advanced K_v0 / K_w0 through `adapt_gains_baseline`:
+# the oracle for the bitwise test below.
+def oracle_sat(x):
+    if x > 1.0:
+        return 1.0
+    if x < -1.0:
+        return -1.0
+    return x
+
+
+def oracle_force(sv, ad, cfg):
+    rho = ad.K_v0 + ad.K_v1 * sv.xi_v_norm + ad.K_w2 * sv.xi_w_norm
+    return -cfg.Lambda_v * sv.s_v - rho * oracle_sat(sv.s_v / cfg.epsilon_bl)
+
+
+def oracle_torque(sv, ad, cfg):
+    rho = ad.K_w0 + ad.K_w1 * sv.xi_w_norm + ad.K_v2 * sv.xi_v_norm
+    return -cfg.Lambda_w * sv.s_w - rho * oracle_sat(sv.s_w / cfg.epsilon_bl)
+
+
+def oracle_baseline(sv, ad, cfg):
+    F = -cfg.Lambda_v * sv.s_v - ad.K_v0 * oracle_sat(sv.s_v / cfg.epsilon_bl)
+    tau = -cfg.Lambda_w * sv.s_w - ad.K_w0 * oracle_sat(sv.s_w / cfg.epsilon_bl)
+    return F, tau
+
+
+def oracle_clamp(k, clamp):
+    if k <= 0.0:
+        raise ValueError(k)
+    if clamp is not None and k > clamp:
+        return clamp
+    return k
+
+
+def oracle_adapt(ad, sv, cfg, dt):
+    if not dt > 0:
+        raise ValueError(dt)
+    abs_sv = abs(sv.s_v)
+    abs_sw = abs(sv.s_w)
+    drive_v = abs_sv * sv.xi_v_norm
+    drive_w = abs_sw * sv.xi_w_norm
+    c = cfg.gain_clamp
+    ad.K_v0 = oracle_clamp(ad.K_v0 + dt * (abs_sv - cfg.alpha_v0 * ad.K_v0), c)
+    ad.K_v1 = oracle_clamp(ad.K_v1 + dt * (drive_v - cfg.alpha_v1 * ad.K_v1), c)
+    ad.K_w2 = oracle_clamp(ad.K_w2 + dt * (drive_w - cfg.alpha_w2 * ad.K_w2), c)
+    ad.K_w0 = oracle_clamp(ad.K_w0 + dt * (abs_sw - cfg.alpha_w0 * ad.K_w0), c)
+    ad.K_w1 = oracle_clamp(ad.K_w1 + dt * (drive_w - cfg.alpha_w1 * ad.K_w1), c)
+    ad.K_v2 = oracle_clamp(ad.K_v2 + dt * (drive_v - cfg.alpha_v2 * ad.K_v2), c)
+    return ad
+
+
+def oracle_adapt_baseline(ad, sv, cfg, dt):
+    if not dt > 0:
+        raise ValueError(dt)
+    c = cfg.gain_clamp
+    ad.K_v0 = oracle_clamp(ad.K_v0 + dt * (abs(sv.s_v) - cfg.alpha_v0 * ad.K_v0), c)
+    ad.K_w0 = oracle_clamp(ad.K_w0 + dt * (abs(sv.s_w) - cfg.alpha_w0 * ad.K_w0), c)
+    return ad
+
+
+def bits(call):
+    """The float bits of the result (a float, a tuple of floats, or the
+    gains of an AdaptiveState), every NaN as one NaN, or the type of the
+    exception raised. Which operand's payload a NaN sum carries is not
+    fixed in CPython, so NaN payloads are not compared."""
+    try:
+        out = call()
+    except ValueError as exc:
+        return type(exc)
+    if isinstance(out, AdaptiveState):
+        out = (*out.gains(), out.int_ev, out.int_ew)
+    elif isinstance(out, float):
+        out = (out,)
+    return struct.pack(f"{len(out)}d", *(math.nan if v != v else v for v in out))
+
+
+EPS = (0.05, 1e-3, 0.7)
+# s around, inside and outside the boundary layer |s| <= eps of each width
+EDGE_S = [f * m for e in EPS for f in (e, math.nextafter(e, 0.0),
+                                       math.nextafter(e, math.inf))
+          for m in (1.0, -1.0)] + [0.0, -0.0, 5e-324, 1e300, -1e300,
+                                   math.inf, -math.inf, math.nan]
+SIGNAL = st.sampled_from(EDGE_S) | st.floats(-5.0, 5.0) | st.floats()
+NORM = st.sampled_from((0.0, 1e-300, 1e300, math.inf, math.nan)) | \
+    st.floats(0.0, 10.0)
+GAIN = st.sampled_from((0.01, 5e-324, 1e4, 1e300, math.inf, math.nan)) | \
+    st.floats(1e-6, 100.0)
+sliding_st = st.builds(SlidingVars, SIGNAL, SIGNAL, NORM, NORM)
+adaptive_st = st.builds(AdaptiveState, *[GAIN] * 6, SIGNAL, SIGNAL)
+asmc_st = st.builds(
+    AsmcConfig, Lambda_v=st.floats(0.1, 10.0), Lambda_w=st.floats(0.1, 10.0),
+    alpha_v0=st.floats(0.1, 10.0), alpha_w1=st.floats(0.1, 10.0),
+    epsilon_bl=st.sampled_from(EPS) | st.floats(1e-4, 1.0),
+    gain_clamp=st.sampled_from((None, 1e4, 0.02, 1e300)))
+DT = st.sampled_from((1e-2, 1e-3, 0.5, 0.0, -1e-2)) | st.floats(1e-4, 0.05)
+
+
+class TestMatchesTheSeparateLaws:
+    """The laws share `_switching` and `adapt_gains` calls
+    `adapt_gains_baseline`, with the same bits as the separate laws."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(sliding_st, adaptive_st, asmc_st)
+    def test_force_torque_and_baseline(self, sv, ad, cfg):
+        assert bits(lambda: asmc_force(sv, ad, cfg)) == \
+            bits(lambda: oracle_force(sv, ad, cfg))
+        assert bits(lambda: asmc_torque(sv, ad, cfg)) == \
+            bits(lambda: oracle_torque(sv, ad, cfg))
+        assert bits(lambda: baseline_asmc(sv, ad, cfg)) == \
+            bits(lambda: oracle_baseline(sv, ad, cfg))
+
+    @settings(max_examples=300, deadline=None)
+    @given(sliding_st, adaptive_st, asmc_st, DT)
+    def test_adaptation(self, sv, ad, cfg, dt):
+        for law, oracle in ((adapt_gains, oracle_adapt),
+                            (adapt_gains_baseline, oracle_adapt_baseline)):
+            assert bits(lambda: law(copy.copy(ad), sv, cfg, dt)) == \
+                bits(lambda: oracle(copy.copy(ad), sv, cfg, dt))

@@ -16,7 +16,7 @@ from platoon_asmc import (
 )
 from platoon_asmc.arena import NO_ARENA
 from platoon_asmc.engine import _integrate_robot, default_path_for, lead_start_on
-from platoon_asmc.platoon import figure_eight_lap, pose_at_arc, tile_lap
+from platoon_asmc.platoon import build_path, figure_eight_lap, pose_at_arc, tile_lap
 from platoon_asmc.vehicle import plant_rhs_for
 
 FRICTIONLESS = RobotParams(f_kr=0, f_kl=0, f_cr=0, f_cl=0)
@@ -99,6 +99,16 @@ class TestRunEpisode:
                          cfg.arena, sim, "proposed")
         assert tr.n_records == 1
         assert tr.t[0] == 0.0
+
+    def test_subnormal_path_spacing_runs(self, cfg):
+        # 20 m over a 1e-320 m spacing overflows; the start search window
+        # is capped at the path's length
+        path = build_path([0.0, 1e-320], [0.0, 0.0])
+        platoon = dataclasses.replace(cfg.platoon, n_robots=1)
+        sim = dataclasses.replace(cfg.sim, duration=0.0)
+        tr = run_episode(cfg.robot, cfg.kinematic, cfg.asmc, platoon,
+                         cfg.arena, sim, "proposed", path=path)
+        assert tr.n_records == 1
 
     def test_record_count_contract(self, cfg):
         sim = dataclasses.replace(cfg.sim, duration=2.0)

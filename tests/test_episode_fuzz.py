@@ -41,16 +41,27 @@ POSE = st.tuples(st.floats(-40.0, 40.0), st.floats(-40.0, 40.0),
 @st.composite
 def courses(draw):
     """Text of a `path_file`: a straight line or an arc of 2-400 points,
-    possibly too short for the run, or a malformed file."""
+    possibly too short for the run, 2-4 points up to +-1e308 apart (their
+    length may overflow), two points a subnormal step apart, or a malformed
+    file."""
     n = draw(st.integers(2, 400))
     step = draw(st.floats(0.01, 1.0))
-    shape = draw(st.sampled_from(("line", "arc", "not_finite", "empty")))
+    shape = draw(st.sampled_from(("line", "arc", "huge", "subnormal",
+                                  "not_finite", "empty")))
     if shape == "line":
         xs, ys = [i * step for i in range(n)], [0.0] * n
     elif shape == "arc":
         r = draw(st.floats(0.5, 50.0))
         xs = [r * math.cos(i * step / r) for i in range(n)]
         ys = [r * math.sin(i * step / r) for i in range(n)]
+    elif shape == "huge":
+        coord = st.sampled_from((0.0, 1e308, -1e308, 1.7e308, -1.7e308)) | \
+            st.floats(-1.7e308, 1.7e308)
+        xs = draw(st.lists(coord, min_size=2, max_size=4))
+        ys = [draw(coord) for _ in xs]
+    elif shape == "subnormal":
+        xs = [0.0, draw(st.sampled_from((5e-324, 1e-320, 2.2e-308)))]
+        ys = [0.0, 0.0]
     elif shape == "not_finite":
         xs, ys = [0.0, math.nan, 2.0], [0.0, 0.0, 0.0]
     else:
@@ -133,6 +144,12 @@ JITTER["arena"]["speed_breakers"][0].update(half_width=20.0, amp_force=1.7e308)
 JITTER["sim"].update(seed=0, duration=0.2)
 JITTER["controller"] = "proposed"
 
+# a one-robot course 1e-320 m long: 20 m over its spacing overflows
+SUBNORMAL = default_config().to_dict()
+SUBNORMAL["platoon"]["n_robots"] = 1
+SUBNORMAL["sim"]["duration"] = 0.0
+SUBNORMAL["controller"] = "proposed"
+
 
 def _outcome(cfg, controller, path, processes):
     """The trace bytes, or the abort's fields, of one episode of `cfg`."""
@@ -150,6 +167,7 @@ def _outcome(cfg, controller, path, processes):
 @given(episodes())
 @example((OVERFLOW, None))
 @example((JITTER, None))
+@example((SUBNORMAL, "0.0 0.0\n1e-320 0.0\n"))
 def test_episode_exits_cleanly_and_pipelines_exactly(episode):
     doc, course = episode
     with tempfile.TemporaryDirectory() as tmp:

@@ -234,6 +234,14 @@ class TestPathConstruction:
         with pytest.raises(ValueError, match="coincident"):
             build_path([0.0, 1.0, 1.0], [0.0, 0.0, 0.0])
 
+    @pytest.mark.parametrize("xs", [[1e308, -1e308], [1e308, 0.0, -1e308]],
+                             ids=["segment", "arc"])
+    def test_rejects_length_that_overflows_without_warning(self, xs):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="not finite"):
+                build_path(xs, [0.0] * len(xs))
+
     def test_load_path_file(self, tmp_path):
         f = tmp_path / "course.txt"
         f.write_text("# comment\n0.0 0.0\n1.0 0.0\n2.0 1.0\n")
