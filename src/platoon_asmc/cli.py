@@ -3,8 +3,8 @@
 `platoon-asmc run` loads a JSON config (built-in defaults when omitted),
 applies flag overrides, runs the selected controller episode(s), and writes
 traces, reports, the plotspec and the effective-config echo into the output
-directory. Every episode runs in a worker of one process pool, which writes
-its trace and sends back its RMS report. Errors come back as a single
+directory. The episodes run at once (`engine.run_forked`); each writes its
+trace and returns its RMS report. Errors come back as a single
 machine-parseable line on stderr with a nonzero exit code: a bad config or
 an output that cannot be written is exit 2, an aborted episode exit 3.
 """
@@ -12,8 +12,8 @@ an output that cannot be written is exit 2, an aborted episode exit 3.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -21,6 +21,7 @@ import sys
 from pathlib import Path as FsPath
 
 from . import metrics as mx
+# bench/tracer.py times the config loaders through this module's names
 from .config import (
     ConfigError,
     RunConfig,
@@ -29,8 +30,8 @@ from .config import (
     from_dict,
     load_config,
 )
-from .engine import (CONTROLLERS, EpisodeAborted, lead_start_on, run_episode,
-                     usable_cores)
+from .engine import (CONTROLLERS, EpisodeAborted, ForkedJobLost, _can_fork,
+                     lead_start_on, run_episode, run_forked, usable_cores)
 from .platoon import Path, load_path_xy
 
 OUT_ENV_VAR = "PLATOON_ASMC_OUT"
@@ -80,21 +81,13 @@ def _load_path(cfg: RunConfig) -> Path | None:
     return path
 
 
-def _episode_job(cfg_doc: dict, controller: str, csv_path: str,
+def _episode_job(cfg: RunConfig, controller: str, csv_path: str,
                  path: Path | None = None,
                  processes: int | None = None) -> mx.RmsReport:
-    """Run one episode, export its trace and return its RMS report: the
-    pool worker of `run_command`, which gets back the small report rather
-    than the whole trace. `processes` caps the episode's pipeline groups
-    (see `run_episode`). Raises ReportNotFinite, before anything is written,
-    when the report is not finite.
-
-    The config crosses to the worker as a plain dict and is rebuilt here, not
-    pickled as a `RunConfig`: on CPython 3.11 an unpickled dataclass instance
-    keeps its fields in a materialized `__dict__`, and reading them in the
-    plant loop made an episode about 10-15 % slower than with instances built
-    by their constructor."""
-    cfg = from_dict(cfg_doc)
+    """Run one episode, export its trace and return its RMS report, all that
+    a forked job of `run_command` sends back. `processes` caps the episode's
+    pipeline groups (see `run_episode`). Raises ReportNotFinite, before
+    anything is written, when the report is not finite."""
     trace = run_episode(cfg.robot, cfg.kinematic, cfg.asmc, cfg.platoon,
                         cfg.arena, cfg.sim, controller, path=path,
                         scenario_label=cfg.scenario_hash(), processes=processes)
@@ -121,7 +114,6 @@ def run_command(args: argparse.Namespace) -> int:
     out_dir = FsPath(cfg.output_dir or os.environ.get(OUT_ENV_VAR) or "out")
     controllers = CONTROLLERS if cfg.controller == "both" else (cfg.controller,)
     say = (lambda *a: None) if args.quiet else print
-    doc = cfg.to_dict()
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         dump_config(cfg, out_dir / "config_echo.json")
@@ -129,12 +121,11 @@ def run_command(args: argparse.Namespace) -> int:
             f"({cfg.sim.duration:g} s simulated)...")
         # concurrent episodes share the cores between their pipelines
         processes = max(1, usable_cores() // len(controllers))
-        with concurrent.futures.ProcessPoolExecutor(len(controllers)) as pool:
-            futures = {c: pool.submit(_episode_job, doc, c,
-                                      str(out_dir / f"trace_{c}.csv"), path,
-                                      processes)
-                       for c in controllers}
-            reports = {c: fut.result() for c, fut in futures.items()}
+        jobs = [functools.partial(_episode_job, cfg, c,
+                                  str(out_dir / f"trace_{c}.csv"), path,
+                                  processes) for c in controllers]
+        reports = dict(zip(controllers, run_forked(jobs) if _can_fork()
+                           else [job() for job in jobs]))
 
         mx.write_plotspec(out_dir / "plotspec.txt", cfg.platoon.n_robots)
         # baseline first, as `compare_reports` takes them
@@ -150,7 +141,7 @@ def run_command(args: argparse.Namespace) -> int:
     except EpisodeAborted as exc:
         return _fail("abort", f"step={exc.step}; t={exc.t:.3f}; "
                               f"robot={exc.robot + 1}; last_record={exc.diagnostic}")
-    except ReportNotFinite as exc:
+    except (ReportNotFinite, ForkedJobLost) as exc:
         return _fail("abort", str(exc))
 
     say(text)

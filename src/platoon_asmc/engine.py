@@ -12,20 +12,21 @@ traces.
 
 Coupling runs one way, down the platoon: a follower reads only its
 predecessor's path marker and heading at the same step. So `run_episode`
-runs the robots as a pipeline of contiguous groups, the leader's group in
-the calling process and each later group in a forked child that follows
-the group before it a few steps behind. Every group runs the same loop,
-control for its robots lead-to-tail and then their plant, and writes its
-records into one shared buffer; one group is the serial engine. The group
-count is `min(processes, robots)` (`processes` defaults to the usable
-cores), lowered so that each group holds at least MIN_GROUP_ROBOT_STEPS
-robot-steps. The engine stays serial where it cannot fork (no `os.fork`) or
-should not (other threads running). The traces and aborts are the same
-bytes for every group count.
+runs the robots as a pipeline of contiguous groups through `run_forked`:
+the leader's group in the calling process and each later group in a forked
+child that follows the group before it a few steps behind. Every group runs
+the same loop, control for its robots lead-to-tail and then their plant,
+writes its records into one shared buffer and returns its abort, if any;
+one group is the serial engine. The group count is `min(processes, robots)`
+(`processes` defaults to the usable cores), lowered so that each group
+holds at least MIN_GROUP_ROBOT_STEPS robot-steps. The engine stays serial
+where it cannot fork (no `os.fork`) or should not (other threads running).
+The traces and aborts are the same bytes for every group count.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import mmap
 import os
@@ -61,8 +62,6 @@ PROGRESS_CHUNK = 16
 # costs 2.5-3.4 ms; 500 robot-steps take about 15 ms with one RK4 substep
 # and 35-40 ms with the default ten (2-vCPU Xeon VM, CPython 3.11).
 MIN_GROUP_ROBOT_STEPS = 500
-# Abort step of a group that has not aborted.
-_NO_ABORT = 1 << 62
 
 # Per-robot trace columns, in the order they appear in the CSV contract.
 PER_ROBOT_FIELDS = (
@@ -135,7 +134,7 @@ class EpisodeAborted(RuntimeError):
 
     def __reduce__(self):
         # rebuild from the constructor arguments, so the exception survives
-        # the trip back from a pool worker
+        # the trip back from a forked job
         return EpisodeAborted, (self.step, self.t, self.robot, self.diagnostic)
 
 
@@ -274,18 +273,23 @@ def usable_cores() -> int:
         return os.cpu_count() or 1
 
 
+def _can_fork() -> bool:
+    """Whether this process may fork safely: it has `os.fork`, and no other
+    thread runs whose locks a child would inherit held."""
+    return hasattr(os, "fork") and threading.active_count() == 1
+
+
 def _group_bounds(n_robots: int, n_records: int,
                   processes: int | None) -> list[tuple[int, int]]:
     """Contiguous robot groups `[lo, hi)` for the pipeline, lead group first.
 
     At most `processes` groups (default: the usable cores), one per robot at
-    most, and none with fewer than MIN_GROUP_ROBOT_STEPS robot-steps. One
-    group when the process cannot fork safely: no `os.fork`, or other threads
-    running, whose locks a child would inherit held.
+    most, none with fewer than MIN_GROUP_ROBOT_STEPS robot-steps, and only
+    one when the process cannot fork safely.
     """
     groups = min(n_robots, usable_cores() if processes is None else processes,
                  n_robots * n_records // MIN_GROUP_ROBOT_STEPS)
-    if groups < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+    if groups < 2 or not _can_fork():
         return [(0, n_robots)]
     size, extra = divmod(n_robots, groups)
     bounds, lo = [], 0
@@ -363,18 +367,13 @@ def run_episode(
     cp = sim.control_period
     n_rec = N + 1
     bounds = _group_bounds(R, n_rec, processes)
-    G = len(bounds)
 
-    # The records, and the log of markers and of each group's abort (step,
-    # phase, robot); a pipeline shares both with its children.
+    # the records and the markers, which a pipeline shares with its children
     n_rows = n_rec * R
     buf = mmap.mmap(-1, n_rows * _ROW.size)
-    log = mmap.mmap(-1, 8 * (n_rows + 3 * G))
+    log = mmap.mmap(-1, 8 * n_rows)
     rec = np.frombuffer(buf, np.float64).reshape(n_rec, R, len(PER_ROBOT_FIELDS))
-    marks = np.frombuffer(log, np.int64, n_rows).reshape(n_rec, R)
-    aborts = np.frombuffer(log, np.int64, offset=8 * n_rows).reshape(G, 3)
-    aborts[:, 0] = _NO_ABORT
-    log_view = memoryview(log)
+    marks = np.frombuffer(log, np.int64).reshape(n_rec, R)
     ep = _Episode(
         path=path, robots=robots, states=states, markers=markers,
         adaptives=[AdaptiveState.fresh(asmc.k_init) for _ in range(R)],
@@ -382,14 +381,12 @@ def run_episode(
         proposed=controller == "proposed",
         plants=[plant_rhs_for(rp, packed) for rp in robots],
         lead_start_arc=lead_start_arc, buf=buf,
-        marks=log_view[:8 * n_rows].cast("q"),
-        aborts=log_view[8 * n_rows:].cast("q"))
+        marks=memoryview(log).cast("q"))
     # the groups project without entering an errstate per call
     with np.errstate(over="ignore"):
-        _run_pipeline(ep, bounds)
-
-    k, phase, r = min(map(tuple, aborts.tolist()))
-    if k != _NO_ABORT:
+        aborts = [a for a in _run_pipeline(ep, bounds) if a is not None]
+    if aborts:
+        k, phase, r = min(aborts)
         raise EpisodeAborted(k, k * cp, r, _diagnostic(
             rec, marks, path, platoon.gap_des, k, phase, r))
     return Trace(controller=controller, scenario=scenario_label, n_robots=R,
@@ -410,7 +407,7 @@ def _gap_errors(path: Path, marks: np.ndarray, gap_des: float) -> np.ndarray:
 class _Episode:
     """What every robot group of one episode reads: the fixed inputs, the
     per-robot state lists (each group advances only its own robots), the
-    buffer of records, and flat views of the markers and aborts."""
+    buffer of records, and a flat view of the markers."""
 
     path: Path
     robots: list[RobotParams]
@@ -426,20 +423,20 @@ class _Episode:
     lead_start_arc: float
     buf: mmap.mmap
     marks: memoryview
-    aborts: memoryview
 
 
-def _run_group(ep: _Episode, g: int, lo: int, hi: int,
-               recv_fd: int | None, send_fd: int | None) -> int:
-    """Run robots lo..hi-1 as group g of the pipeline, and return how many
-    steps of their records are complete.
+def _run_group(ep: _Episode, lo: int, hi: int, recv_fd: int | None,
+               send_fd: int | None) -> tuple[int, tuple[int, int, int] | None]:
+    """Run robots lo..hi-1 as one group of the pipeline; return how many
+    steps of their records are complete, and the group's abort or None.
 
     Every PROGRESS_CHUNK steps the group writes that count to the next group
     (`send_fd`). It takes robot lo's predecessor (at lo > 0) from the group
     before, waiting on `recv_fd` until the step is published. A group stops
-    at its first abort, which it records as (step, phase, robot) with the
-    control as phase 0 and the plant as phase 1, and at a chunk boundary
-    past any group's abort step: nothing it finds later comes first.
+    at its first abort, which it returns as (step, phase, robot) with the
+    control as phase 0 and the plant as phase 1; where the group before
+    stopped short; and once the next group has stopped reading, which it
+    does only past an abort that comes before any step this one has left.
     """
     path, robots, states, markers = ep.path, ep.robots, ep.states, ep.markers
     adaptives, kin, asmc, proposed = ep.adaptives, ep.kin, ep.asmc, ep.proposed
@@ -448,27 +445,19 @@ def _run_group(ep: _Episode, g: int, lo: int, hi: int,
     h = cp / n_sub
     v_d, gap_des = ep.platoon.v_d, ep.platoon.gap_des
     heading_from_predecessor = ep.platoon.follower_heading == "predecessor"
-    buf, marks, aborts = ep.buf, ep.marks, ep.aborts
+    buf, marks = ep.buf, ep.marks
     rows = memoryview(buf).cast("d")
     R = len(states)
-    abort_steps = aborts[::3]
     nf = len(PER_ROBOT_FIELDS)
     pack_row = _ROW.pack_into
     row_size = _ROW.size
     isfinite = math.isfinite
     ready = N + 1 if recv_fd is None else 0  # upstream steps published
 
-    def abort(k, phase, r):
-        aborts[3 * g + 1] = phase
-        aborts[3 * g + 2] = r
-        aborts[3 * g] = k
-
     wrenches = [(0.0, 0.0)] * R
     for k in range(N + 1):
-        if k and not k % PROGRESS_CHUNK:
-            send_fd = _publish(send_fd, k)
-            if min(abort_steps) < k:
-                return k
+        if k and not k % PROGRESS_CHUNK and not _publish(send_fd, k):
+            return k, None
         t = k * cp
         lead_arc = lead_start_arc + v_d * t
         base = k * R
@@ -486,7 +475,7 @@ def _run_group(ep: _Episode, g: int, lo: int, hi: int,
                 if r == lo and k >= ready:
                     ready = _wait(recv_fd, k)
                     if ready <= k:
-                        return k
+                        return k, None
                 xr, yr, thr, ref = follower_target(path, marks[base + r - 1],
                                                    gap_des, v_d)
                 if heading_from_predecessor:
@@ -507,8 +496,7 @@ def _run_group(ep: _Episode, g: int, lo: int, hi: int,
                     ctl.adapt_gains_baseline(ad, sv, asmc, cp)
             except (ValueError, OverflowError):
                 # math.* rejects an angle or gain that has run off
-                abort(k, 0, r)
-                return k
+                return k, (k, 0, r)
             tau_r, tau_l = wheel_torque_split(F, tau, robots[r])
             wrenches[r] = (F, tau)
 
@@ -519,8 +507,7 @@ def _run_group(ep: _Episode, g: int, lo: int, hi: int,
 
             if not (isfinite(F) and isfinite(tau) and isfinite(tau_r)
                     and isfinite(tau_l)):
-                abort(k, 0, r)
-                return k
+                return k, (k, 0, r)
 
         if k == N:
             break
@@ -537,21 +524,18 @@ def _run_group(ep: _Episode, g: int, lo: int, hi: int,
                 finite = False
             if not finite:
                 # step k's records are complete: downstream control at k runs
-                abort(k, 1, r)
-                return k + 1
+                return k + 1, (k, 1, r)
             st.x, st.y, st.theta, st.v, st.omega = nx, ny, nth, nv, nw
-    return N + 1
+    return N + 1, None
 
 
-def _publish(fd: int | None, steps: int) -> int | None:
-    """Tell the next group that `steps` steps are complete; None once it
-    has stopped reading."""
-    if fd is not None:
-        try:
-            os.write(fd, steps.to_bytes(8, "little"))
-        except BrokenPipeError:
-            return None
-    return fd
+def _publish(fd: int | None, steps: int) -> bool:
+    """Tell the next group, if any, that `steps` steps are complete; False
+    once it has stopped reading."""
+    try:
+        return fd is None or os.write(fd, steps.to_bytes(8, "little")) > 0
+    except BrokenPipeError:
+        return False
 
 
 def _wait(fd: int, k: int) -> int:
@@ -567,86 +551,101 @@ def _wait(fd: int, k: int) -> int:
             return steps
 
 
-def _run_pipeline(ep: _Episode, bounds: list[tuple[int, int]]) -> None:
-    """Run group 0 here and every later group in a forked child, each
-    reading its predecessor's progress from a pipe; one group runs here
-    alone, with no pipe. Re-raises a child's exception; no child outlives
-    the call."""
-    G = len(bounds)
-    progress = [os.pipe() for _ in range(G - 1)]  # group g -> group g + 1
-    results = [os.pipe() for _ in range(G - 1)]   # group g + 1 -> caller
-    open_fds = {fd for pair in progress + results for fd in pair}
-    pids: dict[int, int] = {}
+def _run_pipeline(ep: _Episode, bounds: list[tuple[int, int]]) -> list:
+    """Each group's abort or None, lead group first: the groups run through
+    `run_forked`, each reading its predecessor's progress from a pipe."""
+    progress = [os.pipe() for _ in bounds[1:]]  # group g -> group g + 1
+    open_fds = {fd for pair in progress for fd in pair}
 
-    def close(fd):
-        open_fds.discard(fd)
-        os.close(fd)
+    def close_all_but(*keep):
+        for fd in open_fds.difference(keep):
+            os.close(fd)
+        open_fds.intersection_update(keep)
+
+    def group(g):
+        recv = progress[g - 1][0] if g else None
+        send = progress[g][1] if g < len(progress) else None
+        close_all_but(recv, send)  # so that a group that stops reads as EOF
+        try:
+            done, abort = _run_group(ep, *bounds[g], recv, send)
+            _publish(send, done)
+            return abort
+        finally:
+            close_all_but()
 
     try:
-        for g in range(1, G):
-            recv, result = progress[g - 1][0], results[g - 1][1]
-            send = progress[g][1] if g < G - 1 else None
-            pid = os.fork()
-            if pid == 0:
-                _child(ep, g, bounds[g], recv, send, result,
-                       open_fds - {recv, send, result})
-            pids[g] = pid
-        send = progress[0][1] if progress else None
-        for fd in open_fds - {send, *(r for r, _ in results)}:
-            close(fd)
-        _publish(send, _run_group(ep, 0, *bounds[0], None, send))
-        if send is not None:
-            close(send)  # a child still waiting on group 0 now reads EOF
-
-        failure = None
-        for g in range(1, G):
-            fd = results[g - 1][0]
-            blob = b"".join(iter(lambda: os.read(fd, 65536), b""))
-            close(fd)
-            _, status = os.waitpid(pids[g], 0)
-            del pids[g]
-            code = os.waitstatus_to_exitcode(status)
-            if failure is None and (blob or code):
-                failure = pickle.loads(blob) if blob else RuntimeError(
-                    f"pipeline group {g} exited with code {code}")
-        if failure is not None:
-            raise failure
+        return run_forked([functools.partial(group, g)
+                           for g in range(len(bounds))])
     finally:
-        for pid in pids.values():
+        close_all_but()
+
+
+class ForkedJobLost(RuntimeError):
+    """A forked job ended without sending back its outcome."""
+
+
+def run_forked(jobs: list) -> list:
+    """Run `jobs[0]()` here and each later job in a forked child, all at
+    once; return their return values in job order. Each child pickles `(ok,
+    value)`, its return value or the exception it raised, to its own pipe.
+    Once every job has ended, the first failure in job order is raised, as
+    ForkedJobLost for a child that sent back nothing. A KeyboardInterrupt
+    here kills the children instead. No child outlives the call."""
+    pids, reads = [], []
+    try:
+        for i, job in enumerate(jobs[1:], 1):
+            read, write = os.pipe()
+            reads.append(read)
             try:
-                os.kill(pid, signal.SIGKILL)
-            except ProcessLookupError:
-                pass
+                pids.append(os.fork())
+                if not pids[-1]:
+                    _child(job, i, write)
+            finally:
+                os.close(write)
+        try:
+            outcomes = [(True, jobs[0]())]
+        except Exception as exc:
+            outcomes = [(False, exc)]
+        while pids:
+            with open(reads.pop(0), "rb") as fh:
+                blob = fh.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pids[0], 0)[1])
+            del pids[0]
+            how = f"signal {-code}" if code < 0 else f"exit code {code}"
+            outcomes.append(pickle.loads(blob) if blob and not code else (
+                False, ForkedJobLost(f"forked job {len(outcomes)} ended "
+                                     f"without an outcome: {how}")))
+    finally:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-        for fd in list(open_fds):
-            close(fd)
+        for fd in reads:
+            os.close(fd)
+    for ok, value in outcomes:
+        if not ok:
+            raise value
+    return [value for _, value in outcomes]
 
 
-def _child(ep: _Episode, g: int, bounds: tuple[int, int], recv: int,
-           send: int | None, result: int, inherited: set[int]) -> None:
-    """Body of a forked pipeline group; never returns. An exception other
-    than an abort is pickled to `result` and stops the other groups."""
+def _child(job, i: int, result: int) -> None:
+    """Body of forked job i; never returns. The child must not unwind into
+    its caller's frames: every exception ends here, pickled to `result`."""
     code = 1
     try:
         signal.signal(signal.SIGTERM, signal.SIG_DFL)
         signal.signal(signal.SIGINT, signal.SIG_DFL)
-        for fd in inherited:
-            os.close(fd)  # so a stopped upstream group reads as EOF
-        _publish(send, _run_group(ep, g, *bounds, recv, send))
+        try:
+            outcome = True, job()
+        except BaseException as exc:
+            outcome = False, exc
+        try:
+            blob = pickle.dumps(outcome)
+        except Exception as exc:
+            blob = pickle.dumps((False, RuntimeError(
+                f"forked job {i} cannot send back {outcome[1]!r}: {exc}")))
+        with open(result, "wb") as fh:
+            fh.write(blob)
         code = 0
-    except BaseException as exc:
-        # a forked child must not unwind into its caller's frames: every
-        # exception ends here, and the caller raises it
-        ep.aborts[3 * g] = -1  # stops every group
-        try:
-            blob = pickle.dumps(exc)
-        except Exception:
-            blob = pickle.dumps(RuntimeError(f"pipeline group {g}: {exc!r}"))
-        try:
-            while blob:
-                blob = blob[os.write(result, blob):]
-        except OSError:
-            pass
     finally:
         os._exit(code)
 

@@ -38,6 +38,38 @@ def write_config(tmp_path, doc, name="cfg.json"):
     return p
 
 
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids this process forks while the test runs; fails a test that
+    hangs for 60 s or leaves a child behind."""
+    import os
+    import signal
+
+    from test_engine import _children
+
+    pids = []
+    fork = os.fork
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    def hung(*_):
+        raise TimeoutError("run still going after 60 s")
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    try:
+        yield pids
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert _children() == []
+
+
 class TestConfigParsing:
     def test_defaults_round_trip(self):
         cfg = default_config()
@@ -143,12 +175,11 @@ class TestRunCommand:
         assert rep["comparison"]
 
     def test_episode_job_returns_the_report_of_its_trace(self, tmp_path):
-        # the pool sends back the report, not the trace; it must be the
+        # a forked job sends back the report, not the trace; it must be the
         # report of the trace the job wrote
-        doc = tiny_config(**{"metrics.warmup_cutoff": 0.5})
+        cfg = from_dict(tiny_config(**{"metrics.warmup_cutoff": 0.5}))
         csv = tmp_path / "trace.csv"
-        rep = _episode_job(doc, "baseline", str(csv))
-        cfg = from_dict(doc)
+        rep = _episode_job(cfg, "baseline", str(csv))
         trace = dataclasses.replace(load_trace(csv), controller="baseline",
                                     scenario=cfg.scenario_hash())
         assert rep == report_from_trace(trace, 0.5)
@@ -248,8 +279,8 @@ class TestRunCommand:
         assert err.count("\n") == 1
 
     def test_abort_in_both_mode_reports_one_line(self, tmp_path, capfd):
-        # the abort is raised in a pool worker and must cross back intact;
-        # capfd also sees what the forked workers write to stderr
+        # the abort is raised in the forked child too and must cross back
+        # intact; capfd also sees what the child writes to stderr
         doc = tiny_config(controller="both", **{"asmc.Lambda_v": 1e300})
         p = write_config(tmp_path, doc)
         code = main(["run", "--config", str(p), "--out", str(tmp_path / "x"),
@@ -259,6 +290,35 @@ class TestRunCommand:
         assert err.startswith("error: kind=abort")
         assert err.count("\n") == 1
         assert "Traceback" not in err
+
+    def test_killed_episode_child_is_an_abort(self, tmp_path, capfd,
+                                              monkeypatch, forks):
+        # the baseline episode runs in a forked child, which dies here
+        # without sending back an outcome
+        import os
+        import signal
+
+        from platoon_asmc import cli
+
+        caller, job = os.getpid(), cli._episode_job
+
+        def killed_for_baseline(cfg, controller, *args):
+            if controller == "baseline":
+                assert os.getpid() != caller, "baseline ran in the caller"
+                os.kill(os.getpid(), signal.SIGKILL)
+            return job(cfg, controller, *args)
+
+        monkeypatch.setattr(cli, "_episode_job", killed_for_baseline)
+        p = write_config(tmp_path, tiny_config(controller="both"))
+        code = main(["run", "--config", str(p), "--out", str(tmp_path / "x"),
+                     "--quiet"])
+        err = capfd.readouterr().err
+        assert code == 3
+        assert err.startswith("error: kind=abort")
+        assert "forked job 1 ended without an outcome: signal 9" in err
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+        assert len(forks) == 1
 
     @pytest.mark.parametrize("controller", ["proposed", "both"])
     def test_diverging_plant_is_an_abort(self, tmp_path, capfd, controller):
@@ -281,7 +341,7 @@ class TestRunCommand:
     def test_unwritable_output_is_a_validation_error(self, tmp_path, capfd,
                                                      controller, blocked):
         # a directory stands where an output file goes; the trace is written
-        # in a pool worker, and its error must cross back intact
+        # in the episode's job, and its error must reach the command intact
         out = tmp_path / "x"
         (out / blocked).mkdir(parents=True)
         p = write_config(tmp_path, tiny_config(controller=controller,
@@ -293,6 +353,20 @@ class TestRunCommand:
         assert blocked in err
         assert err.count("\n") == 1
         assert "Traceback" not in err
+
+    def test_unwritable_trace_of_the_forked_episode(self, tmp_path, capfd):
+        # the baseline episode runs in a forked child, whose OSError must
+        # cross back intact
+        out = tmp_path / "x"
+        (out / "trace_baseline.csv").mkdir(parents=True)
+        p = write_config(tmp_path, tiny_config(controller="both",
+                                               **{"sim.duration": 0.5}))
+        code = main(["run", "--config", str(p), "--out", str(out), "--quiet"])
+        err = capfd.readouterr().err
+        assert code == 2
+        assert err.startswith("error: kind=validation")
+        assert "trace_baseline.csv" in err
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("key,value", [("R", 1e308), ("L", 1e-310)])
     def test_non_finite_wheel_torque_is_an_abort(self, tmp_path, capsys, key,
@@ -432,6 +506,16 @@ PINNED_TRACE_SHA256 = {
     "trace_baseline.csv":
         "b16e3901c21746a3f22e47e88433f5e2572f280f876afee2144ffbf044198c6e",
 }
+
+
+@pytest.mark.parametrize("controller,children", [("both", 1), ("proposed", 0)])
+def test_run_forks_one_child_per_episode_after_the_first(tmp_path, forks,
+                                                         controller, children):
+    # a 1 s episode is too short to split into pipeline groups, so the only
+    # fork is the second controller's episode
+    assert main(["run", "--controller", controller, "--duration", "1",
+                 "--out", str(tmp_path), "--quiet"]) == 0
+    assert len(forks) == children
 
 
 def test_default_scenario_trace_bytes_are_pinned(tmp_path):

@@ -486,6 +486,26 @@ class TestPipeline:
             run_episode(cfg.robot, cfg.kinematic, cfg.asmc, cfg.platoon,
                         cfg.arena, sim, "proposed", processes=3)
 
+    def test_killed_group_raises_forked_job_lost(self, cfg, monkeypatch):
+        import os
+        import signal
+
+        from platoon_asmc import engine
+
+        caller = os.getpid()
+        follower_target = engine.follower_target
+
+        def dies_in_a_child(*args):
+            if os.getpid() != caller:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return follower_target(*args)
+
+        monkeypatch.setattr(engine, "follower_target", dies_in_a_child)
+        sim = dataclasses.replace(cfg.sim, duration=1.0)
+        with pytest.raises(engine.ForkedJobLost, match="job 1 .* signal 9"):
+            run_episode(cfg.robot, cfg.kinematic, cfg.asmc, cfg.platoon,
+                        cfg.arena, sim, "proposed", processes=2)
+
     def test_rejects_bad_process_count(self, cfg):
         for bad in (0, -1, 1.5, True):
             with pytest.raises(ValueError, match="processes"):
@@ -515,3 +535,77 @@ def test_group_bounds():
     finally:
         stop.set()
         thread.join()
+
+
+class TestRunForked:
+    """Jobs in forked children return their values and failures in order."""
+
+    @pytest.fixture(autouse=True)
+    def no_child_left(self):
+        import signal
+
+        def hung(*_):
+            raise TimeoutError("forked jobs still running after 60 s")
+
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(60)
+        try:
+            yield
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert _children() == []
+
+    def test_values_come_back_in_job_order(self):
+        import os
+
+        from platoon_asmc.engine import run_forked
+
+        got = run_forked([lambda i=i: (i, os.getpid()) for i in range(4)])
+        assert [i for i, _ in got] == [0, 1, 2, 3]
+        pids = [pid for _, pid in got]
+        assert pids[0] == os.getpid()
+        assert len(set(pids)) == 4
+
+    @pytest.mark.parametrize("first", [0, 1])
+    def test_first_failure_in_job_order_is_raised(self, first):
+        import time
+
+        from platoon_asmc.engine import run_forked
+
+        def fails(exc, delay=0.0):
+            def job():
+                time.sleep(delay)
+                raise exc
+            return job
+
+        # the first failure in job order is raised, not the first in time
+        jobs = [lambda: "ok"] * first + [fails(KeyError("first"), 0.2),
+                                         fails(ValueError("second")),
+                                         lambda: "ok"]
+        with pytest.raises(KeyError, match="first"):
+            run_forked(jobs)
+
+    def test_result_that_cannot_be_pickled_is_named(self):
+        import threading
+
+        from platoon_asmc.engine import run_forked
+
+        with pytest.raises(RuntimeError,
+                           match="forked job 1 cannot send back <.*lock"):
+            run_forked([lambda: None, threading.Lock])
+
+    def test_child_that_dies_is_forked_job_lost(self):
+        import os
+        import signal
+
+        from platoon_asmc.engine import ForkedJobLost, run_forked
+
+        def dies():
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        with pytest.raises(ForkedJobLost,
+                           match="job 2 ended without an outcome: signal 9"):
+            run_forked([lambda: None, lambda: None, dies])
+        with pytest.raises(ForkedJobLost, match="job 1 .*: exit code 0"):
+            run_forked([lambda: None, lambda: os._exit(0)])
