@@ -3,9 +3,9 @@
 The arena scales every wheel friction coefficient of a robot by the friction
 ratio of the quadrant it is in, and injects localized force/torque
 disturbances inside circular speed-breaker bands. `Arena.pack` flattens both
-into the plain tuples that `vehicle.plant_rhs_for` binds into a robot's
-plant right-hand side; `quadrant_of` is the one quadrant rule for the plant
-and the metrics.
+into the plain tuples that `vehicle.plant_step_for` binds into a robot's
+plant stepper; `quadrant_of` is the one quadrant rule for the plant and the
+metrics.
 """
 
 from __future__ import annotations
@@ -69,7 +69,7 @@ class Arena:
 
     def pack(self, seed: int | None = None
              ) -> tuple[tuple[float, ...], tuple[tuple[float, ...], ...]]:
-        """(scales, breakers) for `vehicle.plant_rhs_for`: the friction
+        """(scales, breakers) for `vehicle.plant_step_for`: the friction
         multiplier mu_q / mu_1 of quadrants 1..4, and per breaker the tuple
         (x, y, half_width**2, amp_force, amp_torque). A seed scales each
         breaker's amp_force, then its amp_torque, by a factor in [0.9, 1.1]

@@ -5,10 +5,10 @@ Runs the full platoon at a fixed control rate: per control period each robot
 variables, wrench and gain update; the plant then advances with RK4 substeps
 under a zero-order-hold wrench, with the arena's friction field and breaker
 disturbances evaluated at every integrator stage. Each robot's plant
-right-hand side is built once per episode (`vehicle.plant_rhs_for`), and
-the whole loop runs inside one `np.errstate` so that the per-step path
-projection need not enter its own. Identical inputs produce bit-identical
-traces.
+stepper is built once per episode (`vehicle.plant_step_for`) and called
+once per robot-step, and the whole loop runs inside one `np.errstate` so
+that the per-step path projection need not enter its own. Identical inputs
+produce bit-identical traces.
 
 Coupling runs one way, down the platoon: a follower reads only its
 predecessor's path marker and heading at the same step. So `run_episode`
@@ -51,7 +51,7 @@ from .platoon import (
     pose_at_arc,
     tile_lap,
 )
-from .vehicle import RobotParams, RobotState, plant_rhs_for, wheel_torque_split
+from .vehicle import RobotParams, RobotState, plant_step_for, wheel_torque_split
 
 CONTROLLERS = ("proposed", "baseline")
 
@@ -59,8 +59,9 @@ CONTROLLERS = ("proposed", "baseline")
 # steps; the next group runs up to two chunks behind.
 PROGRESS_CHUNK = 16
 # Fewest robot-steps a pipeline group may hold. Forking and reaping a group
-# costs 2.5-3.4 ms; 500 robot-steps take about 15 ms with one RK4 substep
-# and 35-40 ms with the default ten (2-vCPU Xeon VM, CPython 3.11).
+# costs 2.2-3.4 ms; 500 robot-steps take about 11-18 ms with one RK4
+# substep and 25-38 ms with the default ten (ranges over five serial 20 s
+# episodes, 2-vCPU Xeon VM, CPython 3.11).
 MIN_GROUP_ROBOT_STEPS = 500
 
 # Per-robot trace columns, in the order they appear in the CSV contract.
@@ -244,25 +245,12 @@ def check_sections(robot: RobotParams | list[RobotParams] | tuple[RobotParams, .
             f"max(alpha_*) * control_period < 1, got {rate:.3g}")
 
 
-def _integrate_robot(x, y, th, v, w, F, tau, n, h, rhs):
-    """n RK4 steps of size h under a held wrench; `rhs` is the robot's plant
-    right-hand side from `vehicle.plant_rhs_for`, called at every stage."""
-    h2 = 0.5 * h
-    h6 = h / 6.0
-    for _ in range(n):
-        a1, b1, c1, d1, e1 = rhs(x, y, th, v, w, F, tau)
-        a2, b2, c2, d2, e2 = rhs(x + h2 * a1, y + h2 * b1, th + h2 * c1,
-                                 v + h2 * d1, w + h2 * e1, F, tau)
-        a3, b3, c3, d3, e3 = rhs(x + h2 * a2, y + h2 * b2, th + h2 * c2,
-                                 v + h2 * d2, w + h2 * e2, F, tau)
-        a4, b4, c4, d4, e4 = rhs(x + h * a3, y + h * b3, th + h * c3,
-                                 v + h * d3, w + h * e3, F, tau)
-        x += h6 * (a1 + 2.0 * (a2 + a3) + a4)
-        y += h6 * (b1 + 2.0 * (b2 + b3) + b4)
-        th += h6 * (c1 + 2.0 * (c2 + c3) + c4)
-        v += h6 * (d1 + 2.0 * (d2 + d3) + d4)
-        w += h6 * (e1 + 2.0 * (e2 + e3) + e4)
-    return x, y, th, v, w
+def _integrate_robot(x, y, th, v, w, F, tau, n, h, step):
+    """n RK4 steps of size h under a held wrench, by the robot's stepper
+    from `vehicle.plant_step_for`: the engine's one call into the plant,
+    under a name of its own so that `bench/tracer.py` can time the plant
+    as `engine.integrate`."""
+    return step(x, y, th, v, w, F, tau, n, h)
 
 
 def usable_cores() -> int:
@@ -379,7 +367,7 @@ def run_episode(
         adaptives=[AdaptiveState.fresh(asmc.k_init) for _ in range(R)],
         kin=kin, asmc=asmc, platoon=platoon, sim=sim,
         proposed=controller == "proposed",
-        plants=[plant_rhs_for(rp, packed) for rp in robots],
+        plants=[plant_step_for(rp, packed) for rp in robots],
         lead_start_arc=lead_start_arc, buf=buf,
         marks=memoryview(log).cast("q"))
     # the groups project without entering an errstate per call

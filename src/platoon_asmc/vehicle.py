@@ -1,10 +1,11 @@
 """Differential-drive plant model: parameters, state, and the plant dynamics.
 
-`plant_rhs_for` is the single formulation of the plant: the body kinematics,
-the per-wheel Coulomb + viscous friction scaled by the arena's quadrant
-friction field, and the speed-breaker disturbances, all evaluated at one
-state. It binds one robot's parameters and arena once and returns the
-right-hand side that the engine's RK4 calls at every integrator stage.
+`plant_step_for` is the single formulation of the plant: the body
+kinematics, the per-wheel Coulomb + viscous friction scaled by the arena's
+quadrant friction field, and the speed-breaker disturbances, evaluated at
+every stage of a fixed-step RK4 integrator. It binds one robot's parameters
+and arena once and returns the stepper that the engine calls once per
+robot-step, with each stage written out in its loop.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ class RobotState:
     omega: float = 0.0
 
 
-# The clear box of `plant_rhs_for`: its half-width B (m); the clearance
+# The clear box of `plant_step_for`: its half-width B (m); the clearance
 # beyond every band's half-width that its centre keeps, which must exceed
 # B * sqrt(2) (m); and the bound on coordinates and band half-widths (m)
 # within which the box is used at all.
@@ -68,35 +69,38 @@ CLEAR_MARGIN = 0.5
 CLEAR_LIMIT = 1e6
 
 
-def plant_rhs_for(params: RobotParams, arena: tuple):
-    """The plant right-hand side of one robot in one arena, as
-    `rhs(x, y, theta, v, omega, F, tau)` returning the time derivative of
-    (x, y, theta, v, omega) under the wrench (F, tau).
+def plant_step_for(params: RobotParams, arena: tuple):
+    """The plant of one robot in one arena, as `step(x, y, theta, v, omega,
+    F, tau, n, h)`: n classical RK4 steps of size h under the held wrench
+    (F, tau), returning the new (x, y, theta, v, omega).
 
     `arena` is a packed `(scales, breakers)` pair from `Arena.pack`, or
-    `arena.NO_ARENA`. Every wheel friction coefficient is scaled by the
-    friction ratio of the quadrant containing (x, y). Per wheel the friction
-    is f_i = f_ki * tanh(v_i / SIGN_SMOOTHING_V) + f_ci * v_i with contact
+    `arena.NO_ARENA`. The right-hand side, evaluated at every RK4 stage, is
+    the body kinematics (x' = v cos theta, y' = v sin theta, theta' = omega)
+    and m v' = F - (f_r + f_l) - d_v, J omega' = tau - (f_r - f_l) * L - d_w.
+    Every wheel friction coefficient is scaled by the friction ratio of the
+    quadrant containing (x, y). Per wheel the friction is
+    f_i = f_ki * tanh(v_i / SIGN_SMOOTHING_V) + f_ci * v_i with contact
     speeds v_r = v + omega*L/2 and v_l = v - omega*L/2 (track width 2L with
     the wheel offset taken as L/2, the identity the controller's uncertainty
-    bounds are built on); the longitudinal resultant is f_r + f_l and the yaw
-    resultant (f_r - f_l) * L. Each breaker band containing (x, y) adds a
+    bounds are built on). Each breaker band containing (x, y) adds to d_v a
     force amp_force * tanh(v / SIGN_SMOOTHING_V), which opposes the motion
-    and vanishes at rest, and a yaw torque amp_torque; overlapping bands sum.
+    and vanishes at rest, and to d_w a yaw torque amp_torque; overlapping
+    bands sum.
 
     The constants are bound once: L/2, m, J and, per quadrant, each friction
     coefficient times the quadrant's scale (the products the formula above
     forms first, so the floats are the same). The quadrant of (x, y) is read
     from a table keyed by the signs of x and y and built with
-    `arena.quadrant_of`.
+    `arena.quadrant_of`. Each stage is written out in the RK4 loop.
 
-    `rhs` keeps a clear box, an axis-aligned square of half-width CLEAR_BOX
-    around a point it found farther than half_width + CLEAR_MARGIN from
-    every band centre. A stage inside the box skips the band tests: none
-    of them can hit there, so the loop would leave the disturbance at
-    0.0. Any other stage runs the tests and, if every band is that far
-    away, moves the box to its own position. The box serves one trajectory,
-    so build one `rhs` per robot and episode.
+    `step` keeps a clear box, an axis-aligned square of half-width CLEAR_BOX
+    around a point a stage found farther than half_width + CLEAR_MARGIN from
+    every band centre. A stage inside the box skips the band tests: none of
+    them can hit there, so d_v and d_w stay 0.0. Any other stage runs the
+    tests and, if every band is that far away, moves the box to its own
+    position. The box serves one trajectory, so build one `step` per robot
+    and episode.
     """
     scales, breakers = arena
     half_L, L, m, J = 0.5 * params.L, params.L, params.m, params.J
@@ -131,42 +135,116 @@ def plant_rhs_for(params: RobotParams, arena: tuple):
         for bx, by, hw2, af, at in breakers)
     x_lo = y_lo = math.inf  # empty until a stage finds a clear point
     x_hi = y_hi = -math.inf
+    S = SIGN_SMOOTHING_V
     tanh, cos, sin = math.tanh, math.cos, math.sin
 
-    def rhs(x, y, theta, v, omega, F, tau):
+    def disturbance(x, y, v):
+        """(d_v, d_w) of the bands at a stage outside the box, which moves
+        to (x, y) if every band is clear of it."""
         nonlocal x_lo, x_hi, y_lo, y_hi
-        kr, cr, kl, cl = by_sign[(x < 0.0) + 2 * (y < 0.0)]
         d_v = 0.0
         d_w = 0.0
-        if not (x_lo <= x <= x_hi and y_lo <= y <= y_hi):
-            clear = bounded and -CLEAR_LIMIT <= x <= CLEAR_LIMIT \
-                and -CLEAR_LIMIT <= y <= CLEAR_LIMIT
-            for bx, by, hw2, clear2, amp_force, amp_torque in bands:
-                dx = x - bx
-                dy = y - by
-                d2 = dx * dx + dy * dy
-                if d2 <= hw2:
-                    d_v += amp_force * tanh(v / SIGN_SMOOTHING_V)
-                    d_w += amp_torque
-                if not d2 > clear2:
-                    clear = False
-            if clear:
-                x_lo, x_hi = x - CLEAR_BOX, x + CLEAR_BOX
-                y_lo, y_hi = y - CLEAR_BOX, y + CLEAR_BOX
-        half = half_L * omega
-        v_r = v + half
-        v_l = v - half
-        f_r = kr * tanh(v_r / SIGN_SMOOTHING_V) + cr * v_r
-        f_l = kl * tanh(v_l / SIGN_SMOOTHING_V) + cl * v_l
-        return (
-            v * cos(theta),
-            v * sin(theta),
-            omega,
-            (F - (f_r + f_l) - d_v) / m,
-            (tau - (f_r - f_l) * L - d_w) / J,
-        )
+        clear = bounded and -CLEAR_LIMIT <= x <= CLEAR_LIMIT \
+            and -CLEAR_LIMIT <= y <= CLEAR_LIMIT
+        for bx, by, hw2, clear2, amp_force, amp_torque in bands:
+            dx = x - bx
+            dy = y - by
+            d2 = dx * dx + dy * dy
+            if d2 <= hw2:
+                d_v += amp_force * tanh(v / S)
+                d_w += amp_torque
+            if not d2 > clear2:
+                clear = False
+        if clear:
+            x_lo, x_hi = x - CLEAR_BOX, x + CLEAR_BOX
+            y_lo, y_hi = y - CLEAR_BOX, y + CLEAR_BOX
+        return d_v, d_w
 
-    return rhs
+    def step(x, y, th, v, w, F, tau, n, h):
+        h2 = 0.5 * h
+        h6 = h / 6.0
+        for _ in range(n):
+            # stage 1 at (x, y, th, v, w)
+            kr, cr, kl, cl = by_sign[(x < 0.0) + 2 * (y < 0.0)]
+            if x_lo <= x <= x_hi and y_lo <= y <= y_hi:
+                d_v = d_w = 0.0
+            else:
+                d_v, d_w = disturbance(x, y, v)
+            half = half_L * w
+            v_r = v + half
+            v_l = v - half
+            f_r = kr * tanh(v_r / S) + cr * v_r
+            f_l = kl * tanh(v_l / S) + cl * v_l
+            a1 = v * cos(th)
+            b1 = v * sin(th)
+            d1 = (F - (f_r + f_l) - d_v) / m
+            e1 = (tau - (f_r - f_l) * L - d_w) / J
+            # stage 2, half a step along stage 1
+            xs = x + h2 * a1
+            ys = y + h2 * b1
+            ts = th + h2 * w
+            vs = v + h2 * d1
+            ws = w + h2 * e1
+            kr, cr, kl, cl = by_sign[(xs < 0.0) + 2 * (ys < 0.0)]
+            if x_lo <= xs <= x_hi and y_lo <= ys <= y_hi:
+                d_v = d_w = 0.0
+            else:
+                d_v, d_w = disturbance(xs, ys, vs)
+            half = half_L * ws
+            v_r = vs + half
+            v_l = vs - half
+            f_r = kr * tanh(v_r / S) + cr * v_r
+            f_l = kl * tanh(v_l / S) + cl * v_l
+            a2 = vs * cos(ts)
+            b2 = vs * sin(ts)
+            c2 = ws
+            d2 = (F - (f_r + f_l) - d_v) / m
+            e2 = (tau - (f_r - f_l) * L - d_w) / J
+            # stage 3, half a step along stage 2
+            xs = x + h2 * a2
+            ys = y + h2 * b2
+            ts = th + h2 * c2
+            vs = v + h2 * d2
+            ws = w + h2 * e2
+            kr, cr, kl, cl = by_sign[(xs < 0.0) + 2 * (ys < 0.0)]
+            if x_lo <= xs <= x_hi and y_lo <= ys <= y_hi:
+                d_v = d_w = 0.0
+            else:
+                d_v, d_w = disturbance(xs, ys, vs)
+            half = half_L * ws
+            v_r = vs + half
+            v_l = vs - half
+            f_r = kr * tanh(v_r / S) + cr * v_r
+            f_l = kl * tanh(v_l / S) + cl * v_l
+            a3 = vs * cos(ts)
+            b3 = vs * sin(ts)
+            c3 = ws
+            d3 = (F - (f_r + f_l) - d_v) / m
+            e3 = (tau - (f_r - f_l) * L - d_w) / J
+            # stage 4, a whole step along stage 3
+            xs = x + h * a3
+            ys = y + h * b3
+            ts = th + h * c3
+            vs = v + h * d3
+            ws = w + h * e3
+            kr, cr, kl, cl = by_sign[(xs < 0.0) + 2 * (ys < 0.0)]
+            if x_lo <= xs <= x_hi and y_lo <= ys <= y_hi:
+                d_v = d_w = 0.0
+            else:
+                d_v, d_w = disturbance(xs, ys, vs)
+            half = half_L * ws
+            v_r = vs + half
+            v_l = vs - half
+            f_r = kr * tanh(v_r / S) + cr * v_r
+            f_l = kl * tanh(v_l / S) + cl * v_l
+            x += h6 * (a1 + 2.0 * (a2 + a3) + vs * cos(ts))
+            y += h6 * (b1 + 2.0 * (b2 + b3) + vs * sin(ts))
+            th += h6 * (w + 2.0 * (c2 + c3) + ws)
+            v += h6 * (d1 + 2.0 * (d2 + d3) + (F - (f_r + f_l) - d_v) / m)
+            w += h6 * (e1 + 2.0 * (e2 + e3) + (tau - (f_r - f_l) * L - d_w) / J)
+        return x, y, th, v, w
+
+    return step
 
 
 def wheel_torque_split(F: float, tau: float, params: RobotParams

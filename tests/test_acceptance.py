@@ -29,7 +29,7 @@ from platoon_asmc.config import dump_config
 from platoon_asmc.engine import _integrate_robot, default_path_for
 from platoon_asmc.metrics import quadrant_mask, rms
 from platoon_asmc.platoon import build_path, pose_at_arc, target_waypoint
-from platoon_asmc.vehicle import RobotParams, plant_rhs_for
+from platoon_asmc.vehicle import RobotParams, plant_step_for
 
 GAIN_COLS = ("K_v0", "K_v1", "K_w2", "K_w0", "K_w1", "K_v2")
 EPISODE_SECONDS = 600.0
@@ -147,8 +147,8 @@ def _kinematic_errors(kin, v_d, path, start_arc, pose, duration,
     the commanded (v_c, omega_c) become the plant's (v, omega), and the pose
     integrates with the plant RK4 under zero wrench, without friction or
     arena."""
-    rhs = plant_rhs_for(RobotParams(f_kr=0.0, f_kl=0.0, f_cr=0.0, f_cl=0.0),
-                        NO_ARENA)
+    step = plant_step_for(RobotParams(f_kr=0.0, f_kl=0.0, f_cr=0.0, f_cl=0.0),
+                          NO_ARENA)
     n = int(round(duration / period))
     x, y, th = pose
     errs = np.empty((n + 1, 3))
@@ -161,7 +161,7 @@ def _kinematic_errors(kin, v_d, path, start_arc, pose, duration,
                                     kin)
             x, y, th, _, _ = _integrate_robot(x, y, th, cmd.v_c, cmd.omega_c,
                                               0.0, 0.0, n_sub, period / n_sub,
-                                              rhs)
+                                              step)
     return np.arange(n + 1) * period, errs
 
 
@@ -195,7 +195,7 @@ def test_criterion_6_rk4_convergence_order():
     for dt in (4e-3, 2e-3, 1e-3):
         x, y, *_ = _integrate_robot(0.0, 0.0, 0.0, v0, w0, F, 0.0,
                                     int(round(T / dt)), dt,
-                                    plant_rhs_for(params, NO_ARENA))
+                                    plant_step_for(params, NO_ARENA))
         errs.append(math.hypot(x - xa, y - ya))
     orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
     ok = min(orders) >= 3.7

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from plant_oracle import oracle_rhs
 
 from platoon_asmc import (
     Arena,
@@ -17,7 +18,7 @@ from platoon_asmc import (
 from platoon_asmc.arena import NO_ARENA
 from platoon_asmc.engine import _integrate_robot, default_path_for, lead_start_on
 from platoon_asmc.platoon import build_path, figure_eight_lap, pose_at_arc, tile_lap
-from platoon_asmc.vehicle import plant_rhs_for
+from platoon_asmc.vehicle import plant_step_for
 
 FRICTIONLESS = RobotParams(f_kr=0, f_kl=0, f_cr=0, f_cl=0)
 
@@ -261,7 +262,7 @@ class TestIntegratorQuality:
         for dt in (4e-3, 2e-3, 1e-3):
             x, y, *_ = _integrate_robot(0.0, 0.0, 0.0, v0, w0, F, 0.0,
                                         int(round(T / dt)), dt,
-                                        plant_rhs_for(p, NO_ARENA))
+                                        plant_step_for(p, NO_ARENA))
             errs.append(math.hypot(x - xa, y - ya))
         orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
         assert min(orders) >= 3.7, f"observed orders {orders}"
@@ -282,11 +283,11 @@ class TestIntegratorQuality:
     def test_energy_decays_without_actuation(self):
         # symmetric friction dissipates: kinetic energy is non-increasing
         p = RobotParams()
-        rhs = plant_rhs_for(p, NO_ARENA)
+        step = plant_step_for(p, NO_ARENA)
         st = (0.0, 0.0, 0.0, 2.0, 1.0)
         ke = 0.5 * p.m * st[3] ** 2 + 0.5 * p.J * st[4] ** 2
         for _ in range(3000):
-            st = _integrate_robot(*st, 0.0, 0.0, 1, 1e-3, rhs)
+            st = _integrate_robot(*st, 0.0, 0.0, 1, 1e-3, step)
             ke_next = 0.5 * p.m * st[3] ** 2 + 0.5 * p.J * st[4] ** 2
             assert ke_next <= ke + 1e-15
             ke = ke_next
@@ -332,13 +333,13 @@ def test_integrator_matches_scipy_reference(cfg, inside_breaker):
     packed = arena.pack()
 
     def rhs(_t, s):
-        return plant_rhs_for(params, packed)(*s, *wrench)
+        return oracle_rhs(*s, *wrench, params, packed)
 
     T = 2.0
     ref = solve_ivp(rhs, (0.0, T), start, method="RK45", rtol=1e-12,
                     atol=1e-12)
     mine = _integrate_robot(*start, *wrench, 2000, 1e-3,
-                            plant_rhs_for(params, packed))
+                            plant_step_for(params, packed))
     assert ref.success
     err = np.max(np.abs(np.array(mine) - ref.y[:, -1]))
     assert err < 1e-8, err
@@ -356,15 +357,15 @@ def test_default_course_traverses_quadrants_in_order(cfg):
 
 
 def test_fast_path_matches_public_ops_bitwise(cfg):
-    """One RK4 step of the engine's integrator must equal the same step
-    composed by hand from the public stage function, bit for bit."""
+    """One RK4 step of the engine's stepper must equal the same step
+    composed by hand from the oracle's stage function, bit for bit."""
     params = cfg.robot
     packed = cfg.arena.pack()
     F, tau = 0.7, -0.05
     h = 1e-3
 
     def rhs(s):
-        return plant_rhs_for(params, packed)(*s, F, tau)
+        return oracle_rhs(*s, F, tau, params, packed)
 
     def shift(s, d, w):
         return [si + w * di for si, di in zip(s, d)]
@@ -380,7 +381,7 @@ def test_fast_path_matches_public_ops_bitwise(cfg):
         manual = tuple(s0[i] + h / 6 * (k1[i] + 2.0 * (k2[i] + k3[i]) + k4[i])
                        for i in range(5))
         assert _integrate_robot(*s0, F, tau, 1, h,
-                                plant_rhs_for(params, packed)) == manual
+                                plant_step_for(params, packed)) == manual
 
 
 def _children() -> list[int]:

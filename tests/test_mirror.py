@@ -49,3 +49,36 @@ def test_mirrored_scenario_gives_the_mirrored_trace(cfg, controller):
         expect = -a[name] if name in NEGATED else a[SWAPPED.get(name, name)]
         assert np.array_equal(b[name], expect), name
     assert np.array_equal(b.gap_err, a.gap_err)
+
+
+def _shipped_run(cfg, controller, arena):
+    sim = dataclasses.replace(cfg.sim, duration=28.0)
+    assert sim.seed is None  # a seed draws the jitter band by band
+    return run_episode(cfg.robot, cfg.kinematic, cfg.asmc, cfg.platoon, arena,
+                       sim, controller)
+
+
+def _same_bits(a, b):
+    assert a.rec.tobytes() == b.rec.tobytes()
+    assert a.gap_err.tobytes() == b.gap_err.tobytes()
+
+
+@pytest.mark.parametrize("controller", ["proposed", "baseline"])
+def test_scaled_friction_and_reordered_bands_give_the_same_trace(cfg,
+                                                                 controller):
+    # The plant reads friction only as mu_q / mu_1, which scaling every mu
+    # by a power of two leaves exact; and bands that do not overlap add
+    # their disturbance one at a time in any order. Over 28 s the platoon
+    # crosses Q3 and the leader the Q2 band, so both run through the
+    # stepper's band tests.
+    arena = cfg.arena
+    bands = arena.speed_breakers
+    assert len(bands) > 1 and all(
+        np.hypot(p.x - q.x, p.y - q.y) > p.half_width + q.half_width
+        for i, p in enumerate(bands) for q in bands[i + 1:])
+    base = _shipped_run(cfg, controller, arena)
+    scaled = dataclasses.replace(
+        arena, quadrant_mu=tuple(4.0 * mu for mu in arena.quadrant_mu))
+    _same_bits(_shipped_run(cfg, controller, scaled), base)
+    reordered = dataclasses.replace(arena, speed_breakers=bands[::-1])
+    _same_bits(_shipped_run(cfg, controller, reordered), base)

@@ -3,11 +3,12 @@ import math
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from plant_oracle import oracle_rhs
 
 from platoon_asmc import Arena, RobotParams, SpeedBreaker, wheel_torque_split
 from platoon_asmc.arena import NO_ARENA
 from platoon_asmc.engine import _integrate_robot
-from platoon_asmc.vehicle import plant_rhs_for
+from platoon_asmc.vehicle import plant_step_for
 
 finite = st.floats(min_value=-50, max_value=50, allow_nan=False)
 nonneg = st.floats(min_value=0, max_value=10, allow_nan=False)
@@ -22,7 +23,7 @@ def params(**kw):
 
 def deriv(p, x=0.0, y=0.0, theta=0.0, v=0.0, omega=0.0, F=0.0, tau=0.0,
           arena=NO_ARENA):
-    return plant_rhs_for(p, arena)(x, y, theta, v, omega, F, tau)
+    return oracle_rhs(x, y, theta, v, omega, F, tau, p, arena)
 
 
 def friction_forces(v, omega, p):
@@ -155,6 +156,6 @@ class TestWheelTorqueSplit:
 def test_frictionless_constant_force_gives_linear_velocity():
     p = params(m=2.0)
     v = _integrate_robot(0.0, 0.0, 0.0, 0.25, 0.0, 1.5, 0.0, 4000, 1e-3,
-                         plant_rhs_for(p, NO_ARENA))[3]
+                         plant_step_for(p, NO_ARENA))[3]
     # v(t) = v0 + (F/m) t exactly; RK4 is exact for a linear-in-t velocity
     assert math.isclose(v, 0.25 + 0.75 * 4.0, rel_tol=1e-9)
