@@ -54,7 +54,6 @@ from .platoon import (
 )
 from .vehicle import (
     RobotParams,
-    RobotState,
     wheel_torque_split,
 )
 

@@ -6,7 +6,8 @@ traces, reports, the plotspec and the effective-config echo into the output
 directory. The episodes run at once (`engine.run_forked`); each writes its
 trace and returns its RMS report. Errors come back as a single
 machine-parseable line on stderr with a nonzero exit code: a bad config or
-an output that cannot be written is exit 2, an aborted episode exit 3.
+an output that cannot be written is exit 2; an aborted episode, or one
+whose forked process could not start or was lost, exit 3.
 """
 
 from __future__ import annotations

@@ -2,7 +2,7 @@
 
 Runs the full platoon at a fixed control rate: per control period each robot
 (lead first) computes its reference, posture error, velocity command, sliding
-variables, wrench and gain update; the plant then advances with RK4 substeps
+variables, wrench and gain update; its plant then advances with RK4 substeps
 under a zero-order-hold wrench, with the arena's friction field and breaker
 disturbances evaluated at every integrator stage. Each robot's plant
 stepper is built once per episode (`vehicle.plant_step_for`) and called
@@ -15,7 +15,7 @@ predecessor's path marker and heading at the same step. So `run_episode`
 runs the robots as a pipeline of contiguous groups through `run_forked`:
 the leader's group in the calling process and each later group in a forked
 child that follows the group before it a few steps behind. Every group runs
-the same loop, control for its robots lead-to-tail and then their plant,
+the same loop, each robot in turn lead-to-tail from reference to plant,
 writes its records into one shared buffer and returns its abort, if any;
 one group is the serial engine. The group count is `min(processes, robots)`
 (`processes` defaults to the usable cores), lowered so that each group
@@ -51,7 +51,7 @@ from .platoon import (
     pose_at_arc,
     tile_lap,
 )
-from .vehicle import RobotParams, RobotState, plant_step_for, wheel_torque_split
+from .vehicle import RobotParams, plant_step_for, wheel_torque_split
 
 CONTROLLERS = ("proposed", "baseline")
 
@@ -337,18 +337,15 @@ def run_episode(
     # Robots enter the scenario at cruise: v = v_d with the local path
     # curvature's yaw rate, so the episode starts at the operating point
     # rather than with a standing-start catch-up transient.
-    states = [
-        RobotState(x=p[0], y=p[1], theta=p[2], v=platoon.v_d,
-                   omega=slot[3] * platoon.v_d)
-        for p, slot in zip(poses, slots)
-    ]
+    states = [(p[0], p[1], p[2], platoon.v_d, slot[3] * platoon.v_d)
+              for p, slot in zip(poses, slots)]
     # Initial progress markers; custom start poses must sit near their nominal
     # along-path slots for the windowed projection to lock on. A window as long
     # as the path searches all of it, and caps a subnormal spacing's ratio.
     init_window = max(200, int(round(min(20.0 / mean_spacing, len(path)))))
     markers = [
-        nearest_index(path, st.x, st.y, hint=_index_at_arc(path, s), window=init_window)
-        for st, s in zip(states, start_arcs)
+        nearest_index(path, p[0], p[1], hint=_index_at_arc(path, s), window=init_window)
+        for p, s in zip(poses, start_arcs)
     ]
 
     N = sim.n_periods()
@@ -394,12 +391,13 @@ def _gap_errors(path: Path, marks: np.ndarray, gap_des: float) -> np.ndarray:
 @dataclass
 class _Episode:
     """What every robot group of one episode reads: the fixed inputs, the
-    per-robot state lists (each group advances only its own robots), the
-    buffer of records, and a flat view of the markers."""
+    per-robot lists (each group advances only its own robots; a state is
+    `(x, y, theta, v, omega)`, theta unwrapped), the buffer of records, and
+    a flat view of the markers."""
 
     path: Path
     robots: list[RobotParams]
-    states: list[RobotState]
+    states: list[tuple[float, float, float, float, float]]
     markers: list[int]
     adaptives: list[AdaptiveState]
     kin: KinematicGains
@@ -415,16 +413,19 @@ class _Episode:
 
 def _run_group(ep: _Episode, lo: int, hi: int, recv_fd: int | None,
                send_fd: int | None) -> tuple[int, tuple[int, int, int] | None]:
-    """Run robots lo..hi-1 as one group of the pipeline; return how many
-    steps of their records are complete, and the group's abort or None.
+    """Run robots lo..hi-1 as one group of the pipeline, per step each in
+    turn from projection to plant; return how many steps of their records
+    are complete, and the group's abort or None.
 
     Every PROGRESS_CHUNK steps the group writes that count to the next group
     (`send_fd`). It takes robot lo's predecessor (at lo > 0) from the group
     before, waiting on `recv_fd` until the step is published. A group stops
     at its first abort, which it returns as (step, phase, robot) with the
-    control as phase 0 and the plant as phase 1; where the group before
-    stopped short; and once the next group has stopped reading, which it
-    does only past an abort that comes before any step this one has left.
+    control as phase 0 and the plant as phase 1, a plant abort only after
+    the later robots' control at its step, which comes first; where the
+    group before stopped short; and once the next group has stopped reading,
+    which it does only past an abort that comes before any step this one
+    has left.
     """
     path, robots, states, markers = ep.path, ep.robots, ep.states, ep.markers
     adaptives, kin, asmc, proposed = ep.adaptives, ep.kin, ep.asmc, ep.proposed
@@ -442,17 +443,16 @@ def _run_group(ep: _Episode, lo: int, hi: int, recv_fd: int | None,
     isfinite = math.isfinite
     ready = N + 1 if recv_fd is None else 0  # upstream steps published
 
-    wrenches = [(0.0, 0.0)] * R
     for k in range(N + 1):
         if k and not k % PROGRESS_CHUNK and not _publish(send_fd, k):
             return k, None
         t = k * cp
         lead_arc = lead_start_arc + v_d * t
         base = k * R
+        lost = None  # the group's first plant failure at step k
         for r in range(lo, hi):
-            st = states[r]
-            markers[r] = m = nearest_index_unguarded(path, st.x, st.y,
-                                                     markers[r])
+            x, y, th, v, w = states[r]
+            markers[r] = m = nearest_index_unguarded(path, x, y, markers[r])
             marks[base + r] = m
             if r == 0:
                 xr, yr, thr, kappa = pose_at_arc(path, lead_arc)
@@ -472,9 +472,9 @@ def _run_group(ep: _Episode, lo: int, hi: int, recv_fd: int | None,
             ad = adaptives[r]
             gains_now = ad.gains()
             try:
-                err = ctl.posture_error(st.x, st.y, st.theta, xr, yr, thr)
+                err = ctl.posture_error(x, y, th, xr, yr, thr)
                 cmd = ctl.kinematic_control(err, ref, kin)
-                sv = ctl.update_sliding(ad, st.v, st.omega, cmd, asmc, cp)
+                sv = ctl.update_sliding(ad, v, w, cmd, asmc, cp)
                 if proposed:
                     F = ctl.asmc_force(sv, ad, asmc)
                     tau = ctl.asmc_torque(sv, ad, asmc)
@@ -486,34 +486,30 @@ def _run_group(ep: _Episode, lo: int, hi: int, recv_fd: int | None,
                 # math.* rejects an angle or gain that has run off
                 return k, (k, 0, r)
             tau_r, tau_l = wheel_torque_split(F, tau, robots[r])
-            wrenches[r] = (F, tau)
 
             pack_row(buf, (base + r) * row_size,
-                     st.x, st.y, st.theta, st.v, st.omega, xr, yr,
-                     cmd.v_c, cmd.omega_c, F, tau, tau_r, tau_l,
-                     sv.s_v, sv.s_w, *gains_now, xr - st.x, yr - st.y)
+                     x, y, th, v, w, xr, yr, cmd.v_c, cmd.omega_c, F, tau,
+                     tau_r, tau_l, sv.s_v, sv.s_w, *gains_now, xr - x, yr - y)
 
             if not (isfinite(F) and isfinite(tau) and isfinite(tau_r)
                     and isfinite(tau_l)):
                 return k, (k, 0, r)
-
-        if k == N:
-            break
-        for r in range(lo, hi):
-            st = states[r]
-            F, tau = wrenches[r]
+            if k == N or lost:
+                continue
             try:
-                nx, ny, nth, nv, nw = _integrate_robot(
-                    st.x, st.y, st.theta, st.v, st.omega, F, tau, n_sub, h,
-                    plants[r])
-                finite = all(map(isfinite, (nx, ny, nth, nv, nw)))
+                state = _integrate_robot(x, y, th, v, w, F, tau, n_sub, h,
+                                         plants[r])
+                finite = all(map(isfinite, state))
             except (ValueError, OverflowError):
                 # the state ran off inside a substep, where math.cos(inf) raises
                 finite = False
-            if not finite:
-                # step k's records are complete: downstream control at k runs
-                return k + 1, (k, 1, r)
-            st.x, st.y, st.theta, st.v, st.omega = nx, ny, nth, nv, nw
+            if finite:
+                states[r] = state
+            else:
+                lost = (k, 1, r)
+        if lost:
+            # step k's records are complete: downstream control at k runs
+            return k + 1, lost
     return N + 1, None
 
 
@@ -541,9 +537,9 @@ def _wait(fd: int, k: int) -> int:
 
 def _run_pipeline(ep: _Episode, bounds: list[tuple[int, int]]) -> list:
     """Each group's abort or None, lead group first: the groups run through
-    `run_forked`, each reading its predecessor's progress from a pipe."""
-    progress = [os.pipe() for _ in bounds[1:]]  # group g -> group g + 1
-    open_fds = {fd for pair in progress for fd in pair}
+    `run_forked`, each reading its predecessor's progress from a pipe. A
+    pipe that cannot be made is ForkedJobLost for the group that reads it."""
+    progress, open_fds = [], set()  # progress[g]: group g -> group g + 1
 
     def close_all_but(*keep):
         for fd in open_fds.difference(keep):
@@ -562,6 +558,13 @@ def _run_pipeline(ep: _Episode, bounds: list[tuple[int, int]]) -> list:
             close_all_but()
 
     try:
+        for g in range(1, len(bounds)):
+            try:
+                progress.append(os.pipe())
+            except OSError as exc:
+                raise ForkedJobLost(
+                    f"forked job {g} could not start: {exc}") from exc
+            open_fds.update(progress[-1])
         return run_forked([functools.partial(group, g)
                            for g in range(len(bounds))])
     finally:
@@ -569,7 +572,8 @@ def _run_pipeline(ep: _Episode, bounds: list[tuple[int, int]]) -> list:
 
 
 class ForkedJobLost(RuntimeError):
-    """A forked job ended without sending back its outcome."""
+    """A forked job could not start, or ended without sending back its
+    outcome."""
 
 
 def run_forked(jobs: list) -> list:
@@ -577,19 +581,25 @@ def run_forked(jobs: list) -> list:
     once; return their return values in job order. Each child pickles `(ok,
     value)`, its return value or the exception it raised, to its own pipe.
     Once every job has ended, the first failure in job order is raised, as
-    ForkedJobLost for a child that sent back nothing. A KeyboardInterrupt
-    here kills the children instead. No child outlives the call."""
+    ForkedJobLost for a child that sent back nothing. A job whose pipe or
+    fork fails raises ForkedJobLost at once, and a KeyboardInterrupt here
+    propagates; both kill the children already started. No child outlives
+    the call."""
     pids, reads = [], []
     try:
         for i, job in enumerate(jobs[1:], 1):
-            read, write = os.pipe()
-            reads.append(read)
             try:
-                pids.append(os.fork())
-                if not pids[-1]:
-                    _child(job, i, write)
-            finally:
-                os.close(write)
+                read, write = os.pipe()
+                reads.append(read)
+                try:
+                    pids.append(os.fork())
+                    if not pids[-1]:
+                        _child(job, i, write)
+                finally:
+                    os.close(write)
+            except OSError as exc:
+                raise ForkedJobLost(
+                    f"forked job {i} could not start: {exc}") from exc
         try:
             outcomes = [(True, jobs[0]())]
         except Exception as exc:

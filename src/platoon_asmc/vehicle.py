@@ -1,4 +1,4 @@
-"""Differential-drive plant model: parameters, state, and the plant dynamics.
+"""Differential-drive plant model: parameters and the plant dynamics.
 
 `plant_step_for` is the single formulation of the plant: the body
 kinematics, the per-wheel Coulomb + viscous friction scaled by the arena's
@@ -47,17 +47,6 @@ class RobotParams:
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):
                 raise ValueError(f"{name} must be finite and >= 0, got {value}")
-
-
-@dataclass
-class RobotState:
-    """Pose and body velocities. theta is stored unwrapped (accumulates laps)."""
-
-    x: float = 0.0
-    y: float = 0.0
-    theta: float = 0.0
-    v: float = 0.0
-    omega: float = 0.0
 
 
 # The clear box of `plant_step_for`: its half-width B (m); the clearance

@@ -320,6 +320,23 @@ class TestRunCommand:
         assert "Traceback" not in err
         assert len(forks) == 1
 
+    def test_fork_that_fails_is_an_abort(self, tmp_path, capfd, monkeypatch,
+                                         forks):
+        # the system has no process to spare for the second episode: that is
+        # not an output that cannot be written
+        import os
+
+        def no_fork():
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        code = main(["run", "--controller", "both", "--duration", "1",
+                     "--out", str(tmp_path / "x"), "--quiet"])
+        err = capfd.readouterr().err
+        assert code == 3
+        assert err == ("error: kind=abort; message=forked job 1 could not "
+                       "start: [Errno 11] Resource temporarily unavailable\n")
+
     @pytest.mark.parametrize("controller", ["proposed", "both"])
     def test_diverging_plant_is_an_abort(self, tmp_path, capfd, controller):
         # robot 1 starts far from its slot; its state runs off to inf inside

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -16,7 +17,13 @@ from platoon_asmc import (
     run_episode,
 )
 from platoon_asmc.arena import NO_ARENA
-from platoon_asmc.engine import _integrate_robot, default_path_for, lead_start_on
+from platoon_asmc.engine import (
+    ForkedJobLost,
+    _integrate_robot,
+    default_path_for,
+    lead_start_on,
+)
+from platoon_asmc.metrics import compare_reports, report_from_trace
 from platoon_asmc.platoon import build_path, figure_eight_lap, pose_at_arc, tile_lap
 from platoon_asmc.vehicle import plant_step_for
 
@@ -280,6 +287,34 @@ class TestIntegratorQuality:
                            final[1e-3][1][r] - final[5e-4][1][r])
             assert d < 1e-4
 
+    def test_reports_converge_in_the_plant_step(self, cfg):
+        # the shipped scenario over 28 s, gain clamp off: at each coarser
+        # plant step against a 1e-4 s reference, every report RMS moves by at
+        # most 2e-4 m and every improvement by at most 0.5 percentage points,
+        # keeping its sign
+        asmc = dataclasses.replace(cfg.asmc, gain_clamp=None)
+
+        def reports(dt_plant):
+            sim = dataclasses.replace(cfg.sim, duration=28.0, dt_plant=dt_plant)
+            rb, rp = (report_from_trace(
+                run_episode(cfg.robot, cfg.kinematic, asmc, cfg.platoon,
+                            cfg.arena, sim, ctl), cfg.metrics.warmup_cutoff)
+                for ctl in ("baseline", "proposed"))
+            values = [v for r in (rb, rp) for v in r.rms_x + r.rms_y + r.rms_gap]
+            return values, [row.improvement_pct
+                            for row in compare_reports(rb, rp)]
+
+        ref_rms, ref_pct = reports(1e-4)
+        assert len(ref_rms) == 16 and len(ref_pct) == 8
+        for dt_plant in (1e-3, 5e-3, 1e-2):
+            got_rms, got_pct = reports(dt_plant)
+            d_rms = max(abs(a - b) for a, b in zip(got_rms, ref_rms))
+            d_pct = max(abs(a - b) for a, b in zip(got_pct, ref_pct))
+            assert d_rms <= 2e-4, (dt_plant, d_rms)
+            assert d_pct <= 0.5, (dt_plant, d_pct)
+            assert [a > 0 for a in got_pct] == [b > 0 for b in ref_pct], (
+                dt_plant, got_pct, ref_pct)
+
     def test_energy_decays_without_actuation(self):
         # symmetric friction dissipates: kinetic energy is non-increasing
         p = RobotParams()
@@ -400,6 +435,20 @@ def test_abort_with_no_finite_record_reports_no_step(cfg):
     assert diag == {"step": None, "robot": 1}
 
 
+def _second_call_fails(monkeypatch, call, exc):
+    """Make `os.<call>` raise `exc` on its second call."""
+    import os
+
+    real, calls = getattr(os, call), itertools.count(1)
+
+    def fails_second(*args):
+        if next(calls) == 2:
+            raise exc
+        return real(*args)
+
+    monkeypatch.setattr(os, call, fails_second)
+
+
 class TestPipeline:
     """Robot groups in forked processes give the serial trace and abort."""
 
@@ -468,6 +517,52 @@ class TestPipeline:
         for p in (2, 3):
             assert _abort_of(cfg, processes=p, **ABORTS[case](cfg)) == serial
 
+    @pytest.mark.parametrize("control_fails", [True, False])
+    def test_plant_abort_waits_for_the_control_of_its_step(
+            self, cfg, monkeypatch, control_fails):
+        # robot 1's plant fails at step k; robot 3's control, when it fails
+        # at step k too, comes first, although robot 1 runs before it
+        from platoon_asmc import engine
+
+        k = 40
+        sim = dataclasses.replace(cfg.sim, duration=1.0)
+        robots = (RobotParams(), RobotParams(), RobotParams())
+        clean = run_episode(robots, cfg.kinematic, cfg.asmc, cfg.platoon,
+                            cfg.arena, sim, "proposed", processes=1)
+        plant_step_for, split = engine.plant_step_for, engine.wheel_torque_split
+
+        def fails_on_call(n, fn, bad):
+            """fn, except that its n-th call returns `bad`."""
+            calls = itertools.count(1)
+            return lambda *args: bad if next(calls) == n else fn(*args)
+
+        def plant_fails(rp, arena):
+            # built once per robot and episode, in the caller
+            step = plant_step_for(rp, arena)
+            if rp is robots[0]:
+                return fails_on_call(k + 1, step, (math.nan,) * 5)
+            return step
+
+        monkeypatch.setattr(engine, "plant_step_for", plant_fails)
+        for p in (1, 2, 3):
+            if control_fails:
+                # a fresh count per episode; each robot runs in one process
+                third = fails_on_call(k + 1, split, (math.nan, math.nan))
+                monkeypatch.setattr(
+                    engine, "wheel_torque_split",
+                    lambda F, tau, rp: (third if rp is robots[2] else split)(
+                        F, tau, rp))
+            step, _, robot, diag = _abort_of(cfg, robot=robots, sim=sim,
+                                             processes=p)
+            if control_fails:
+                assert (step, robot, diag["step"]) == (k, 2, k - 1)
+            else:
+                assert (step, robot, diag["step"]) == (k, 0, k)
+                assert len(diag["gap_err"]) == 2
+                assert all(map(math.isfinite, diag["gap_err"]))
+                assert diag["gap_err"] == clean.gap_err[k].tolist()
+        assert len(self.forks) == 0 + 1 + 2
+
     def test_child_exception_is_raised_in_the_caller(self, cfg, monkeypatch):
         import os
 
@@ -506,6 +601,23 @@ class TestPipeline:
         with pytest.raises(engine.ForkedJobLost, match="job 1 .* signal 9"):
             run_episode(cfg.robot, cfg.kinematic, cfg.asmc, cfg.platoon,
                         cfg.arena, sim, "proposed", processes=2)
+
+    @pytest.mark.parametrize("call", ["pipe", "fork"])
+    def test_group_that_cannot_start_raises_forked_job_lost(
+            self, cfg, monkeypatch, call):
+        # the second pipe or fork fails with three groups; the first group's
+        # pipe is closed and its child, if forked, is reaped
+        import os
+
+        _second_call_fails(monkeypatch, call, BlockingIOError(
+            11, "Resource temporarily unavailable"))
+        fds = sorted(os.listdir("/proc/self/fd"))
+        sim = dataclasses.replace(cfg.sim, duration=1.0)
+        with pytest.raises(ForkedJobLost, match=r"job 2 could not start: "
+                                                r"\[Errno 11\]"):
+            run_episode(cfg.robot, cfg.kinematic, cfg.asmc, cfg.platoon,
+                        cfg.arena, sim, "proposed", processes=3)
+        assert sorted(os.listdir("/proc/self/fd")) == fds
 
     def test_rejects_bad_process_count(self, cfg):
         for bad in (0, -1, 1.5, True):
@@ -595,6 +707,24 @@ class TestRunForked:
         with pytest.raises(RuntimeError,
                            match="forked job 1 cannot send back <.*lock"):
             run_forked([lambda: None, threading.Lock])
+
+    @pytest.mark.parametrize("call", ["pipe", "fork"])
+    def test_job_that_cannot_start_is_forked_job_lost(self, monkeypatch,
+                                                      call):
+        # job 2's pipe or fork fails: the caller's job never runs, and job
+        # 1's child is killed, not waited for
+        import time
+
+        from platoon_asmc.engine import run_forked
+
+        _second_call_fails(monkeypatch, call, OSError(24, "Too many open files"))
+        ran, start = [], time.monotonic()
+        with pytest.raises(ForkedJobLost,
+                           match=r"job 2 could not start: \[Errno 24\]"):
+            run_forked([lambda: ran.append(0), lambda: time.sleep(30),
+                        lambda: None])
+        assert ran == []
+        assert time.monotonic() - start < 10
 
     def test_child_that_dies_is_forked_job_lost(self):
         import os
