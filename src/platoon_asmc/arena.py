@@ -5,7 +5,7 @@ ratio of the quadrant it is in, and injects localized force/torque
 disturbances inside circular speed-breaker bands. `Arena.pack` flattens both
 into the plain tuples that `vehicle.plant_step_for` binds into a robot's
 plant stepper; `quadrant_of` is the one quadrant rule for the plant and the
-metrics.
+metrics. `require` is the one value rule of every config section.
 """
 
 from __future__ import annotations
@@ -16,6 +16,22 @@ from dataclasses import dataclass
 
 # Packed arena (see `Arena.pack`) with unit friction scales and no breakers.
 NO_ARENA = ((1.0, 1.0, 1.0, 1.0), ())
+
+# What each bound of `require` lets through; every one excludes +-inf and NaN.
+_WITHIN = {"": lambda v: -math.inf < v < math.inf,
+           "> 0": lambda v: 0 < v < math.inf,
+           ">= 0": lambda v: 0 <= v < math.inf}
+
+
+def require(section, names, bound: str = "") -> None:
+    """Raise ValueError for the first of `names`, fields of `section`, that
+    is not finite or breaks `bound` ("> 0" or ">= 0"). Judged by comparison,
+    so that an int past float range is no OverflowError."""
+    for name in names:
+        value = getattr(section, name)
+        if not _WITHIN[bound](value):
+            rule = f" and {bound}" if bound else ""
+            raise ValueError(f"{name} must be finite{rule}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -31,10 +47,7 @@ class SpeedBreaker:
     amp_torque: float = 0.2
 
     def __post_init__(self) -> None:
-        for name in ("x", "y", "half_width", "amp_force", "amp_torque"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+        require(self, ("x", "y", "half_width", "amp_force", "amp_torque"))
         if not self.half_width > 0:
             raise ValueError(f"half_width must be > 0, got {self.half_width}")
         try:

@@ -6,8 +6,8 @@ traces, reports, the plotspec and the effective-config echo into the output
 directory. The episodes run at once (`engine.run_forked`); each writes its
 trace and returns its RMS report. Errors come back as a single
 machine-parseable line on stderr with a nonzero exit code: a bad config or
-an output that cannot be written is exit 2; an aborted episode, or one
-whose forked process could not start or was lost, exit 3.
+an output that cannot be written is exit 2; an episode that aborts, runs
+out of memory, or whose forked process could not start or was lost, exit 3.
 """
 
 from __future__ import annotations
@@ -31,8 +31,8 @@ from .config import (
     from_dict,
     load_config,
 )
-from .engine import (CONTROLLERS, EpisodeAborted, ForkedJobLost, _can_fork,
-                     lead_start_on, run_episode, run_forked, usable_cores)
+from .engine import (CONTROLLERS, EpisodeAborted, ForkedJobLost, lead_start_on,
+                     run_episode, run_forked, usable_cores)
 from .platoon import Path, load_path_xy
 
 OUT_ENV_VAR = "PLATOON_ASMC_OUT"
@@ -125,8 +125,7 @@ def run_command(args: argparse.Namespace) -> int:
         jobs = [functools.partial(_episode_job, cfg, c,
                                   str(out_dir / f"trace_{c}.csv"), path,
                                   processes) for c in controllers]
-        reports = dict(zip(controllers, run_forked(jobs) if _can_fork()
-                           else [job() for job in jobs]))
+        reports = dict(zip(controllers, run_forked(jobs)))
 
         mx.write_plotspec(out_dir / "plotspec.txt", cfg.platoon.n_robots)
         # baseline first, as `compare_reports` takes them
@@ -142,8 +141,8 @@ def run_command(args: argparse.Namespace) -> int:
     except EpisodeAborted as exc:
         return _fail("abort", f"step={exc.step}; t={exc.t:.3f}; "
                               f"robot={exc.robot + 1}; last_record={exc.diagnostic}")
-    except (ReportNotFinite, ForkedJobLost) as exc:
-        return _fail("abort", str(exc))
+    except (ReportNotFinite, ForkedJobLost, MemoryError) as exc:
+        return _fail("abort", str(exc) or "out of memory")
 
     say(text)
     say(f"artifacts written to {out_dir}/")

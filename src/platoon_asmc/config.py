@@ -25,13 +25,12 @@ import dataclasses
 import functools
 import hashlib
 import json
-import math
 import os
 import types
 import typing
 from dataclasses import dataclass, field
 
-from .arena import Arena, SpeedBreaker
+from .arena import Arena, SpeedBreaker, require
 from .control import AsmcConfig, KinematicGains
 from .engine import CONTROLLERS, PER_ROBOT_FIELDS, SimConfig, check_sections
 from .platoon import DEFAULT_SPACING, PlatoonConfig
@@ -50,9 +49,7 @@ class MetricsConfig:
     warmup_cutoff: float = 0.0
 
     def __post_init__(self) -> None:
-        if not 0 <= self.warmup_cutoff < math.inf:
-            raise ValueError(
-                f"warmup_cutoff must be finite and >= 0, got {self.warmup_cutoff}")
+        require(self, ("warmup_cutoff",), ">= 0")
 
 
 @dataclass(frozen=True)

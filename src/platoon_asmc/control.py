@@ -17,6 +17,8 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
+from .arena import require
+
 
 def wrap_angle(a: float) -> float:
     """Wrap an angle to (-pi, pi]."""
@@ -35,10 +37,7 @@ class KinematicGains:
     k3: float = 2.0
 
     def __post_init__(self) -> None:
-        for name in ("k1", "k2", "k3"):
-            value = getattr(self, name)
-            if not 0 < value < math.inf:
-                raise ValueError(f"{name} must be finite and > 0, got {value}")
+        require(self, ("k1", "k2", "k3"), "> 0")
 
 
 # The per-step values are NamedTuples, built once per robot-step and read
@@ -89,15 +88,9 @@ class AsmcConfig:
     gain_clamp: float | None = 1e4
 
     def __post_init__(self) -> None:
-        positive = (
-            "phi_v", "phi_w", "Lambda_v", "Lambda_w",
-            "alpha_v0", "alpha_v1", "alpha_w2", "alpha_w0", "alpha_w1", "alpha_v2",
-            "epsilon_bl", "k_init",
-        )
-        for name in positive:
-            value = getattr(self, name)
-            if not 0 < value < math.inf:
-                raise ValueError(f"{name} must be finite and > 0, got {value}")
+        require(self, ("phi_v", "phi_w", "Lambda_v", "Lambda_w", "alpha_v0",
+                       "alpha_v1", "alpha_w2", "alpha_w0", "alpha_w1",
+                       "alpha_v2", "epsilon_bl", "k_init"), "> 0")
         if self.gain_clamp is not None and not 0 < self.gain_clamp < math.inf:
             raise ValueError(
                 f"gain_clamp must be finite and > 0 or null, got {self.gain_clamp}")

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import control as ctl
-from .arena import Arena
+from .arena import Arena, require
 from .control import AdaptiveState, AsmcConfig, KinematicGains, VelocityReference
 from .platoon import (
     Path,
@@ -93,10 +93,7 @@ class SimConfig:
     seed: int | None = None
 
     def __post_init__(self) -> None:
-        for name in ("dt_plant", "control_period"):
-            value = getattr(self, name)
-            if not 0 < value < math.inf:
-                raise ValueError(f"{name} must be finite and > 0, got {value}")
+        require(self, ("dt_plant", "control_period"), "> 0")
         if self.dt_plant > self.control_period:
             raise ValueError(
                 f"dt_plant {self.dt_plant} exceeds control_period {self.control_period}")
@@ -104,9 +101,7 @@ class SimConfig:
             raise ValueError(
                 f"control_period {self.control_period} is not an integer multiple "
                 f"of dt_plant {self.dt_plant}")
-        if not 0 <= self.duration < math.inf:
-            raise ValueError(
-                f"duration must be finite and >= 0, got {self.duration}")
+        require(self, ("duration",), ">= 0")
         # n_periods() rounds; a run must not silently change its length
         if not _whole_multiple(self.duration, self.control_period):
             raise ValueError(
@@ -308,7 +303,8 @@ def run_episode(
     each follower targets its predecessor's same-period path index. Raises
     EpisodeAborted with a diagnostic record if any state or command goes
     non-finite, or so large that the plant or controller's math.* calls
-    raise ValueError or OverflowError.
+    raise ValueError or OverflowError, and MemoryError if its record buffers
+    cannot be mapped.
 
     `processes` caps the number of robot groups run as a pipeline, one
     process each (default: the usable cores); the trace and any
@@ -355,8 +351,11 @@ def run_episode(
 
     # the records and the markers, which a pipeline shares with its children
     n_rows = n_rec * R
-    buf = mmap.mmap(-1, n_rows * _ROW.size)
-    log = mmap.mmap(-1, 8 * n_rows)
+    try:
+        buf = mmap.mmap(-1, n_rows * _ROW.size)
+        log = mmap.mmap(-1, 8 * n_rows)
+    except OSError as exc:
+        raise MemoryError(f"no memory for the episode's records: {exc}") from exc
     rec = np.frombuffer(buf, np.float64).reshape(n_rec, R, len(PER_ROBOT_FIELDS))
     marks = np.frombuffer(log, np.int64).reshape(n_rec, R)
     ep = _Episode(
@@ -584,7 +583,9 @@ def run_forked(jobs: list) -> list:
     ForkedJobLost for a child that sent back nothing. A job whose pipe or
     fork fails raises ForkedJobLost at once, and a KeyboardInterrupt here
     propagates; both kill the children already started. No child outlives
-    the call."""
+    the call. Where the process may not fork, the jobs run here in turn."""
+    if not _can_fork():
+        return [job() for job in jobs]
     pids, reads = [], []
     try:
         for i, job in enumerate(jobs[1:], 1):

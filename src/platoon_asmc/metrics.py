@@ -10,7 +10,6 @@ round-trips exactly.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -196,33 +195,29 @@ def export_trace(trace: Trace, path) -> None:
 
 def load_trace(path) -> Trace:
     """Read a trace CSV written by `export_trace` back into a Trace whose
-    arrays are views into the one parsed buffer. The CSV holds no labels, so
-    its controller and scenario are empty."""
+    arrays are views into the one array numpy's reader parses. The CSV holds
+    no labels, so its controller and scenario are empty."""
+    n_fields = len(PER_ROBOT_FIELDS)
     with open(path) as fh:
         header = fh.readline().strip().split(",")
-        n_robots = sum(1 for c in header
-                       if c.endswith("_x") and not c.endswith("_e_x"))
+        n_robots = len(header) // (n_fields + 1)
         if header != csv_header(n_robots):
             raise ValueError(
                 f"{path}: header does not match the trace column contract")
-        width = len(header)
-        values = array("d")
-        for line in fh:
-            if not line.strip():
-                continue
-            row = line.rstrip("\n").split(",")
-            if len(row) != width:
-                raise ValueError(f"{path}: malformed trace rows")
-            values.extend(map(float, row))
-    if not values:
-        raise ValueError(f"{path}: malformed trace rows")
-    raw = np.frombuffer(values, dtype=float).reshape(-1, width)
-    n_fields = len(PER_ROBOT_FIELDS)
+        start = fh.tell()
+        try:
+            if not fh.readline().strip():  # numpy warns on a file with no rows
+                raise ValueError("no first row")
+            fh.seek(start)
+            raw = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+            if raw.shape[1] != len(header):
+                raise ValueError(f"rows of {raw.shape[1]} columns")
+        except ValueError as exc:
+            raise ValueError(f"{path}: malformed trace rows") from exc
     gap_start = 1 + n_robots * n_fields
-    t = raw[:, 0]
     rec = raw[:, 1:gap_start].reshape(len(raw), n_robots, n_fields)
-    return Trace(controller="", scenario="", n_robots=n_robots, t=t, rec=rec,
-                 gap_err=raw[:, gap_start:])
+    return Trace(controller="", scenario="", n_robots=n_robots, t=raw[:, 0],
+                 rec=rec, gap_err=raw[:, gap_start:])
 
 
 def write_plotspec(path, n_robots: int) -> None:

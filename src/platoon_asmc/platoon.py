@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .arena import require
 from .control import VelocityReference
 
 DEFAULT_SPACING = 0.05
@@ -192,10 +193,7 @@ class PlatoonConfig:
     def __post_init__(self) -> None:
         if self.n_robots < 1:
             raise ValueError(f"n_robots must be >= 1, got {self.n_robots}")
-        if not 0 < self.gap_des < math.inf:
-            raise ValueError(f"gap_des must be finite and > 0, got {self.gap_des}")
-        if not 0 < self.v_d < math.inf:
-            raise ValueError(f"v_d must be finite and > 0, got {self.v_d}")
+        require(self, ("gap_des", "v_d"), "> 0")
         if self.start_poses is not None and len(self.start_poses) != self.n_robots:
             raise ValueError(
                 f"start_poses has {len(self.start_poses)} entries for "

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .arena import quadrant_of
+from .arena import quadrant_of, require
 
 # Width of the smoothed Coulomb sign, m/s. Keeps the plant right-hand side
 # Lipschitz so the fixed-step integrator behaves near wheel reversal.
@@ -39,14 +39,8 @@ class RobotParams:
     f_cl: float = 0.6
 
     def __post_init__(self) -> None:
-        for name in ("m", "J", "R", "L"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and > 0, got {value}")
-        for name in ("f_kr", "f_kl", "f_cr", "f_cl"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ValueError(f"{name} must be finite and >= 0, got {value}")
+        require(self, ("m", "J", "R", "L"), "> 0")
+        require(self, ("f_kr", "f_kl", "f_cr", "f_cl"), ">= 0")
 
 
 # The clear box of `plant_step_for`: its half-width B (m); the clearance

@@ -338,6 +338,46 @@ class TestRunCommand:
                        "start: [Errno 11] Resource temporarily unavailable\n")
 
     @pytest.mark.parametrize("controller", ["proposed", "both"])
+    def test_episode_out_of_memory_is_an_abort(self, tmp_path, capfd,
+                                               monkeypatch, forks, controller):
+        # the proposed episode's record buffers cannot be mapped, or under
+        # `both` those of the baseline episode, in the forked child
+        import errno
+        import mmap
+        import os
+
+        caller, real = os.getpid(), mmap.mmap
+
+        def no_memory(*args):
+            if controller == "proposed" or os.getpid() != caller:
+                raise OSError(errno.ENOMEM, os.strerror(errno.ENOMEM))
+            return real(*args)
+
+        monkeypatch.setattr(mmap, "mmap", no_memory)
+        code = main(["run", "--controller", controller, "--duration", "1",
+                     "--out", str(tmp_path / "x"), "--quiet"])
+        err = capfd.readouterr().err
+        assert code == 3
+        assert err == ("error: kind=abort; message=no memory for the "
+                       "episode's records: [Errno 12] Cannot allocate memory\n")
+        assert len(forks) == (controller == "both")
+
+    def test_memory_error_without_a_message_is_an_abort(self, tmp_path,
+                                                        capsys, monkeypatch):
+        # as numpy or the interpreter may raise it inside an episode's job
+        from platoon_asmc import cli
+
+        def no_memory(*_):
+            raise MemoryError()
+
+        monkeypatch.setattr(cli.mx, "report_from_trace", no_memory)
+        code = main(["run", "--controller", "proposed", "--duration", "1",
+                     "--out", str(tmp_path / "x"), "--quiet"])
+        assert code == 3
+        assert capsys.readouterr().err == \
+            "error: kind=abort; message=out of memory\n"
+
+    @pytest.mark.parametrize("controller", ["proposed", "both"])
     def test_diverging_plant_is_an_abort(self, tmp_path, capfd, controller):
         # robot 1 starts far from its slot; its state runs off to inf inside
         # an RK4 substep, where math.cos raises instead of returning NaN
@@ -466,6 +506,19 @@ class TestRunCommand:
                                                  value):
         assert_one_validation_error(tmp_path, capfd, keys, value)
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--dt", "0"], "dt_plant must be finite and > 0, got 0.0"),
+        (["--dt", "0.003"], "control_period 0.01 is not an integer multiple "
+                            "of dt_plant 0.003"),
+        (["--dt", "0.02"], "dt_plant 0.02 exceeds control_period 0.01"),
+        (["--duration", "-1"], "duration must be finite and >= 0, got -1.0"),
+    ], ids=["dt_zero", "dt_off_grid", "dt_past_period", "duration_negative"])
+    def test_bad_flag_is_rejected_by_validation(self, tmp_path, capfd, flags,
+                                                message):
+        config = write_config(tmp_path, tiny_config())
+        err = assert_rejected(tmp_path, capfd, config, *flags)
+        assert err == f"error: kind=validation; message=[sim] {message}\n"
+
     @pytest.mark.parametrize("course", [
         None,
         "0.0 0.0\n1.0 x\n",
@@ -497,12 +550,12 @@ def assert_one_validation_error(tmp_path, capfd, keys, value):
     assert_rejected(tmp_path, capfd, write_config(tmp_path, doc))
 
 
-def assert_rejected(tmp_path, capfd, config):
-    """Check that a run of the config file ends with exit 2 and exactly one
-    `error: kind=validation` line, no traceback, and before any output is
-    written; return the line."""
+def assert_rejected(tmp_path, capfd, config, *flags):
+    """Check that a run of the config file, with any extra flags, ends with
+    exit 2 and exactly one `error: kind=validation` line, no traceback, and
+    before any output is written; return the line."""
     code = main(["run", "--config", str(config), "--out", str(tmp_path / "x"),
-                 "--quiet"])
+                 "--quiet", *flags])
     err = capfd.readouterr().err
     assert code == 2
     assert err.startswith("error: kind=validation")
@@ -533,6 +586,21 @@ def test_run_forks_one_child_per_episode_after_the_first(tmp_path, forks,
     assert main(["run", "--controller", controller, "--duration", "1",
                  "--out", str(tmp_path), "--quiet"]) == 0
     assert len(forks) == children
+
+
+def test_run_where_it_may_not_fork_runs_the_episodes_in_turn(
+        tmp_path, forks, monkeypatch):
+    from platoon_asmc import engine
+
+    run = ["run", "--controller", "both", "--duration", "1", "--quiet"]
+    assert main([*run, "--out", str(tmp_path / "forked")]) == 0
+    assert len(forks) == 1
+    monkeypatch.setattr(engine, "_can_fork", lambda: False)
+    assert main([*run, "--out", str(tmp_path / "in_turn")]) == 0
+    assert len(forks) == 1
+    for name in ("trace_proposed.csv", "trace_baseline.csv"):
+        assert (tmp_path / "in_turn" / name).read_bytes() == \
+            (tmp_path / "forked" / name).read_bytes()
 
 
 def test_default_scenario_trace_bytes_are_pinned(tmp_path):

@@ -112,7 +112,29 @@ def test_edited_document_validates_or_raises_config_error(doc):
     ({"robot": [{}, {}]}, "[robot] 2 parameter sets for 3 robots"),
     ({"controller": "x"}, "[controller] must be one of "
                           "('proposed', 'baseline', 'both'), got 'x'"),
-], ids=["robot_list", "breaker", "robot_count", "controller"])
+    # one row per section rule written with `arena.require`
+    ({"kinematic": {"k1": -1}},
+     "[kinematic] k1 must be finite and > 0, got -1.0"),
+    ({"asmc": {"alpha_v2": 0}},
+     "[asmc] alpha_v2 must be finite and > 0, got 0.0"),
+    ({"robot": {"f_kr": -0.5}},
+     "[robot] f_kr must be finite and >= 0, got -0.5"),
+    ({"sim": {"control_period": math.inf}},
+     "[sim] control_period must be finite and > 0, got inf"),
+    ({"sim": {"duration": -1}},
+     "[sim] duration must be finite and >= 0, got -1.0"),
+    ({"platoon": {"gap_des": 0}},
+     "[platoon] gap_des must be finite and > 0, got 0.0"),
+    ({"platoon": {"v_d": math.nan}},
+     "[platoon] v_d must be finite and > 0, got nan"),
+    ({"metrics": {"warmup_cutoff": -2.5}},
+     "[metrics] warmup_cutoff must be finite and >= 0, got -2.5"),
+    ({"arena": {"speed_breakers": [{"x": 0, "y": 0, "half_width": 1,
+                                    "amp_torque": math.inf}]}},
+     "[arena.speed_breakers[0]] amp_torque must be finite, got inf"),
+], ids=["robot_list", "breaker", "robot_count", "controller", "kinematic",
+        "asmc", "robot_friction", "sim_step", "sim_duration", "platoon_gap",
+        "platoon_speed", "metrics", "breaker_amplitude"])
 def test_error_names_the_field_once(doc, message):
     with pytest.raises(ConfigError) as exc:
         from_dict(doc).validate()

@@ -699,6 +699,25 @@ class TestRunForked:
         with pytest.raises(KeyError, match="first"):
             run_forked(jobs)
 
+    def test_jobs_run_in_turn_where_the_process_may_not_fork(self,
+                                                            monkeypatch):
+        import os
+
+        from platoon_asmc import engine
+
+        def fails():
+            raise KeyError("first")
+
+        ran = []
+        monkeypatch.setattr(engine, "_can_fork", lambda: False)
+        assert engine.run_forked([lambda i=i: ran.append((i, os.getpid()))
+                                  for i in range(3)]) == [None] * 3
+        assert ran == [(i, os.getpid()) for i in range(3)]
+        # the first failure propagates, and no later job runs
+        with pytest.raises(KeyError, match="first"):
+            engine.run_forked([fails, lambda: ran.append("late")])
+        assert ran[-1] == (2, os.getpid())
+
     def test_result_that_cannot_be_pickled_is_named(self):
         import threading
 

@@ -31,6 +31,12 @@ AMPLITUDES = st.sampled_from((2.0, 1e300, 1.7e308)) | st.floats(0.0, 1.7e308)
 # a band's half-width: 1e300 squares to an overflow in `Arena.pack`
 WIDTHS = st.sampled_from((0.0, 1e-3, 20.0, 1e6, 1e154, 1e300, math.inf)) | \
     st.floats(-1.0, 50.0)
+# plant steps: 3e-3 is off the 10 ms control grid, 2e-2 past it, and a
+# subnormal step makes the ratio of the two overflow
+DT_PLANTS = (1e-2, 5e-3, 2e-3, 1e-3, 3e-3, 2e-2, 0.0, -1e-3, 5e-324)
+# control periods: at 0.2 s the adaptive leakage is too fast, and a duration
+# of odd hundredths is off a 2e-2 grid
+CONTROL_PERIODS = (5e-3, 1e-2, 2e-2, 0.2)
 # wheel radius and half-track: 1e308 and a subnormal 1e-310 overflow the
 # split of a finite wrench into wheel torques
 ROBOT_SIZES = st.sampled_from((1e-310, 1e-6, 1e-3, 1.0, 1e3, 1e308))
@@ -75,8 +81,9 @@ def episodes(draw):
     with one or two edits: the robot count, start poses, cruise speed, a
     gain, the gain cap, the desired gap, the heading mode, a speed breaker,
     the seed with a breaker's amplitude and width, the wheel radius or
-    half-track, the output directory (relative, maybe with a NUL byte) or
-    the course; and the text of the course file, or None."""
+    half-track, the plant step, the control period, the output directory
+    (relative, maybe with a NUL byte) or the course; and the text of the
+    course file, or None."""
     doc = default_config().to_dict()
     course = None
     doc["sim"]["duration"] = draw(st.integers(5, 50)) / 100
@@ -87,7 +94,8 @@ def episodes(draw):
         edit = draw(st.sampled_from(("n_robots", "start_poses", "v_d", "gain",
                                      "gain_clamp", "gap_des",
                                      "follower_heading", "breaker", "seed",
-                                     "robot", "output_dir", "path_file")))
+                                     "robot", "dt_plant", "control_period",
+                                     "output_dir", "path_file")))
         if edit == "n_robots":
             platoon["n_robots"] = draw(st.integers(1, 5))
         elif edit == "start_poses":
@@ -122,6 +130,11 @@ def episodes(draw):
         elif edit == "robot":
             doc["robot"][draw(st.sampled_from(("R", "L")))] = \
                 draw(ROBOT_SIZES)
+        elif edit == "dt_plant":
+            doc["sim"]["dt_plant"] = draw(st.sampled_from(DT_PLANTS))
+        elif edit == "control_period":
+            doc["sim"]["control_period"] = draw(
+                st.sampled_from(CONTROL_PERIODS))
         elif edit == "output_dir":
             doc["output_dir"] = draw(st.text("o\0", min_size=1, max_size=3))
         else:

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -166,15 +167,24 @@ class TestTraceCsv:
         with pytest.raises(OSError, match="missing_dir"):
             export_trace(short_traces["proposed"], target)
 
-    @pytest.mark.parametrize("drop", [1, None], ids=["short_row", "no_rows"])
-    def test_load_rejects_malformed_rows(self, short_traces, tmp_path, drop):
+    @pytest.mark.parametrize("body", [
+        lambda rows: [rows[0].rsplit(",", 1)[0]],
+        lambda rows: [],
+        lambda rows: ["", " "],
+        lambda rows: [rows[0], " ", rows[1]],
+        lambda rows: [rows[0], rows[1] + ","],
+    ], ids=["short_row", "no_rows", "blank_lines_only", "whitespace_line",
+            "long_row"])
+    def test_load_rejects_malformed_rows(self, short_traces, tmp_path, body):
         f = tmp_path / "t.csv"
         export_trace(short_traces["proposed"], f)
-        lines = f.read_text().splitlines()
-        body = [lines[1].rsplit(",", drop)[0]] if drop else []
-        f.write_text("\n".join([lines[0], *body]) + "\n")
-        with pytest.raises(ValueError, match="malformed"):
-            load_trace(f)
+        header, *rows = f.read_text().splitlines()
+        f.write_text("\n".join([header, *body(rows)]) + "\n")
+        # numpy's reader warns on a file with no rows; none may escape
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="malformed"):
+                load_trace(f)
 
     def test_load_rejects_foreign_header(self, tmp_path):
         f = tmp_path / "t.csv"
