@@ -5,31 +5,36 @@ ratio of the quadrant it is in, and injects localized force/torque
 disturbances inside circular speed-breaker bands. `Arena.pack` flattens both
 into the plain tuples that `vehicle.plant_step_for` binds into a robot's
 plant stepper; `quadrant_of` is the one quadrant rule for the plant and the
-metrics. `require` is the one value rule of every config section.
+metrics. `require` is the one value rule of every config section, and
+`finite` its meaning of finite.
 """
 
 from __future__ import annotations
 
-import math
 import random
+import sys
 from dataclasses import dataclass
 
 # Packed arena (see `Arena.pack`) with unit friction scales and no breakers.
 NO_ARENA = ((1.0, 1.0, 1.0, 1.0), ())
 
-# What each bound of `require` lets through; every one excludes +-inf and NaN.
-_WITHIN = {"": lambda v: -math.inf < v < math.inf,
-           "> 0": lambda v: 0 < v < math.inf,
-           ">= 0": lambda v: 0 <= v < math.inf}
+# What each bound of `require` lets through besides finite values.
+_WITHIN = {"": lambda v: True, "> 0": lambda v: v > 0, ">= 0": lambda v: v >= 0}
+
+
+def finite(v) -> bool:
+    """Whether v is within float range: not +-inf, NaN, or an int past the
+    largest float. Judged by comparison, so that such an int is no
+    OverflowError."""
+    return -sys.float_info.max <= v <= sys.float_info.max
 
 
 def require(section, names, bound: str = "") -> None:
     """Raise ValueError for the first of `names`, fields of `section`, that
-    is not finite or breaks `bound` ("> 0" or ">= 0"). Judged by comparison,
-    so that an int past float range is no OverflowError."""
+    is not `finite` or breaks `bound` ("> 0" or ">= 0")."""
     for name in names:
         value = getattr(section, name)
-        if not _WITHIN[bound](value):
+        if not (finite(value) and _WITHIN[bound](value)):
             rule = f" and {bound}" if bound else ""
             raise ValueError(f"{name} must be finite{rule}, got {value}")
 
@@ -72,10 +77,10 @@ class Arena:
         if len(self.quadrant_mu) != 4:
             raise ValueError(f"quadrant_mu needs 4 values, got {len(self.quadrant_mu)}")
         for i, mu in enumerate(self.quadrant_mu, start=1):
-            if not (math.isfinite(mu) and mu > 0):
+            if not (finite(mu) and mu > 0):
                 raise ValueError(
                     f"quadrant_mu[{i}] must be finite and > 0, got {mu}")
-            if not math.isfinite(mu / self.quadrant_mu[0]):  # as `pack` scales
+            if not finite(mu / self.quadrant_mu[0]):  # as `pack` scales
                 raise ValueError(
                     f"quadrant_mu[{i}] / quadrant_mu[1] must be finite, got "
                     f"{mu} / {self.quadrant_mu[0]}")

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .arena import require
+from .arena import finite, require
 
 
 def wrap_angle(a: float) -> float:
@@ -91,7 +91,8 @@ class AsmcConfig:
         require(self, ("phi_v", "phi_w", "Lambda_v", "Lambda_w", "alpha_v0",
                        "alpha_v1", "alpha_w2", "alpha_w0", "alpha_w1",
                        "alpha_v2", "epsilon_bl", "k_init"), "> 0")
-        if self.gain_clamp is not None and not 0 < self.gain_clamp < math.inf:
+        if self.gain_clamp is not None and not (finite(self.gain_clamp)
+                                                and self.gain_clamp > 0):
             raise ValueError(
                 f"gain_clamp must be finite and > 0 or null, got {self.gain_clamp}")
         if self.gain_clamp is not None and self.k_init > self.gain_clamp:

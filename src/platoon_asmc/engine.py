@@ -116,8 +116,8 @@ class SimConfig:
 
 
 class EpisodeAborted(RuntimeError):
-    """Raised when a state or command goes non-finite; carries a diagnostic
-    record of the last finite step."""
+    """Raised when a robot's command goes non-finite or its control raises;
+    carries a diagnostic record of the robot's last finite step."""
 
     def __init__(self, step: int, t: float, robot: int, diagnostic: dict):
         self.step = step
@@ -301,10 +301,11 @@ def run_episode(
     `robot` is either one parameter set shared by the platoon or one per
     robot. Per control period the robots are updated strictly lead-to-tail so
     each follower targets its predecessor's same-period path index. Raises
-    EpisodeAborted with a diagnostic record if any state or command goes
-    non-finite, or so large that the plant or controller's math.* calls
-    raise ValueError or OverflowError, and MemoryError if its record buffers
-    cannot be mapped.
+    EpisodeAborted with a diagnostic record at the first robot-step, in step
+    order and then platoon order, whose wrench (F, tau, tau_r, tau_l) is not
+    finite or whose control's math.* calls raise ValueError or OverflowError;
+    a plant state that runs off does so at the robot's next step. Raises
+    MemoryError if its record buffers cannot be mapped.
 
     `processes` caps the number of robot groups run as a pipeline, one
     process each (default: the usable cores); the trace and any
@@ -370,9 +371,9 @@ def run_episode(
     with np.errstate(over="ignore"):
         aborts = [a for a in _run_pipeline(ep, bounds) if a is not None]
     if aborts:
-        k, phase, r = min(aborts)
+        k, r = min(aborts)
         raise EpisodeAborted(k, k * cp, r, _diagnostic(
-            rec, marks, path, platoon.gap_des, k, phase, r))
+            rec, marks, path, platoon.gap_des, k, r))
     return Trace(controller=controller, scenario=scenario_label, n_robots=R,
                  t=np.arange(n_rec) * cp, rec=rec,
                  gap_err=_gap_errors(path, marks, platoon.gap_des))
@@ -411,7 +412,7 @@ class _Episode:
 
 
 def _run_group(ep: _Episode, lo: int, hi: int, recv_fd: int | None,
-               send_fd: int | None) -> tuple[int, tuple[int, int, int] | None]:
+               send_fd: int | None) -> tuple[int, tuple[int, int] | None]:
     """Run robots lo..hi-1 as one group of the pipeline, per step each in
     turn from projection to plant; return how many steps of their records
     are complete, and the group's abort or None.
@@ -419,12 +420,10 @@ def _run_group(ep: _Episode, lo: int, hi: int, recv_fd: int | None,
     Every PROGRESS_CHUNK steps the group writes that count to the next group
     (`send_fd`). It takes robot lo's predecessor (at lo > 0) from the group
     before, waiting on `recv_fd` until the step is published. A group stops
-    at its first abort, which it returns as (step, phase, robot) with the
-    control as phase 0 and the plant as phase 1, a plant abort only after
-    the later robots' control at its step, which comes first; where the
-    group before stopped short; and once the next group has stopped reading,
-    which it does only past an abort that comes before any step this one
-    has left.
+    at its first abort, the first robot-step whose control raises or whose
+    wrench is not finite, which it returns as (step, robot); where the group
+    before stopped short; and once the next group has stopped reading, which
+    it does only past an abort that comes before any step this one has left.
     """
     path, robots, states, markers = ep.path, ep.robots, ep.states, ep.markers
     adaptives, kin, asmc, proposed = ep.adaptives, ep.kin, ep.asmc, ep.proposed
@@ -448,7 +447,6 @@ def _run_group(ep: _Episode, lo: int, hi: int, recv_fd: int | None,
         t = k * cp
         lead_arc = lead_start_arc + v_d * t
         base = k * R
-        lost = None  # the group's first plant failure at step k
         for r in range(lo, hi):
             x, y, th, v, w = states[r]
             markers[r] = m = nearest_index_unguarded(path, x, y, markers[r])
@@ -483,7 +481,7 @@ def _run_group(ep: _Episode, lo: int, hi: int, recv_fd: int | None,
                     ctl.adapt_gains_baseline(ad, sv, asmc, cp)
             except (ValueError, OverflowError):
                 # math.* rejects an angle or gain that has run off
-                return k, (k, 0, r)
+                return k, (k, r)
             tau_r, tau_l = wheel_torque_split(F, tau, robots[r])
 
             pack_row(buf, (base + r) * row_size,
@@ -492,23 +490,15 @@ def _run_group(ep: _Episode, lo: int, hi: int, recv_fd: int | None,
 
             if not (isfinite(F) and isfinite(tau) and isfinite(tau_r)
                     and isfinite(tau_l)):
-                return k, (k, 0, r)
-            if k == N or lost:
-                continue
-            try:
-                state = _integrate_robot(x, y, th, v, w, F, tau, n_sub, h,
-                                         plants[r])
-                finite = all(map(isfinite, state))
-            except (ValueError, OverflowError):
-                # the state ran off inside a substep, where math.cos(inf) raises
-                finite = False
-            if finite:
-                states[r] = state
-            else:
-                lost = (k, 1, r)
-        if lost:
-            # step k's records are complete: downstream control at k runs
-            return k + 1, lost
+                return k, (k, r)
+            if k < N:
+                try:
+                    states[r] = _integrate_robot(x, y, th, v, w, F, tau, n_sub,
+                                                 h, plants[r])
+                except (ValueError, OverflowError):
+                    # the state ran off inside a substep, where math.cos(inf)
+                    # raises; the robot's next command is then not finite
+                    states[r] = (math.nan,) * 5
     return N + 1, None
 
 
@@ -650,12 +640,11 @@ def _child(job, i: int, result: int) -> None:
 
 
 def _diagnostic(rec: np.ndarray, marks: np.ndarray, path: Path,
-                gap_des: float, k: int, phase: int, r: int) -> dict:
+                gap_des: float, k: int, r: int) -> dict:
     """Snapshot of the aborting robot's last fully finite record before the
-    abort at step k, with that step's gap errors. Step k itself counts only
-    after a plant-phase abort: a control-phase abort leaves step k's records
-    incomplete."""
-    j = k if phase else k - 1
+    abort at step k, whose records are incomplete, with that step's gap
+    errors."""
+    j = k - 1
     while j >= 0 and not np.isfinite(rec[j, r]).all():
         j -= 1
     if j < 0:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arena import require
+from .arena import finite, require
 from .control import VelocityReference
 
 DEFAULT_SPACING = 0.05
@@ -199,7 +199,7 @@ class PlatoonConfig:
                 f"start_poses has {len(self.start_poses)} entries for "
                 f"{self.n_robots} robots")
         for i, pose in enumerate(self.start_poses or ()):
-            if not all(map(math.isfinite, pose)):
+            if not all(map(finite, pose)):
                 raise ValueError(f"start_poses[{i}] must be finite, got {pose}")
         if self.follower_heading not in FOLLOWER_HEADING_MODES:
             raise ValueError(

@@ -268,6 +268,20 @@ class TestRunCommand:
         theta_col = header.index("r1_theta")
         assert all(abs(float(r.split(",")[theta_col])) < 0.2 for r in rows[1:])
 
+    def test_subnormal_course_spacing_runs(self, tmp_path, capfd):
+        # 20 m over the 1e-320 m spacing overflows the start search window's
+        # ratio, which the engine caps, and no warning escapes
+        course = tmp_path / "course.txt"
+        course.write_text("0 0\n1e-320 0\n")
+        doc = tiny_config(path_file=str(course),
+                          **{"platoon.n_robots": 1, "sim.duration": 0})
+        p = write_config(tmp_path, doc)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["run", "--config", str(p), "--out",
+                         str(tmp_path / "x"), "--quiet"])
+        assert (code, capfd.readouterr().err) == (0, "")
+
     def test_abort_reports_machine_parseable_line(self, tmp_path, capsys):
         doc = tiny_config(**{"asmc.Lambda_v": 1e300})
         p = write_config(tmp_path, doc)
@@ -512,7 +526,10 @@ class TestRunCommand:
                             "of dt_plant 0.003"),
         (["--dt", "0.02"], "dt_plant 0.02 exceeds control_period 0.01"),
         (["--duration", "-1"], "duration must be finite and >= 0, got -1.0"),
-    ], ids=["dt_zero", "dt_off_grid", "dt_past_period", "duration_negative"])
+        (["--duration", "1.005"], "duration 1.005 is not an integer multiple "
+                                  "of control_period 0.01"),
+    ], ids=["dt_zero", "dt_off_grid", "dt_past_period", "duration_negative",
+            "duration_off_grid"])
     def test_bad_flag_is_rejected_by_validation(self, tmp_path, capfd, flags,
                                                 message):
         config = write_config(tmp_path, tiny_config())
@@ -552,10 +569,12 @@ def assert_one_validation_error(tmp_path, capfd, keys, value):
 
 def assert_rejected(tmp_path, capfd, config, *flags):
     """Check that a run of the config file, with any extra flags, ends with
-    exit 2 and exactly one `error: kind=validation` line, no traceback, and
-    before any output is written; return the line."""
-    code = main(["run", "--config", str(config), "--out", str(tmp_path / "x"),
-                 "--quiet", *flags])
+    exit 2 and exactly one `error: kind=validation` line, no traceback or
+    warning, and before any output is written; return the line."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["run", "--config", str(config), "--out",
+                     str(tmp_path / "x"), "--quiet", *flags])
     err = capfd.readouterr().err
     assert code == 2
     assert err.startswith("error: kind=validation")

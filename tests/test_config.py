@@ -12,6 +12,14 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from platoon_asmc import (
+    Arena,
+    AsmcConfig,
+    KinematicGains,
+    PlatoonConfig,
+    RobotParams,
+    SimConfig,
+)
 from platoon_asmc.config import (
     ConfigError,
     MetricsConfig,
@@ -139,6 +147,25 @@ def test_error_names_the_field_once(doc, message):
     with pytest.raises(ConfigError) as exc:
         from_dict(doc).validate()
     assert str(exc.value) == message
+
+
+# An int past float range is not finite, and no OverflowError either. Built
+# in the library, not from a document, which would turn it into a float.
+@pytest.mark.parametrize("build,name", [
+    (lambda: RobotParams(L=10**400), "L"),
+    (lambda: RobotParams(R=10**400), "R"),
+    (lambda: KinematicGains(k1=10**400), "k1"),
+    (lambda: AsmcConfig(gain_clamp=10**400), "gain_clamp"),
+    (lambda: Arena(quadrant_mu=(10**400, 0.1, 0.1, 0.1)), "quadrant_mu[1]"),
+    (lambda: PlatoonConfig(n_robots=1, start_poses=((10**400, 0.0, 0.0),)),
+     "start_poses[0]"),
+    (lambda: SimConfig(duration=10**400), "duration"),
+], ids=["robot_L", "robot_R", "kinematic", "gain_clamp", "quadrant_mu",
+        "start_poses", "duration"])
+def test_int_past_float_range_is_rejected_by_name(build, name):
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert str(exc.value).startswith(f"{name} must be finite")
 
 
 def test_run_config_checks_itself_when_built():

@@ -61,9 +61,9 @@ def _abort_of(cfg, **edits):
 
 
 # The abort cases TestRunEpisode checks, plus: an F of -inf at step 0; a leader
-# whose plant overflows at step 0, after every robot's control ran; and that
-# leader ahead of a follower whose control fails at step 0, which comes
-# first although the leader's group finds its own abort first.
+# whose plant overflows during step 0, which its command at step 1 reports;
+# and that leader ahead of a follower whose control fails at step 0, which
+# comes first.
 ABORTS = {
     "plant_overflow": lambda cfg: dict(
         asmc=dataclasses.replace(cfg.asmc, Lambda_v=1e300),
@@ -518,10 +518,11 @@ class TestPipeline:
             assert _abort_of(cfg, processes=p, **ABORTS[case](cfg)) == serial
 
     @pytest.mark.parametrize("control_fails", [True, False])
-    def test_plant_abort_waits_for_the_control_of_its_step(
+    def test_plant_run_off_aborts_at_the_robots_next_step(
             self, cfg, monkeypatch, control_fails):
-        # robot 1's plant fails at step k; robot 3's control, when it fails
-        # at step k too, comes first, although robot 1 runs before it
+        # robot 1's plant runs off during step k, so its command at step
+        # k + 1 is the abort; robot 3's control, when it fails at step k,
+        # comes first, although robot 1's plant ran off before it
         from platoon_asmc import engine
 
         k = 40
@@ -557,7 +558,8 @@ class TestPipeline:
             if control_fails:
                 assert (step, robot, diag["step"]) == (k, 2, k - 1)
             else:
-                assert (step, robot, diag["step"]) == (k, 0, k)
+                # the last finite record is the step the plant ran off in
+                assert (step, robot, diag["step"]) == (k + 1, 0, k)
                 assert len(diag["gap_err"]) == 2
                 assert all(map(math.isfinite, diag["gap_err"]))
                 assert diag["gap_err"] == clean.gap_err[k].tolist()

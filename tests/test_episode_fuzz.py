@@ -1,10 +1,13 @@
 """Fuzz of whole episodes: short runs of edited default documents end in
 exit 0, or exit 2 or 3 with one `error:` line, and never in a traceback or
 a warning. Where the document validates, the pipelined engine gives the
-serial result, and a run that exits 0 has a finite trace.
+serial result, the scenario reflected in the x-axis gives the mirrored
+trace or the same abort (see `test_mirror.py`), and a run that exits 0 has
+a finite trace.
 """
 
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -17,9 +20,13 @@ import pytest
 from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
+from test_mirror import NEGATED, SWAPPED, mirrored
+
 from platoon_asmc import EpisodeAborted, engine, run_episode
 from platoon_asmc.cli import _load_path, main
 from platoon_asmc.config import ConfigError, default_config, from_dict
+from platoon_asmc.engine import PER_ROBOT_FIELDS, default_path_for, lead_start_on
+from platoon_asmc.platoon import build_path, figure_eight_lap, pose_at_arc, tile_lap
 
 GAINS = [("kinematic", k) for k in ("k1", "k2", "k3")] + [
     ("asmc", k) for k in ("Lambda_v", "Lambda_w", "phi_v", "phi_w",
@@ -164,15 +171,59 @@ SUBNORMAL["sim"]["duration"] = 0.0
 SUBNORMAL["controller"] = "proposed"
 
 
+def _run(cfg, controller, path, processes, lead_start_arc=None):
+    """The trace, or the EpisodeAborted, of one episode of `cfg`."""
+    try:
+        return run_episode(cfg.robot, cfg.kinematic, cfg.asmc, cfg.platoon,
+                           cfg.arena, cfg.sim, controller, path=path,
+                           lead_start_arc=lead_start_arc, processes=processes)
+    except EpisodeAborted as e:
+        return e
+
+
 def _outcome(cfg, controller, path, processes):
     """The trace bytes, or the abort's fields, of one episode of `cfg`."""
-    try:
-        tr = run_episode(cfg.robot, cfg.kinematic, cfg.asmc, cfg.platoon,
-                         cfg.arena, cfg.sim, controller, path=path,
-                         processes=processes)
-    except EpisodeAborted as e:
-        return e.step, e.t, e.robot, e.diagnostic
+    tr = _run(cfg, controller, path, processes)
+    if isinstance(tr, EpisodeAborted):
+        return tr.step, tr.t, tr.robot, tr.diagnostic
     return tr.rec.tobytes(), tr.t.tobytes(), tr.gap_err.tobytes()
+
+
+def _mirrored_outcome(cfg, controller, path):
+    """The outcome of the scenario reflected in the x-axis, told in the
+    frame of the unreflected one: the trace's arrays with NEGATED fields
+    negated and SWAPPED ones swapped back, or the abort's (step, t, robot).
+
+    A string, the reason, where the reflection is not exact: where a
+    reflected tangent is not the negated one (`np.unwrap` rounds a wrapped
+    tangent and its negation apart, and a segment heading exactly pi
+    reflects to pi), or where a robot starts on the negative x-axis (the
+    half-open quadrant rule gives y = 0.0 and its image -0.0 alike to Q2).
+    """
+    platoon = cfg.platoon
+    if path is None:
+        path, start = default_path_for(platoon, cfg.sim)
+        lap_x, lap_y = figure_eight_lap()
+        flipped = tile_lap(lap_x, -lap_y, len(path) // len(lap_x))
+    else:
+        start = lead_start_on(path, platoon, cfg.sim)
+        flipped = build_path(path.cx, -path.cy)
+    if not np.array_equal(flipped.tangent, -path.tangent):
+        return "not mirrored: a reflected tangent is not negated"
+    poses = platoon.start_poses or [
+        pose_at_arc(path, start - r * platoon.gap_des)
+        for r in range(platoon.n_robots)]
+    if any(p[1] == 0 and p[0] < 0 for p in poses):
+        return "not mirrored: a robot starts on the negative x-axis"
+    platoon = dataclasses.replace(platoon, start_poses=platoon.start_poses and
+                                  tuple((x, -y, -th) for x, y, th in poses))
+    cfg = dataclasses.replace(cfg, platoon=platoon, arena=mirrored(cfg.arena))
+    tr = _run(cfg, controller, flipped, 1, start)
+    if isinstance(tr, EpisodeAborted):
+        return tr.step, tr.t, tr.robot
+    rec = np.stack([-tr[name] if name in NEGATED else tr[SWAPPED.get(name, name)]
+                    for name in PER_ROBOT_FIELDS], axis=-1)
+    return rec, tr.t, tr.gap_err
 
 
 @settings(max_examples=150, deadline=None,
@@ -217,6 +268,19 @@ def test_episode_exits_cleanly_and_pipelines_exactly(episode):
         mp.setattr(engine, "MIN_GROUP_ROBOT_STEPS", 1)
         serial = [_outcome(cfg, c, path, 1) for c in controllers]
         assert [_outcome(cfg, c, path, 2) for c in controllers] == serial
+    for c, outcome in zip(controllers, serial):
+        mirror = _mirrored_outcome(cfg, c, path)
+        if isinstance(mirror, str):
+            event(mirror)
+            continue
+        aborted = isinstance(mirror[0], int)
+        assert aborted == (len(outcome) == 4)
+        if aborted:
+            assert mirror == outcome[:3]
+        else:
+            # array_equal, not bytes: -0.0 and 0.0 differ in their bytes
+            for got, bits in zip(mirror, outcome):
+                assert np.array_equal(got.ravel(), np.frombuffer(bits)), c
     if any(len(s) == 4 for s in serial):
         assert code == 3
     elif code == 0:
