@@ -79,8 +79,8 @@ class RunConfig:
         # Bytes of an episode's big arrays: the trace columns and, with no
         # path_file, the tiled default path's five, which reach back over the
         # platoon's length. In floats, so that an absurd run gives inf, not
-        # an overflow (hence also the capped count).
-        sim, n = self.sim, min(self.platoon.n_robots, 2**53)
+        # an overflow.
+        sim, n = self.sim, self.platoon.n_robots
         need = 8 * (sim.duration / sim.control_period + 1) * \
             (len(PER_ROBOT_FIELDS) + 1) * n
         if self.path_file is None:

@@ -44,12 +44,12 @@ from .control import AdaptiveState, AsmcConfig, KinematicGains, VelocityReferenc
 from .platoon import (
     Path,
     PlatoonConfig,
+    build_path,
     figure_eight_lap,
     follower_target,
     nearest_index,
     nearest_index_unguarded,
     pose_at_arc,
-    tile_lap,
 )
 from .vehicle import RobotParams, plant_step_for, wheel_torque_split
 
@@ -197,7 +197,7 @@ def default_path_for(platoon: PlatoonConfig, sim: SimConfig) -> tuple[Path, floa
     behind = max(1, math.ceil((platoon.n_robots - 1) * platoon.gap_des / lap_len))
     need = behind * lap_len + platoon.v_d * sim.duration + lap_len
     laps = max(2 + behind, int(math.ceil(need / lap_len)) + 1)
-    path = tile_lap(lap_x, lap_y, laps)
+    path = build_path(np.tile(lap_x, laps), np.tile(lap_y, laps))
     return path, float(path.arc[behind * len(lap_x)])
 
 

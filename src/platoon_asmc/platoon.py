@@ -14,6 +14,7 @@ curvature interpolated between waypoints.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,25 +49,15 @@ class Path:
         return float(self.arc[-1])
 
 
-def menger_curvature(ax, ay, bx, by, cx, cy) -> float:
-    """Signed curvature of the circle through three points (positive = left turn).
+def build_path(cx, cy) -> Path:
+    """Construct a Path from raw coordinates, validating its invariants.
 
-    Exactly 1/R for points on a circle of radius R; 0 for collinear points.
+    The curvature of an interior vertex is the signed curvature of the circle
+    through it and its two neighbours (positive = left turn; 0 for collinear
+    points): 2 (u x w) / (|u| |w| |u + w|) for its two segments u and w. It
+    is 0 at both ends. The lengths are `math.hypot`'s, which `np.hypot` does
+    not round alike.
     """
-    ux, uy = bx - ax, by - ay
-    wx, wy = cx - bx, cy - by
-    cross = ux * wy - uy * wx
-    la = math.hypot(ux, uy)
-    lb = math.hypot(wx, wy)
-    lc = math.hypot(cx - ax, cy - ay)
-    denom = la * lb * lc
-    if denom == 0.0:
-        return 0.0
-    return 2.0 * cross / denom
-
-
-def _polyline(cx, cy) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Validated coordinate arrays with their arc length and tangent."""
     cx = np.asarray(cx, dtype=float)
     cy = np.asarray(cy, dtype=float)
     if cx.ndim != 1 or cx.shape != cy.shape:
@@ -75,55 +66,28 @@ def _polyline(cx, cy) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         raise ValueError(f"path needs at least 2 waypoints, got {len(cx)}")
     if not (np.isfinite(cx).all() and np.isfinite(cy).all()):
         raise ValueError("path coordinates must be finite")
-    # a path too long for floats overflows here; its length is rejected below
-    with np.errstate(over="ignore"):
-        seg = np.hypot(np.diff(cx), np.diff(cy))
+    # A path too long for floats overflows here, and is rejected; a
+    # curvature that overflows is inf or nan. Neither warns.
+    with np.errstate(all="ignore"):
+        ux, uy = np.diff(cx), np.diff(cy)
+        seg = np.hypot(ux, uy)
         arc = np.concatenate(([0.0], np.cumsum(seg)))
-        # Tangents: central difference inside, one-sided at the ends, unwrapped
-        # so interpolation between vertices never jumps across +-pi.
-        dx = np.empty(len(cx))
-        dy = np.empty(len(cy))
-        dx[1:-1] = cx[2:] - cx[:-2]
-        dy[1:-1] = cy[2:] - cy[:-2]
-        dx[0], dy[0] = cx[1] - cx[0], cy[1] - cy[0]
-        dx[-1], dy[-1] = cx[-1] - cx[-2], cy[-1] - cy[-2]
-    if np.any(seg <= 0.0):
-        raise ValueError("path has coincident consecutive waypoints")
-    if not math.isfinite(arc[-1]):
-        raise ValueError(f"path length {arc[-1]} is not finite")
-    tangent = np.unwrap(np.arctan2(dy, dx))
-    return cx, cy, arc, tangent
-
-
-def _interior_curvature(xs: list[float], ys: list[float]) -> list[float]:
-    """Menger curvature at each interior vertex of the polyline (xs, ys)."""
-    return [menger_curvature(xs[i - 1], ys[i - 1], xs[i], ys[i],
-                             xs[i + 1], ys[i + 1])
-            for i in range(1, len(xs) - 1)]
-
-
-def build_path(cx, cy) -> Path:
-    """Construct a Path from raw coordinates, validating its invariants."""
-    cx, cy, arc, tangent = _polyline(cx, cy)
-    curvature = np.array(
-        [0.0, *_interior_curvature(cx.tolist(), cy.tolist()), 0.0])
-    return Path(cx=cx, cy=cy, arc=arc, tangent=tangent, curvature=curvature)
-
-
-def tile_lap(lap_x, lap_y, laps: int) -> Path:
-    """A closed lap of waypoints repeated `laps` times, as one Path.
-
-    Equal, bit for bit, to `build_path` on the tiled coordinates, but the
-    Menger curvature is computed once per lap vertex, over the lap padded
-    with its wrap-around neighbours (as they are between copies), then tiled,
-    with the path's two open ends set to 0.
-    """
-    cx, cy, arc, tangent = _polyline(np.tile(lap_x, laps), np.tile(lap_y, laps))
-    xs = np.asarray(lap_x, dtype=float).tolist()
-    ys = np.asarray(lap_y, dtype=float).tolist()
-    curvature = np.tile(_interior_curvature(xs[-1:] + xs + xs[:1],
-                                            ys[-1:] + ys + ys[:1]), laps)
-    curvature[0] = curvature[-1] = 0.0
+        if np.any(seg <= 0.0):
+            raise ValueError("path has coincident consecutive waypoints")
+        if not math.isfinite(arc[-1]):
+            raise ValueError(f"path length {arc[-1]} is not finite")
+        # each interior vertex's chord, from its predecessor to its successor
+        chord_x, chord_y = cx[2:] - cx[:-2], cy[2:] - cy[:-2]
+        lengths = np.fromiter(map(math.hypot, ux, uy), float, len(ux))
+        denom = lengths[:-1] * lengths[1:] * np.fromiter(
+            map(math.hypot, chord_x, chord_y), float, len(chord_x))
+        cross = ux[:-1] * uy[1:] - uy[:-1] * ux[1:]
+        curvature = np.concatenate(
+            ([0.0], np.where(denom == 0.0, 0.0, 2.0 * cross / denom), [0.0]))
+    # Tangents: the chord inside, one-sided at the ends, unwrapped so that
+    # interpolation between vertices never jumps across +-pi.
+    tangent = np.unwrap(np.arctan2(np.concatenate((uy[:1], chord_y, uy[-1:])),
+                                   np.concatenate((ux[:1], chord_x, ux[-1:]))))
     return Path(cx=cx, cy=cy, arc=arc, tangent=tangent, curvature=curvature)
 
 
@@ -191,14 +155,19 @@ class PlatoonConfig:
     follower_heading: str = "tangent"
 
     def __post_init__(self) -> None:
-        if self.n_robots < 1:
-            raise ValueError(f"n_robots must be >= 1, got {self.n_robots}")
+        if type(self.n_robots) is not int or \
+                not 1 <= self.n_robots <= sys.maxsize:
+            raise ValueError(f"n_robots must be an int in [1, {sys.maxsize}], "
+                             f"got {self.n_robots!r}")
         require(self, ("gap_des", "v_d"), "> 0")
         if self.start_poses is not None and len(self.start_poses) != self.n_robots:
             raise ValueError(
                 f"start_poses has {len(self.start_poses)} entries for "
                 f"{self.n_robots} robots")
         for i, pose in enumerate(self.start_poses or ()):
+            if len(pose) != 3:
+                raise ValueError(
+                    f"start_poses[{i}] must be (x, y, theta), got {pose}")
             if not all(map(finite, pose)):
                 raise ValueError(f"start_poses[{i}] must be finite, got {pose}")
         if self.follower_heading not in FOLLOWER_HEADING_MODES:

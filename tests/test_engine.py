@@ -24,7 +24,7 @@ from platoon_asmc.engine import (
     lead_start_on,
 )
 from platoon_asmc.metrics import compare_reports, report_from_trace
-from platoon_asmc.platoon import build_path, figure_eight_lap, pose_at_arc, tile_lap
+from platoon_asmc.platoon import build_path, figure_eight_lap, pose_at_arc
 from platoon_asmc.vehicle import plant_step_for
 
 FRICTIONLESS = RobotParams(f_kr=0, f_kl=0, f_cr=0, f_cl=0)
@@ -385,7 +385,7 @@ def test_default_course_traverses_quadrants_in_order(cfg):
     # the breaker placements rely on this ordering
     from platoon_asmc.arena import quadrant_of
 
-    p = tile_lap(*figure_eight_lap(), 1)
+    p = build_path(*figure_eight_lap())
     seen = [quadrant_of(*pose_at_arc(p, f * p.total_length)[:2])
             for f in (0.125, 0.375, 0.625, 0.875)]
     assert seen == [1, 3, 2, 4]
@@ -433,6 +433,36 @@ def test_abort_with_no_finite_record_reports_no_step(cfg):
     k, t, r, diag = _abort_of(cfg, **ABORTS["infinite_force_at_step_0"](cfg))
     assert (k, t, r) == (0, 0.0, 0)
     assert diag == {"step": None, "robot": 1}
+
+
+@pytest.mark.parametrize("controller", ["proposed", "baseline"])
+def test_coupling_runs_one_way(cfg, controller):
+    """The first r robots of an n-robot episode are the r-robot episode, bit
+    for bit: nothing a robot does reaches the robots ahead of it. The longer
+    episodes run in 2 and 3 robot groups, so that group boundaries fall
+    inside the prefix and at its edge. On the default course this holds
+    while (n - 1) gap_des fits in one lap, so that every n tiles the same
+    course."""
+    sim = dataclasses.replace(cfg.sim, duration=20.0)
+
+    def run(n, processes=1):
+        platoon = dataclasses.replace(cfg.platoon, n_robots=n)
+        return run_episode(cfg.robot, cfg.kinematic, cfg.asmc, platoon,
+                           cfg.arena, sim, controller, processes=processes)
+
+    def assert_prefix(longer, shorter):
+        r = shorter.n_robots
+        assert longer.t.tobytes() == shorter.t.tobytes()
+        assert longer.rec[:, :r].tobytes() == shorter.rec.tobytes()
+        assert longer.gap_err[:, :r - 1].tobytes() == shorter.gap_err.tobytes()
+
+    assert 7 * cfg.platoon.gap_des < build_path(*figure_eight_lap()).total_length
+    shorter = {n: run(n) for n in (1, 2, 3)}
+    for processes in (2, 3):
+        three, eight = run(3, processes), run(8, processes)
+        for r in (1, 2):
+            assert_prefix(three, shorter[r])
+        assert_prefix(eight, shorter[3])
 
 
 def _second_call_fails(monkeypatch, call, exc):

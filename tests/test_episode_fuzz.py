@@ -2,8 +2,9 @@
 exit 0, or exit 2 or 3 with one `error:` line, and never in a traceback or
 a warning. Where the document validates, the pipelined engine gives the
 serial result, the scenario reflected in the x-axis gives the mirrored
-trace or the same abort (see `test_mirror.py`), and a run that exits 0 has
-a finite trace.
+trace or the same abort (see `test_mirror.py`), the platoon less its tail
+robot gives the prefix of the trace or the same abort of a robot ahead of
+the tail (coupling runs one way), and a run that exits 0 has a finite trace.
 """
 
 import contextlib
@@ -22,11 +23,11 @@ from hypothesis import strategies as st
 
 from test_mirror import NEGATED, SWAPPED, mirrored
 
-from platoon_asmc import EpisodeAborted, engine, run_episode
+from platoon_asmc import EpisodeAborted, RobotParams, engine, run_episode
 from platoon_asmc.cli import _load_path, main
 from platoon_asmc.config import ConfigError, default_config, from_dict
 from platoon_asmc.engine import PER_ROBOT_FIELDS, default_path_for, lead_start_on
-from platoon_asmc.platoon import build_path, figure_eight_lap, pose_at_arc, tile_lap
+from platoon_asmc.platoon import build_path, pose_at_arc
 
 GAINS = [("kinematic", k) for k in ("k1", "k2", "k3")] + [
     ("asmc", k) for k in ("Lambda_v", "Lambda_w", "phi_v", "phi_w",
@@ -170,6 +171,13 @@ SUBNORMAL["platoon"]["n_robots"] = 1
 SUBNORMAL["sim"]["duration"] = 0.0
 SUBNORMAL["controller"] = "proposed"
 
+# per-robot parameters: only the tail's half-track overflows the wheel split,
+# so the tail alone aborts, at its first step
+TAIL = default_config().to_dict()
+TAIL["robot"] = [TAIL["robot"]] * 2 + [dict(TAIL["robot"], L=1e-310)]
+TAIL["sim"]["duration"] = 0.2
+TAIL["controller"] = "proposed"
+
 
 def _run(cfg, controller, path, processes, lead_start_arc=None):
     """The trace, or the EpisodeAborted, of one episode of `cfg`."""
@@ -189,6 +197,14 @@ def _outcome(cfg, controller, path, processes):
     return tr.rec.tobytes(), tr.t.tobytes(), tr.gap_err.tobytes()
 
 
+def _course(cfg, path):
+    """The course of a run of `cfg` on `path` (the built-in one where it is
+    None) and the leader's start arc on it."""
+    if path is None:
+        return default_path_for(cfg.platoon, cfg.sim)
+    return path, lead_start_on(path, cfg.platoon, cfg.sim)
+
+
 def _mirrored_outcome(cfg, controller, path):
     """The outcome of the scenario reflected in the x-axis, told in the
     frame of the unreflected one: the trace's arrays with NEGATED fields
@@ -201,13 +217,8 @@ def _mirrored_outcome(cfg, controller, path):
     half-open quadrant rule gives y = 0.0 and its image -0.0 alike to Q2).
     """
     platoon = cfg.platoon
-    if path is None:
-        path, start = default_path_for(platoon, cfg.sim)
-        lap_x, lap_y = figure_eight_lap()
-        flipped = tile_lap(lap_x, -lap_y, len(path) // len(lap_x))
-    else:
-        start = lead_start_on(path, platoon, cfg.sim)
-        flipped = build_path(path.cx, -path.cy)
+    path, start = _course(cfg, path)
+    flipped = build_path(path.cx, -path.cy)
     if not np.array_equal(flipped.tangent, -path.tangent):
         return "not mirrored: a reflected tangent is not negated"
     poses = platoon.start_poses or [
@@ -226,12 +237,24 @@ def _mirrored_outcome(cfg, controller, path):
     return rec, tr.t, tr.gap_err
 
 
+def _without_tail(cfg):
+    """`cfg` less its tail robot: its start pose and, in a per-robot list,
+    its parameters."""
+    platoon = cfg.platoon
+    robot = cfg.robot if isinstance(cfg.robot, RobotParams) else cfg.robot[:-1]
+    platoon = dataclasses.replace(
+        platoon, n_robots=platoon.n_robots - 1,
+        start_poses=platoon.start_poses and platoon.start_poses[:-1])
+    return dataclasses.replace(cfg, robot=robot, platoon=platoon)
+
+
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(episodes())
 @example((OVERFLOW, None))
 @example((JITTER, None))
 @example((SUBNORMAL, "0.0 0.0\n1e-320 0.0\n"))
+@example((TAIL, None))
 def test_episode_exits_cleanly_and_pipelines_exactly(episode):
     doc, course = episode
     with tempfile.TemporaryDirectory() as tmp:
@@ -281,6 +304,33 @@ def test_episode_exits_cleanly_and_pipelines_exactly(episode):
             # array_equal, not bytes: -0.0 and 0.0 differ in their bytes
             for got, bits in zip(mirror, outcome):
                 assert np.array_equal(got.ravel(), np.frombuffer(bits)), c
+    n = cfg.platoon.n_robots
+    if n >= 2:
+        # on the full run's course and leader start
+        shorter, (course, start) = _without_tail(cfg), _course(cfg, path)
+        for c, outcome in zip(controllers, serial):
+            short = _run(shorter, c, course, 1, start)
+            if len(outcome) == 3:
+                event("tail dropped: the prefix")
+                assert not isinstance(short, EpisodeAborted), c
+                rec, t, gap_err = map(np.frombuffer, outcome)
+                assert short.rec.tobytes() == \
+                    rec.reshape(len(t), n, -1)[:, :-1].tobytes(), c
+                assert short.t.tobytes() == outcome[1], c
+                assert short.gap_err.tobytes() == \
+                    gap_err.reshape(len(t), n - 1)[:, :-1].tobytes(), c
+            elif outcome[2] < n - 1:
+                event("tail dropped: the same abort")
+                diagnostic = dict(outcome[3])
+                if "gap_err" in diagnostic:
+                    diagnostic["gap_err"] = diagnostic["gap_err"][:-1]
+                assert isinstance(short, EpisodeAborted), c
+                assert (short.step, short.t, short.robot, short.diagnostic) \
+                    == (*outcome[:3], diagnostic), c
+            else:
+                event("tail dropped: past the tail's abort")
+                assert not isinstance(short, EpisodeAborted) or \
+                    short.step > outcome[0], c
     if any(len(s) == 4 for s in serial):
         assert code == 3
     elif code == 0:

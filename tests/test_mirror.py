@@ -16,7 +16,7 @@ import pytest
 from platoon_asmc import run_episode
 from platoon_asmc.arena import Arena
 from platoon_asmc.engine import PER_ROBOT_FIELDS, default_path_for
-from platoon_asmc.platoon import figure_eight_lap, tile_lap
+from platoon_asmc.platoon import build_path
 
 NEGATED = {"y", "theta", "omega", "yref", "wc", "tau", "s_w", "e_y"}
 SWAPPED = {"tau_r": "tau_l", "tau_l": "tau_r"}
@@ -37,8 +37,7 @@ def test_mirrored_scenario_gives_the_mirrored_trace(cfg, controller):
     assert arena.speed_breakers
     sim = dataclasses.replace(cfg.sim, duration=28.0)
     path, start = default_path_for(cfg.platoon, sim)
-    lap_x, lap_y = figure_eight_lap()
-    flipped = tile_lap(lap_x, -lap_y, len(path) // len(lap_x))
+    flipped = build_path(path.cx, -path.cy)
     assert np.array_equal(flipped.arc, path.arc)
 
     a, b = (run_episode(cfg.robot, cfg.kinematic, cfg.asmc, cfg.platoon, ar,

@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from path_oracle import oracle_curvature
 
 from platoon_asmc import (
     PlatoonConfig,
@@ -15,7 +16,13 @@ from platoon_asmc import (
     target_waypoint,
 )
 from platoon_asmc.engine import SimConfig, default_path_for, run_episode
-from platoon_asmc.platoon import figure_eight_lap, tile_lap
+from platoon_asmc.platoon import figure_eight_lap
+
+
+def figure_eight(laps):
+    """The built-in lap, tiled `laps` times."""
+    lap_x, lap_y = figure_eight_lap()
+    return build_path(np.tile(lap_x, laps), np.tile(lap_y, laps))
 
 
 def unit_path(n=11):
@@ -193,36 +200,71 @@ def test_follower_target_depends_only_on_predecessor_index():
 
 class TestFigureEight:
     def test_starts_at_scaled_point(self):
-        p = tile_lap(*figure_eight_lap(), 1)
+        p = figure_eight(1)
         assert p.cx[0] == 14.0 and p.cy[0] == 0.0
 
     def test_uniform_spacing_and_monotone_arc(self):
-        p = tile_lap(*figure_eight_lap(), 2)
+        p = figure_eight(2)
         seg = np.diff(p.arc)
         assert np.all(seg > 0)
         assert np.max(np.abs(seg - np.mean(seg))) < 0.005
 
     def test_covers_all_quadrants(self):
-        p = tile_lap(*figure_eight_lap(), 1)
+        p = figure_eight(1)
         assert np.any((p.cx > 0) & (p.cy > 0))
         assert np.any((p.cx < 0) & (p.cy > 0))
         assert np.any((p.cx < 0) & (p.cy < 0))
         assert np.any((p.cx > 0) & (p.cy < 0))
 
-    @pytest.mark.parametrize("laps", [1, 2, 3, 4])
-    def test_tiled_curvature_equals_per_vertex_curvature(self, laps):
-        p = tile_lap(*figure_eight_lap(), laps)
-        per_vertex = build_path(p.cx, p.cy)
-        for name in ("cx", "cy", "arc", "tangent", "curvature"):
-            assert getattr(p, name).tobytes() == \
-                getattr(per_vertex, name).tobytes(), name
-
     def test_lap_tiling_repeats_geometry(self):
-        one = tile_lap(*figure_eight_lap(), 1)
-        two = tile_lap(*figure_eight_lap(), 2)
+        one = figure_eight(1)
+        two = figure_eight(2)
         n = len(one)
         assert np.array_equal(two.cx[:n], one.cx)
         assert np.array_equal(two.cx[n:2 * n], one.cx)
+
+
+class TestCurvatureMatchesScalarOracle:
+    """`build_path`'s curvature, computed for all vertices at once, against
+    the vertex-by-vertex `path_oracle`, bytes compared: a NaN and the sign of
+    a zero count."""
+
+    @staticmethod
+    def check(p):
+        oracle = np.array(oracle_curvature(p.cx, p.cy))
+        assert p.curvature.tobytes() == oracle.tobytes()
+
+    @pytest.mark.parametrize("laps", [1, 2, 3, 4])
+    def test_tiled_default_lap(self, laps):
+        self.check(figure_eight(laps))
+
+    def test_course_of_the_shipped_600_s_run(self, cfg):
+        sim = dataclasses.replace(cfg.sim, duration=600.0)
+        path, _ = default_path_for(cfg.platoon, sim)
+        assert len(path) == 20 * len(figure_eight_lap()[0])
+        self.check(path)
+
+    def test_random_courses_from_1e_minus_300_to_1e200(self):
+        # at the small scales the products underflow to a zero denominator,
+        # at the large ones the cross product overflows to a NaN; a lattice
+        # gives exact zeros of both signs and back-tracks (a zero chord)
+        rng = np.random.default_rng(7)
+        nan_courses = 0
+        for _ in range(1000):
+            n = int(rng.integers(3, 40))
+            scale = 10.0 ** rng.uniform(-300.0, 200.0)
+            xs, ys = rng.uniform(-1.0, 1.0, (2, n))
+            if rng.random() < 0.25:
+                xs, ys = np.round(3.0 * xs), np.round(3.0 * ys)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    p = build_path(xs * scale, ys * scale)
+                except ValueError:  # coincident lattice points
+                    continue
+            nan_courses += bool(np.isnan(p.curvature).any())
+            self.check(p)
+        assert nan_courses > 10
 
 
 class TestPathConstruction:
@@ -274,7 +316,7 @@ class TestNearestIndex:
     def test_windowed_search_stays_local(self):
         # figure-eight crosses itself at the origin: with a hint on the first
         # branch the projection must not jump to the other branch
-        p = tile_lap(*figure_eight_lap(), 1)
+        p = figure_eight(1)
         node = int(np.argmin(p.cx[:len(p) // 2] ** 2 + p.cy[:len(p) // 2] ** 2))
         got = nearest_index(p, 0.01, 0.0, hint=node, window=40)
         assert abs(got - node) <= 40
@@ -333,7 +375,7 @@ class TestNearestIndexOracle:
                 self.check(p, 14.0, -0.5, hint, window)
 
     def test_huge_and_nan_coordinates(self):
-        p = tile_lap(*figure_eight_lap(), 1)
+        p = figure_eight(1)
         for x, y in ((1e200, 0.0), (-1e200, 1e200), (0.0, -1e200),
                      (math.nan, 0.0), (0.0, math.nan), (math.inf, 1.0)):
             self.check(p, x, y)
@@ -370,7 +412,7 @@ def same_bits(a, b):
 class TestReferenceSamplingIsExact:
     @pytest.fixture(scope="class")
     def paths(self):
-        return (tile_lap(*figure_eight_lap(), 2),
+        return (figure_eight(2),
                 random_path(np.random.default_rng(2), 300))
 
     def test_pose_at_arc_at_every_vertex_and_random_arc(self, paths):
@@ -424,3 +466,19 @@ class TestPlatoonConfig:
             PlatoonConfig(v_d=math.inf)
         with pytest.raises(ValueError, match="start_poses"):
             PlatoonConfig(n_robots=2, start_poses=((0, 0, 0),))
+
+    # what `run_episode` cannot use: a count that no list of robots has (an
+    # OverflowError or a TypeError there), a pose it cannot index, and one
+    # whose fourth entry it would drop
+    @pytest.mark.parametrize("fields,name", [
+        ({"n_robots": 10**30}, "n_robots"),
+        ({"n_robots": 2.5}, "n_robots"),
+        ({"n_robots": True}, "n_robots"),
+        ({"n_robots": 1, "start_poses": ((0.0, 0.0),)}, r"start_poses\[0\]"),
+        ({"n_robots": 2, "start_poses": ((0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 1.0))},
+         r"start_poses\[1\]"),
+    ], ids=["n_robots_huge", "n_robots_float", "n_robots_bool", "pose_of_two",
+            "pose_of_four"])
+    def test_rejects_what_an_episode_cannot_use(self, fields, name):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            PlatoonConfig(**fields)
