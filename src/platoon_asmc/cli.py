@@ -1,19 +1,18 @@
 """Command-line entry point.
 
 `platoon-asmc run` loads a JSON config (built-in defaults when omitted),
-applies flag overrides, runs the selected controller episode(s), and writes
-traces, reports, the plotspec and the effective-config echo into the output
-directory. The episodes run at once (`engine.run_forked`); each writes its
-trace and returns its RMS report. Errors come back as a single
-machine-parseable line on stderr with a nonzero exit code: a bad config or
-an output that cannot be written is exit 2; an episode that aborts, runs
-out of memory, or whose forked process could not start or was lost, exit 3.
+writes the flags over it, runs the selected controller episode(s), and
+writes traces, reports, the plotspec and the effective-config echo into the
+output directory. The episodes run at once (`engine.run_forked`); each
+writes its trace and returns its RMS report. An error is one
+machine-parseable line on stderr: exit 2 for a bad command line or config,
+or an output that cannot be written; exit 3 for an episode that aborts, runs
+out of memory, or whose forked process could not start or was lost.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import math
@@ -48,25 +47,9 @@ class ReportNotFinite(ArithmeticError):
 
 
 def _fail(kind: str, message: str) -> int:
+    message = " ".join(message.splitlines())  # one line, whatever it quotes
     sys.stderr.write(f"error: kind={kind}; message={message}\n")
     return EXIT_CONFIG if kind == "validation" else EXIT_ABORT
-
-
-def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
-    """Command-line flags take precedence over config-file values."""
-    if args.controller is not None:
-        cfg = dataclasses.replace(cfg, controller=args.controller)
-    sim = {k: v for k, v in (("duration", args.duration),
-                             ("dt_plant", args.dt)) if v is not None}
-    if sim:
-        try:
-            sim = dataclasses.replace(cfg.sim, **sim)
-        except ValueError as exc:
-            raise ConfigError(f"[sim] {exc}") from exc
-        cfg = dataclasses.replace(cfg, sim=sim)
-    if args.out is not None:
-        cfg = dataclasses.replace(cfg, output_dir=args.out)
-    return cfg
 
 
 def _load_path(cfg: RunConfig) -> Path | None:
@@ -106,8 +89,15 @@ def _episode_job(cfg: RunConfig, controller: str, csv_path: str,
 
 def run_command(args: argparse.Namespace) -> int:
     try:
-        cfg = load_config(args.config) if args.config else default_config()
-        cfg = _apply_overrides(cfg, args)
+        doc = (load_config(args.config) if args.config
+               else default_config()).to_dict()
+        for node, key, value in ((doc["sim"], "duration", args.duration),
+                                 (doc["sim"], "dt_plant", args.dt),
+                                 (doc, "controller", args.controller),
+                                 (doc, "output_dir", args.out)):
+            if value is not None:
+                node[key] = value
+        cfg = from_dict(doc)
         path = _load_path(cfg)
     except ConfigError as exc:
         return _fail("validation", str(exc))
@@ -149,8 +139,15 @@ def run_command(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """A command line it cannot parse is a ConfigError, not a usage block."""
+
+    def error(self, message: str):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="platoon-asmc",
         description="Deterministic differential-drive platoon simulator with "
                     "adaptive sliding mode control.")
@@ -158,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="run one or both controller episodes")
     run_p.add_argument("--config", metavar="PATH",
                        help="JSON config file (built-in defaults when omitted)")
-    run_p.add_argument("--controller", choices=(*CONTROLLERS, "both"),
+    run_p.add_argument("--controller", metavar="|".join((*CONTROLLERS, "both")),
                        help="override the config's controller selection")
     run_p.add_argument("--duration", type=float, metavar="S",
                        help="override simulated duration in seconds")
@@ -173,5 +170,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except ConfigError as exc:
+        return _fail("validation", str(exc))
     return args.func(args)

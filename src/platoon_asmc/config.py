@@ -26,6 +26,7 @@ import functools
 import hashlib
 import json
 import os
+import sys
 import types
 import typing
 from dataclasses import dataclass, field
@@ -86,11 +87,14 @@ class RunConfig:
         if self.path_file is None:
             need += 8 * 5 * (self.platoon.v_d * sim.duration +
                              (n - 1) * self.platoon.gap_des) / DEFAULT_SPACING
-        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        try:
+            memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        except (AttributeError, ValueError, OSError):  # size unknown (Windows)
+            memory = sys.maxsize  # the most that any process can map
         if need > memory:
             raise ConfigError(
                 f"[sim] a {sim.duration} s run needs about {need / 2**30:.3g} "
-                f"GiB, more than the machine's {memory / 2**30:.3g} GiB")
+                f"GiB, more than the {memory / 2**30:.3g} GiB the machine holds")
         if self.metrics.warmup_cutoff > \
                 self.sim.n_periods() * self.sim.control_period:
             raise ConfigError(

@@ -359,17 +359,15 @@ def run_episode(
         raise MemoryError(f"no memory for the episode's records: {exc}") from exc
     rec = np.frombuffer(buf, np.float64).reshape(n_rec, R, len(PER_ROBOT_FIELDS))
     marks = np.frombuffer(log, np.int64).reshape(n_rec, R)
-    ep = _Episode(
-        path=path, robots=robots, states=states, markers=markers,
-        adaptives=[AdaptiveState.fresh(asmc.k_init) for _ in range(R)],
-        kin=kin, asmc=asmc, platoon=platoon, sim=sim,
-        proposed=controller == "proposed",
-        plants=[plant_step_for(rp, packed) for rp in robots],
-        lead_start_arc=lead_start_arc, buf=buf,
-        marks=memoryview(log).cast("q"))
+    run = functools.partial(
+        _run_group, path, robots, states, markers,
+        [AdaptiveState.fresh(asmc.k_init) for _ in range(R)], kin, asmc,
+        platoon, sim, controller == "proposed",
+        [plant_step_for(rp, packed) for rp in robots], lead_start_arc, buf,
+        memoryview(log).cast("q"))
     # the groups project without entering an errstate per call
     with np.errstate(over="ignore"):
-        aborts = [a for a in _run_pipeline(ep, bounds) if a is not None]
+        aborts = [a for a in _run_pipeline(run, bounds) if a is not None]
     if aborts:
         k, r = min(aborts)
         raise EpisodeAborted(k, k * cp, r, _diagnostic(
@@ -388,34 +386,19 @@ def _gap_errors(path: Path, marks: np.ndarray, gap_des: float) -> np.ndarray:
     return gap
 
 
-@dataclass
-class _Episode:
-    """What every robot group of one episode reads: the fixed inputs, the
-    per-robot lists (each group advances only its own robots; a state is
-    `(x, y, theta, v, omega)`, theta unwrapped), the buffer of records, and
-    a flat view of the markers."""
-
-    path: Path
-    robots: list[RobotParams]
-    states: list[tuple[float, float, float, float, float]]
-    markers: list[int]
-    adaptives: list[AdaptiveState]
-    kin: KinematicGains
-    asmc: AsmcConfig
-    platoon: PlatoonConfig
-    sim: SimConfig
-    proposed: bool
-    plants: list
-    lead_start_arc: float
-    buf: mmap.mmap
-    marks: memoryview
-
-
-def _run_group(ep: _Episode, lo: int, hi: int, recv_fd: int | None,
+def _run_group(path: Path, robots: list, states: list, markers: list,
+               adaptives: list, kin: KinematicGains, asmc: AsmcConfig,
+               platoon: PlatoonConfig, sim: SimConfig, proposed: bool,
+               plants: list, lead_start_arc: float, buf: mmap.mmap,
+               marks: memoryview, lo: int, hi: int, recv_fd: int | None,
                send_fd: int | None) -> tuple[int, tuple[int, int] | None]:
     """Run robots lo..hi-1 as one group of the pipeline, per step each in
     turn from projection to plant; return how many steps of their records
     are complete, and the group's abort or None.
+
+    The per-robot lists hold the whole platoon, each group advancing only
+    its own robots; a state is `(x, y, theta, v, omega)`, theta unwrapped.
+    `buf` holds the records and `marks` views the markers flat.
 
     Every PROGRESS_CHUNK steps the group writes that count to the next group
     (`send_fd`). It takes robot lo's predecessor (at lo > 0) from the group
@@ -425,14 +408,10 @@ def _run_group(ep: _Episode, lo: int, hi: int, recv_fd: int | None,
     before stopped short; and once the next group has stopped reading, which
     it does only past an abort that comes before any step this one has left.
     """
-    path, robots, states, markers = ep.path, ep.robots, ep.states, ep.markers
-    adaptives, kin, asmc, proposed = ep.adaptives, ep.kin, ep.asmc, ep.proposed
-    plants, lead_start_arc = ep.plants, ep.lead_start_arc
-    N, cp, n_sub = ep.sim.n_periods(), ep.sim.control_period, ep.sim.substeps()
+    N, cp, n_sub = sim.n_periods(), sim.control_period, sim.substeps()
     h = cp / n_sub
-    v_d, gap_des = ep.platoon.v_d, ep.platoon.gap_des
-    heading_from_predecessor = ep.platoon.follower_heading == "predecessor"
-    buf, marks = ep.buf, ep.marks
+    v_d, gap_des = platoon.v_d, platoon.gap_des
+    heading_from_predecessor = platoon.follower_heading == "predecessor"
     rows = memoryview(buf).cast("d")
     R = len(states)
     nf = len(PER_ROBOT_FIELDS)
@@ -524,8 +503,9 @@ def _wait(fd: int, k: int) -> int:
             return steps
 
 
-def _run_pipeline(ep: _Episode, bounds: list[tuple[int, int]]) -> list:
-    """Each group's abort or None, lead group first: the groups run through
+def _run_pipeline(run, bounds: list[tuple[int, int]]) -> list:
+    """Each group's abort or None, lead group first: `run(lo, hi, recv_fd,
+    send_fd)` runs one group as `_run_group` does, and the groups run through
     `run_forked`, each reading its predecessor's progress from a pipe. A
     pipe that cannot be made is ForkedJobLost for the group that reads it."""
     progress, open_fds = [], set()  # progress[g]: group g -> group g + 1
@@ -540,7 +520,7 @@ def _run_pipeline(ep: _Episode, bounds: list[tuple[int, int]]) -> list:
         send = progress[g][1] if g < len(progress) else None
         close_all_but(recv, send)  # so that a group that stops reads as EOF
         try:
-            done, abort = _run_group(ep, *bounds[g], recv, send)
+            done, abort = run(*bounds[g], recv, send)
             _publish(send, done)
             return abort
         finally:

@@ -26,7 +26,7 @@ from platoon_asmc.control import (
 )
 from platoon_asmc.cli import main as cli_main
 from platoon_asmc.config import dump_config
-from platoon_asmc.engine import _integrate_robot, default_path_for
+from platoon_asmc.engine import default_path_for
 from platoon_asmc.metrics import quadrant_mask, rms
 from platoon_asmc.platoon import build_path, pose_at_arc, target_waypoint
 from platoon_asmc.vehicle import RobotParams, plant_step_for
@@ -159,9 +159,8 @@ def _kinematic_errors(kin, v_d, path, start_arc, pose, duration,
         if k < n:
             cmd = kinematic_control(err, VelocityReference(v_d, kappa * v_d),
                                     kin)
-            x, y, th, _, _ = _integrate_robot(x, y, th, cmd.v_c, cmd.omega_c,
-                                              0.0, 0.0, n_sub, period / n_sub,
-                                              step)
+            x, y, th, _, _ = step(x, y, th, cmd.v_c, cmd.omega_c, 0.0, 0.0,
+                                  n_sub, period / n_sub)
     return np.arange(n + 1) * period, errs
 
 
@@ -192,10 +191,9 @@ def test_criterion_6_rk4_convergence_order():
     ya = -(v0 / w0) * (math.cos(th) - 1.0) + (a / w0 ** 2) * math.sin(th) \
         - (a * T / w0) * math.cos(th)
     errs = []
+    step = plant_step_for(params, NO_ARENA)
     for dt in (4e-3, 2e-3, 1e-3):
-        x, y, *_ = _integrate_robot(0.0, 0.0, 0.0, v0, w0, F, 0.0,
-                                    int(round(T / dt)), dt,
-                                    plant_step_for(params, NO_ARENA))
+        x, y, *_ = step(0.0, 0.0, 0.0, v0, w0, F, 0.0, int(round(T / dt)), dt)
         errs.append(math.hypot(x - xa, y - ya))
     orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
     ok = min(orders) >= 3.7

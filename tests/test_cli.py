@@ -536,6 +536,39 @@ class TestRunCommand:
         err = assert_rejected(tmp_path, capfd, config, *flags)
         assert err == f"error: kind=validation; message=[sim] {message}\n"
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--controller", "foo"], "[controller] must be one of ('proposed', "
+                                  "'baseline', 'both'), got 'foo'"),
+        (["--duration", "abc"], "argument --duration: invalid float value: "
+                                "'abc'"),
+        (["--bogus"], "unrecognized arguments: --bogus"),
+        (["--bo\ngus"], "unrecognized arguments: --bo gus"),
+        (None, "the following arguments are required: command"),
+    ], ids=["controller_unknown", "duration_not_a_number", "unknown_flag",
+            "unknown_flag_with_newline", "no_subcommand"])
+    def test_bad_command_line_is_rejected_by_validation(self, tmp_path, capfd,
+                                                        flags, message):
+        config = write_config(tmp_path, tiny_config())
+        if flags is None:  # a bare `platoon-asmc`
+            err = assert_rejected(tmp_path, capfd, config, argv=[])
+        else:
+            err = assert_rejected(tmp_path, capfd, config, *flags)
+        assert err == f"error: kind=validation; message={message}\n"
+
+    def test_flags_echo_as_their_values_in_the_config_file(self, tmp_path):
+        # the flags are written over the config document, then built once
+        out = tmp_path / "out"
+        p = write_config(tmp_path, tiny_config(), name="base.json")
+        assert main(["run", "--config", str(p), "--duration", "2", "--dt",
+                     "0.002", "--controller", "baseline", "--out", str(out),
+                     "--quiet"]) == 0
+        from_flags = (out / "config_echo.json").read_bytes()
+        q = write_config(tmp_path, tiny_config(**{
+            "sim.duration": 2, "sim.dt_plant": 0.002,
+            "controller": "baseline", "output_dir": str(out)}))
+        assert main(["run", "--config", str(q), "--quiet"]) == 0
+        assert (out / "config_echo.json").read_bytes() == from_flags
+
     @pytest.mark.parametrize("course", [
         None,
         "0.0 0.0\n1.0 x\n",
@@ -567,14 +600,17 @@ def assert_one_validation_error(tmp_path, capfd, keys, value):
     assert_rejected(tmp_path, capfd, write_config(tmp_path, doc))
 
 
-def assert_rejected(tmp_path, capfd, config, *flags):
+def assert_rejected(tmp_path, capfd, config, *flags, argv=None):
     """Check that a run of the config file, with any extra flags, ends with
     exit 2 and exactly one `error: kind=validation` line, no traceback or
-    warning, and before any output is written; return the line."""
+    warning, and before any output is written; return the line. `argv`, if
+    given, is the whole command line instead."""
+    if argv is None:
+        argv = ["run", "--config", str(config), "--out", str(tmp_path / "x"),
+                "--quiet", *flags]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        code = main(["run", "--config", str(config), "--out",
-                     str(tmp_path / "x"), "--quiet", *flags])
+        code = main(argv)
     err = capfd.readouterr().err
     assert code == 2
     assert err.startswith("error: kind=validation")

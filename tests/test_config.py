@@ -7,6 +7,7 @@ No episode runs here; the CLI tests cover the exit codes."""
 import copy
 import dataclasses
 import math
+import os
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -175,6 +176,22 @@ def test_run_config_checks_itself_when_built():
     with pytest.raises(ConfigError, match=r"^\[metrics\] warmup_cutoff 700"):
         dataclasses.replace(default_config(),
                             metrics=MetricsConfig(warmup_cutoff=700.0))
+
+
+@pytest.mark.parametrize("error", [AttributeError, ValueError, OSError])
+def test_run_config_where_the_memory_size_cannot_be_read(monkeypatch, error):
+    # no os.sysconf (as on Windows), or no answer from it: the runs still
+    # build, and the address space bounds what a run may need
+    if error is AttributeError:
+        monkeypatch.delattr(os, "sysconf")
+    else:
+        def sysconf(name):
+            raise error(name)
+        monkeypatch.setattr(os, "sysconf", sysconf)
+    doc = default_config().to_dict()
+    doc["sim"]["duration"] = 1e300
+    with pytest.raises(ConfigError, match=r"^\[sim\] a 1e\+300 s run needs"):
+        from_dict(doc)
 
 
 FLOAT_FIELDS = [p for p, v in paths(default_config().to_dict())

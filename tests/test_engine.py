@@ -19,7 +19,6 @@ from platoon_asmc import (
 from platoon_asmc.arena import NO_ARENA
 from platoon_asmc.engine import (
     ForkedJobLost,
-    _integrate_robot,
     default_path_for,
     lead_start_on,
 )
@@ -266,10 +265,10 @@ class TestIntegratorQuality:
 
         xa, ya = analytic()
         errs = []
+        step = plant_step_for(p, NO_ARENA)
         for dt in (4e-3, 2e-3, 1e-3):
-            x, y, *_ = _integrate_robot(0.0, 0.0, 0.0, v0, w0, F, 0.0,
-                                        int(round(T / dt)), dt,
-                                        plant_step_for(p, NO_ARENA))
+            x, y, *_ = step(0.0, 0.0, 0.0, v0, w0, F, 0.0, int(round(T / dt)),
+                            dt)
             errs.append(math.hypot(x - xa, y - ya))
         orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
         assert min(orders) >= 3.7, f"observed orders {orders}"
@@ -322,7 +321,7 @@ class TestIntegratorQuality:
         st = (0.0, 0.0, 0.0, 2.0, 1.0)
         ke = 0.5 * p.m * st[3] ** 2 + 0.5 * p.J * st[4] ** 2
         for _ in range(3000):
-            st = _integrate_robot(*st, 0.0, 0.0, 1, 1e-3, step)
+            st = step(*st, 0.0, 0.0, 1, 1e-3)
             ke_next = 0.5 * p.m * st[3] ** 2 + 0.5 * p.J * st[4] ** 2
             assert ke_next <= ke + 1e-15
             ke = ke_next
@@ -373,8 +372,7 @@ def test_integrator_matches_scipy_reference(cfg, inside_breaker):
     T = 2.0
     ref = solve_ivp(rhs, (0.0, T), start, method="RK45", rtol=1e-12,
                     atol=1e-12)
-    mine = _integrate_robot(*start, *wrench, 2000, 1e-3,
-                            plant_step_for(params, packed))
+    mine = plant_step_for(params, packed)(*start, *wrench, 2000, 1e-3)
     assert ref.success
     err = np.max(np.abs(np.array(mine) - ref.y[:, -1]))
     assert err < 1e-8, err
@@ -415,8 +413,7 @@ def test_fast_path_matches_public_ops_bitwise(cfg):
         k4 = rhs(shift(s0, k3, h))
         manual = tuple(s0[i] + h / 6 * (k1[i] + 2.0 * (k2[i] + k3[i]) + k4[i])
                        for i in range(5))
-        assert _integrate_robot(*s0, F, tau, 1, h,
-                                plant_step_for(params, packed)) == manual
+        assert plant_step_for(params, packed)(*s0, F, tau, 1, h) == manual
 
 
 def _children() -> list[int]:

@@ -7,7 +7,6 @@ from plant_oracle import oracle_rhs
 
 from platoon_asmc import Arena, RobotParams, SpeedBreaker, wheel_torque_split
 from platoon_asmc.arena import NO_ARENA
-from platoon_asmc.engine import _integrate_robot
 from platoon_asmc.vehicle import plant_step_for
 
 finite = st.floats(min_value=-50, max_value=50, allow_nan=False)
@@ -155,7 +154,7 @@ class TestWheelTorqueSplit:
 
 def test_frictionless_constant_force_gives_linear_velocity():
     p = params(m=2.0)
-    v = _integrate_robot(0.0, 0.0, 0.0, 0.25, 0.0, 1.5, 0.0, 4000, 1e-3,
-                         plant_step_for(p, NO_ARENA))[3]
+    step = plant_step_for(p, NO_ARENA)
+    v = step(0.0, 0.0, 0.0, 0.25, 0.0, 1.5, 0.0, 4000, 1e-3)[3]
     # v(t) = v0 + (F/m) t exactly; RK4 is exact for a linear-in-t velocity
     assert math.isclose(v, 0.25 + 0.75 * 4.0, rel_tol=1e-9)
