@@ -15,10 +15,6 @@ from .control import (
     AdaptiveState,
     AsmcConfig,
     KinematicGains,
-    PostureError,
-    SlidingVars,
-    VelocityCommand,
-    VelocityReference,
     adapt_gains,
     adapt_gains_baseline,
     asmc_force,

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .arena import finite, require
 
@@ -38,26 +37,6 @@ class KinematicGains:
 
     def __post_init__(self) -> None:
         require(self, ("k1", "k2", "k3"), "> 0")
-
-
-# The per-step values are NamedTuples, built once per robot-step and read
-# back at once: cheaper to build than frozen dataclasses.
-class PostureError(NamedTuple):
-    """Body-frame tracking error: longitudinal e1 (m), lateral e2 (m), heading e3 (rad)."""
-
-    e1: float
-    e2: float
-    e3: float
-
-
-class VelocityReference(NamedTuple):
-    v_d: float
-    omega_d: float
-
-
-class VelocityCommand(NamedTuple):
-    v_c: float
-    omega_c: float
 
 
 @dataclass(frozen=True)
@@ -131,19 +110,10 @@ class AdaptiveState:
         return (self.K_v0, self.K_v1, self.K_w2, self.K_w0, self.K_w1, self.K_v2)
 
 
-class SlidingVars(NamedTuple):
-    """Sliding variables s = e + phi * int(e) of the velocity and yaw-rate
-    channels, and the norms |xi| = hypot(e, int(e)) that drive adaptation."""
-
-    s_v: float
-    s_w: float
-    xi_v_norm: float
-    xi_w_norm: float
-
-
-def posture_error(x: float, y: float, theta: float,
-                  x_r: float, y_r: float, theta_r: float) -> PostureError:
-    """Rotate the inertial pose error into the robot body frame.
+def posture_error(x: float, y: float, theta: float, x_r: float, y_r: float,
+                  theta_r: float) -> tuple[float, float, float]:
+    """Rotate the inertial pose error into the robot body frame: the
+    longitudinal e1 (m), lateral e2 (m) and heading e3 (rad) errors.
 
     e1 = cos(th)*dx + sin(th)*dy, e2 = -sin(th)*dx + cos(th)*dy, e3 = dth
     wrapped to (-pi, pi] so full revolutions never produce large commands.
@@ -152,41 +122,40 @@ def posture_error(x: float, y: float, theta: float,
     dy = y_r - y
     c = math.cos(theta)
     s = math.sin(theta)
-    return PostureError(c * dx + s * dy, -s * dx + c * dy,
-                        wrap_angle(theta_r - theta))
+    return c * dx + s * dy, -s * dx + c * dy, wrap_angle(theta_r - theta)
 
 
-def kinematic_control(err: PostureError, ref: VelocityReference,
-                      gains: KinematicGains) -> VelocityCommand:
-    """Backstepping velocity law: v_c = v_d cos e3 + k1 e1,
-    omega_c = omega_d + k2 v_d e2 + k3 v_d sin e3."""
-    return VelocityCommand(
-        ref.v_d * math.cos(err.e3) + gains.k1 * err.e1,
-        ref.omega_d + gains.k2 * ref.v_d * err.e2
-        + gains.k3 * ref.v_d * math.sin(err.e3),
-    )
+def kinematic_control(e1: float, e2: float, e3: float, v_d: float,
+                      omega_d: float, gains: KinematicGains
+                      ) -> tuple[float, float]:
+    """Backstepping velocity law, the commands (v_c, omega_c):
+    v_c = v_d cos e3 + k1 e1, omega_c = omega_d + k2 v_d e2 + k3 v_d sin e3."""
+    return (v_d * math.cos(e3) + gains.k1 * e1,
+            omega_d + gains.k2 * v_d * e2 + gains.k3 * v_d * math.sin(e3))
 
 
 def update_sliding(adaptive: AdaptiveState, v: float, omega: float,
-                   cmd: VelocityCommand, cfg: AsmcConfig, dt: float) -> SlidingVars:
-    """Compute sliding variables at the current sample and advance the integrals.
+                   v_c: float, omega_c: float, cfg: AsmcConfig, dt: float
+                   ) -> tuple[float, float, float, float]:
+    """Sliding variables at the current sample, advancing the integrals.
 
-    s uses the integral accumulated up to (not including) this sample, so a
-    constant error e held from t=0 yields s(t) = e * (1 + phi * t) exactly on
-    the sample grid. The integrals in `adaptive` are then advanced by e * dt
-    for the next call.
+    Returns (s_v, s_w, xi_v, xi_w): s = e + phi * int(e) of the velocity and
+    yaw-rate channels, and the norms |xi| = hypot(e, int(e)) that drive
+    adaptation. s uses the integral accumulated up to (not including) this
+    sample, so a constant error e held from t=0 yields s(t) = e * (1 + phi *
+    t) exactly on the sample grid. The integrals in `adaptive` are then
+    advanced by e * dt for the next call.
     """
     if not dt > 0:
         raise ValueError(f"dt must be > 0, got {dt}")
-    e_v = v - cmd.v_c
-    e_w = omega - cmd.omega_c
+    e_v = v - v_c
+    e_w = omega - omega_c
     int_v = adaptive.int_ev
     int_w = adaptive.int_ew
-    sv = SlidingVars(e_v + cfg.phi_v * int_v, e_w + cfg.phi_w * int_w,
-                     math.hypot(e_v, int_v), math.hypot(e_w, int_w))
     adaptive.int_ev = int_v + e_v * dt
     adaptive.int_ew = int_w + e_w * dt
-    return sv
+    return (e_v + cfg.phi_v * int_v, e_w + cfg.phi_w * int_w,
+            math.hypot(e_v, int_v), math.hypot(e_w, int_w))
 
 
 def _switching(s: float, lam: float, rho: float, eps: float) -> float:
@@ -200,28 +169,30 @@ def _switching(s: float, lam: float, rho: float, eps: float) -> float:
     return -lam * s - rho * x
 
 
-def asmc_force(sv: SlidingVars, adaptive: AdaptiveState, cfg: AsmcConfig) -> float:
+def asmc_force(s_v: float, xi_v: float, xi_w: float, adaptive: AdaptiveState,
+               cfg: AsmcConfig) -> float:
     """Force law F = -Lambda_v s_v - rho_v sat(s_v/eps) with the
     state-dependent bound rho_v = K_v0 + K_v1 |xi_v| + K_w2 |xi_w|."""
-    rho = adaptive.K_v0 + adaptive.K_v1 * sv.xi_v_norm + adaptive.K_w2 * sv.xi_w_norm
-    return _switching(sv.s_v, cfg.Lambda_v, rho, cfg.epsilon_bl)
+    rho = adaptive.K_v0 + adaptive.K_v1 * xi_v + adaptive.K_w2 * xi_w
+    return _switching(s_v, cfg.Lambda_v, rho, cfg.epsilon_bl)
 
 
-def asmc_torque(sv: SlidingVars, adaptive: AdaptiveState, cfg: AsmcConfig) -> float:
+def asmc_torque(s_w: float, xi_v: float, xi_w: float, adaptive: AdaptiveState,
+                cfg: AsmcConfig) -> float:
     """Torque law, mirror of `asmc_force` on the yaw channel with
     rho_w = K_w0 + K_w1 |xi_w| + K_v2 |xi_v|."""
-    rho = adaptive.K_w0 + adaptive.K_w1 * sv.xi_w_norm + adaptive.K_v2 * sv.xi_v_norm
-    return _switching(sv.s_w, cfg.Lambda_w, rho, cfg.epsilon_bl)
+    rho = adaptive.K_w0 + adaptive.K_w1 * xi_w + adaptive.K_v2 * xi_v
+    return _switching(s_w, cfg.Lambda_w, rho, cfg.epsilon_bl)
 
 
-def baseline_asmc(sv: SlidingVars, adaptive: AdaptiveState,
+def baseline_asmc(s_v: float, s_w: float, adaptive: AdaptiveState,
                   cfg: AsmcConfig) -> tuple[float, float]:
     """Bounded-gain comparison controller: the proposed laws with the
     state-dependent terms masked off, rho_v = K_v0 and rho_w = K_w0, i.e. a
     switching gain that can only track an a-priori-bounded uncertainty level.
     """
-    return (_switching(sv.s_v, cfg.Lambda_v, adaptive.K_v0, cfg.epsilon_bl),
-            _switching(sv.s_w, cfg.Lambda_w, adaptive.K_w0, cfg.epsilon_bl))
+    return (_switching(s_v, cfg.Lambda_v, adaptive.K_v0, cfg.epsilon_bl),
+            _switching(s_w, cfg.Lambda_w, adaptive.K_w0, cfg.epsilon_bl))
 
 
 def _clamp_gain(k: float, clamp: float | None) -> float:
@@ -236,8 +207,8 @@ def _clamp_gain(k: float, clamp: float | None) -> float:
     return k
 
 
-def adapt_gains(adaptive: AdaptiveState, sv: SlidingVars, cfg: AsmcConfig,
-                dt: float) -> AdaptiveState:
+def adapt_gains(adaptive: AdaptiveState, s_v: float, s_w: float, xi_v: float,
+                xi_w: float, cfg: AsmcConfig, dt: float) -> AdaptiveState:
     """Advance the six adaptive-gain ODEs one explicit-Euler step (in place).
 
     Drives: K_v0 <- |s_v|; K_v1 <- |s_v||xi_v|; K_w0 <- |s_w|;
@@ -246,9 +217,9 @@ def adapt_gains(adaptive: AdaptiveState, sv: SlidingVars, cfg: AsmcConfig,
     Each gain leaks at its own alpha rate. K_v0 and K_w0 advance as in
     `adapt_gains_baseline`; each update reads only its own gain.
     """
-    adapt_gains_baseline(adaptive, sv, cfg, dt)
-    drive_v = abs(sv.s_v) * sv.xi_v_norm
-    drive_w = abs(sv.s_w) * sv.xi_w_norm
+    adapt_gains_baseline(adaptive, s_v, s_w, cfg, dt)
+    drive_v = abs(s_v) * xi_v
+    drive_w = abs(s_w) * xi_w
     c = cfg.gain_clamp
     adaptive.K_v1 = _clamp_gain(adaptive.K_v1 + dt * (drive_v - cfg.alpha_v1 * adaptive.K_v1), c)
     adaptive.K_w2 = _clamp_gain(adaptive.K_w2 + dt * (drive_w - cfg.alpha_w2 * adaptive.K_w2), c)
@@ -257,15 +228,15 @@ def adapt_gains(adaptive: AdaptiveState, sv: SlidingVars, cfg: AsmcConfig,
     return adaptive
 
 
-def adapt_gains_baseline(adaptive: AdaptiveState, sv: SlidingVars, cfg: AsmcConfig,
-                         dt: float) -> AdaptiveState:
+def adapt_gains_baseline(adaptive: AdaptiveState, s_v: float, s_w: float,
+                         cfg: AsmcConfig, dt: float) -> AdaptiveState:
     """Baseline adaptation: only the constant-bound gains K_v0 / K_w0 adapt;
     the state-dependent gains are left untouched (they are not used)."""
     if not dt > 0:
         raise ValueError(f"dt must be > 0, got {dt}")
     c = cfg.gain_clamp
     adaptive.K_v0 = _clamp_gain(
-        adaptive.K_v0 + dt * (abs(sv.s_v) - cfg.alpha_v0 * adaptive.K_v0), c)
+        adaptive.K_v0 + dt * (abs(s_v) - cfg.alpha_v0 * adaptive.K_v0), c)
     adaptive.K_w0 = _clamp_gain(
-        adaptive.K_w0 + dt * (abs(sv.s_w) - cfg.alpha_w0 * adaptive.K_w0), c)
+        adaptive.K_w0 + dt * (abs(s_w) - cfg.alpha_w0 * adaptive.K_w0), c)
     return adaptive

@@ -40,7 +40,7 @@ import numpy as np
 
 from . import control as ctl
 from .arena import Arena, require
-from .control import AdaptiveState, AsmcConfig, KinematicGains, VelocityReference
+from .control import AdaptiveState, AsmcConfig, KinematicGains
 from .platoon import (
     Path,
     PlatoonConfig,
@@ -155,7 +155,6 @@ class Trace:
 
     controller: str
     scenario: str
-    n_robots: int
     t: np.ndarray
     rec: np.ndarray
     gap_err: np.ndarray
@@ -170,6 +169,10 @@ class Trace:
     @property
     def n_records(self) -> int:
         return len(self.t)
+
+    @property
+    def n_robots(self) -> int:
+        return self.rec.shape[1]
 
 
 def _index_at_arc(path: Path, s: float) -> int:
@@ -372,7 +375,7 @@ def run_episode(
         k, r = min(aborts)
         raise EpisodeAborted(k, k * cp, r, _diagnostic(
             rec, marks, path, platoon.gap_des, k, r))
-    return Trace(controller=controller, scenario=scenario_label, n_robots=R,
+    return Trace(controller=controller, scenario=scenario_label,
                  t=np.arange(n_rec) * cp, rec=rec,
                  gap_err=_gap_errors(path, marks, platoon.gap_des))
 
@@ -432,7 +435,6 @@ def _run_group(path: Path, robots: list, states: list, markers: list,
             marks[base + r] = m
             if r == 0:
                 xr, yr, thr, kappa = pose_at_arc(path, lead_arc)
-                ref = VelocityReference(v_d, kappa * v_d)
             else:
                 # the predecessor's step-k record; upstream of robot lo it is
                 # another group's, published through recv_fd
@@ -440,32 +442,34 @@ def _run_group(path: Path, robots: list, states: list, markers: list,
                     ready = _wait(recv_fd, k)
                     if ready <= k:
                         return k, None
-                xr, yr, thr, ref = follower_target(path, marks[base + r - 1],
-                                                   gap_des, v_d)
+                xr, yr, thr, kappa = follower_target(
+                    path, marks[base + r - 1], gap_des)
                 if heading_from_predecessor:
                     thr = rows[(base + r - 1) * nf + _THETA]
+            omega_d = kappa * v_d
 
             ad = adaptives[r]
             gains_now = ad.gains()
             try:
-                err = ctl.posture_error(x, y, th, xr, yr, thr)
-                cmd = ctl.kinematic_control(err, ref, kin)
-                sv = ctl.update_sliding(ad, v, w, cmd, asmc, cp)
+                e1, e2, e3 = ctl.posture_error(x, y, th, xr, yr, thr)
+                v_c, w_c = ctl.kinematic_control(e1, e2, e3, v_d, omega_d, kin)
+                s_v, s_w, xi_v, xi_w = ctl.update_sliding(ad, v, w, v_c, w_c,
+                                                          asmc, cp)
                 if proposed:
-                    F = ctl.asmc_force(sv, ad, asmc)
-                    tau = ctl.asmc_torque(sv, ad, asmc)
-                    ctl.adapt_gains(ad, sv, asmc, cp)
+                    F = ctl.asmc_force(s_v, xi_v, xi_w, ad, asmc)
+                    tau = ctl.asmc_torque(s_w, xi_v, xi_w, ad, asmc)
+                    ctl.adapt_gains(ad, s_v, s_w, xi_v, xi_w, asmc, cp)
                 else:
-                    F, tau = ctl.baseline_asmc(sv, ad, asmc)
-                    ctl.adapt_gains_baseline(ad, sv, asmc, cp)
+                    F, tau = ctl.baseline_asmc(s_v, s_w, ad, asmc)
+                    ctl.adapt_gains_baseline(ad, s_v, s_w, asmc, cp)
             except (ValueError, OverflowError):
                 # math.* rejects an angle or gain that has run off
                 return k, (k, r)
             tau_r, tau_l = wheel_torque_split(F, tau, robots[r])
 
             pack_row(buf, (base + r) * row_size,
-                     x, y, th, v, w, xr, yr, cmd.v_c, cmd.omega_c, F, tau,
-                     tau_r, tau_l, sv.s_v, sv.s_w, *gains_now, xr - x, yr - y)
+                     x, y, th, v, w, xr, yr, v_c, w_c, F, tau, tau_r, tau_l,
+                     s_v, s_w, *gains_now, xr - x, yr - y)
 
             if not (isfinite(F) and isfinite(tau) and isfinite(tau_r)
                     and isfinite(tau_l)):

@@ -201,7 +201,7 @@ def load_trace(path) -> Trace:
     with open(path) as fh:
         header = fh.readline().strip().split(",")
         n_robots = len(header) // (n_fields + 1)
-        if header != csv_header(n_robots):
+        if not n_robots or header != csv_header(n_robots):
             raise ValueError(
                 f"{path}: header does not match the trace column contract")
         start = fh.tell()
@@ -216,8 +216,8 @@ def load_trace(path) -> Trace:
             raise ValueError(f"{path}: malformed trace rows") from exc
     gap_start = 1 + n_robots * n_fields
     rec = raw[:, 1:gap_start].reshape(len(raw), n_robots, n_fields)
-    return Trace(controller="", scenario="", n_robots=n_robots, t=raw[:, 0],
-                 rec=rec, gap_err=raw[:, gap_start:])
+    return Trace(controller="", scenario="", t=raw[:, 0], rec=rec,
+                 gap_err=raw[:, gap_start:])
 
 
 def write_plotspec(path, n_robots: int) -> None:

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arena import finite, require
-from .control import VelocityReference
 
 DEFAULT_SPACING = 0.05
 
@@ -203,17 +202,17 @@ def target_waypoint(path: Path, leader_index: int, gap_des: float) -> int:
     return lo
 
 
-def follower_target(path: Path, leader_index: int, gap_des: float, v_d: float
-                    ) -> tuple[float, float, float, VelocityReference]:
-    """A follower's reference (x, y, theta, twist) at the `target_waypoint`:
-    heading the forward-difference tangent (backward at the last index),
-    twist v_d along the path with omega_d = curvature * v_d."""
+def follower_target(path: Path, leader_index: int, gap_des: float
+                    ) -> tuple[float, float, float, float]:
+    """A follower's reference (x, y, theta, curvature) at the
+    `target_waypoint`, the shape of `pose_at_arc`'s: heading the
+    forward-difference tangent (backward at the last index), curvature the
+    vertex's."""
     idx = target_waypoint(path, leader_index, gap_des)
     cx, cy = path.cx.item, path.cy.item
     j = idx if idx < len(path) - 1 else idx - 1
     theta = math.atan2(cy(j + 1) - cy(j), cx(j + 1) - cx(j))
-    return (cx(idx), cy(idx), theta,
-            VelocityReference(v_d, path.curvature.item(idx) * v_d))
+    return cx(idx), cy(idx), theta, path.curvature.item(idx)
 
 
 def nearest_index(path: Path, x: float, y: float, hint: int | None = None,

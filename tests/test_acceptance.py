@@ -19,11 +19,7 @@ import pytest
 
 from platoon_asmc import default_config, run_episode
 from platoon_asmc.arena import NO_ARENA
-from platoon_asmc.control import (
-    VelocityReference,
-    kinematic_control,
-    posture_error,
-)
+from platoon_asmc.control import kinematic_control, posture_error
 from platoon_asmc.cli import main as cli_main
 from platoon_asmc.config import dump_config
 from platoon_asmc.engine import default_path_for
@@ -154,12 +150,10 @@ def _kinematic_errors(kin, v_d, path, start_arc, pose, duration,
     errs = np.empty((n + 1, 3))
     for k in range(n + 1):
         xr, yr, thr, kappa = pose_at_arc(path, start_arc + v_d * (k * period))
-        err = posture_error(x, y, th, xr, yr, thr)
-        errs[k] = err.e1, err.e2, err.e3
+        errs[k] = err = posture_error(x, y, th, xr, yr, thr)
         if k < n:
-            cmd = kinematic_control(err, VelocityReference(v_d, kappa * v_d),
-                                    kin)
-            x, y, th, _, _ = step(x, y, th, cmd.v_c, cmd.omega_c, 0.0, 0.0,
+            v_c, omega_c = kinematic_control(*err, v_d, kappa * v_d, kin)
+            x, y, th, _, _ = step(x, y, th, v_c, omega_c, 0.0, 0.0,
                                   n_sub, period / n_sub)
     return np.arange(n + 1) * period, errs
 

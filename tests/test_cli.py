@@ -555,6 +555,17 @@ class TestRunCommand:
             err = assert_rejected(tmp_path, capfd, config, *flags)
         assert err == f"error: kind=validation; message={message}\n"
 
+    @pytest.mark.parametrize("argv", [["-h"], ["run", "-h"]],
+                             ids=["top_level", "run"])
+    def test_help_prints_usage_and_exits_0(self, capsys, argv):
+        # the parser's errors are ConfigErrors; its help still exits
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("usage:")
+        assert err == ""
+
     def test_flags_echo_as_their_values_in_the_config_file(self, tmp_path):
         # the flags are written over the config document, then built once
         out = tmp_path / "out"

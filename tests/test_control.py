@@ -11,9 +11,6 @@ from platoon_asmc import (
     AdaptiveState,
     AsmcConfig,
     KinematicGains,
-    SlidingVars,
-    VelocityCommand,
-    VelocityReference,
     adapt_gains,
     adapt_gains_baseline,
     asmc_force,
@@ -29,28 +26,22 @@ CFG = AsmcConfig()
 GAIN_NAMES = ("K_v0", "K_v1", "K_w2", "K_w0", "K_w1", "K_v2")
 
 
-def sliding(s_v=0.0, s_w=0.0, xi_v=0.0, xi_w=0.0):
-    return SlidingVars(s_v=s_v, s_w=s_w, xi_v_norm=xi_v, xi_w_norm=xi_w)
-
-
 class TestPostureError:
     def test_zero_heading_is_identity(self):
-        e = posture_error(0, 0, 0, 1, 2, 0.5)
-        assert (e.e1, e.e2, e.e3) == (1, 2, 0.5)
+        assert posture_error(0, 0, 0, 1, 2, 0.5) == (1, 2, 0.5)
 
     def test_rotated_frame(self):
-        e = posture_error(0, 0, math.pi / 2, 1, 0, math.pi / 2)
-        assert abs(e.e1) < 1e-12
-        assert math.isclose(e.e2, -1.0, rel_tol=1e-12)
-        assert e.e3 == 0.0
+        e1, e2, e3 = posture_error(0, 0, math.pi / 2, 1, 0, math.pi / 2)
+        assert abs(e1) < 1e-12
+        assert math.isclose(e2, -1.0, rel_tol=1e-12)
+        assert e3 == 0.0
 
     def test_coincident_poses(self):
-        e = posture_error(3, -2, 1.1, 3, -2, 1.1)
-        assert (e.e1, e.e2, e.e3) == (0, 0, 0)
+        assert posture_error(3, -2, 1.1, 3, -2, 1.1) == (0, 0, 0)
 
     def test_heading_error_wraps_after_full_turns(self):
-        e = posture_error(0, 0, 6 * math.pi + 0.1, 0, 0, 0.2)
-        assert math.isclose(e.e3, 0.1, abs_tol=1e-9)
+        e3 = posture_error(0, 0, 6 * math.pi + 0.1, 0, 0, 0.2)[2]
+        assert math.isclose(e3, 0.1, abs_tol=1e-9)
 
     def test_wrap_angle_range(self):
         for a in np.linspace(-30, 30, 401):
@@ -60,31 +51,26 @@ class TestPostureError:
 
 class TestKinematicControl:
     def test_zero_error_passes_reference_through(self):
-        cmd = kinematic_control(
-            posture_error(0, 0, 0, 0, 0, 0),
-            VelocityReference(v_d=2.0, omega_d=0.3), KinematicGains())
-        assert cmd.v_c == 2.0 and cmd.omega_c == 0.3
+        v_c, omega_c = kinematic_control(
+            *posture_error(0, 0, 0, 0, 0, 0), 2.0, 0.3, KinematicGains())
+        assert v_c == 2.0 and omega_c == 0.3
 
     def test_longitudinal_term(self):
-        from platoon_asmc.control import PostureError
-        cmd = kinematic_control(PostureError(0.1, 0, 0),
-                                VelocityReference(2.0, 0.0),
-                                KinematicGains(k1=5, k2=3, k3=2))
-        assert math.isclose(cmd.v_c, 2.5, rel_tol=1e-12)
+        v_c, _ = kinematic_control(0.1, 0, 0, 2.0, 0.0,
+                                   KinematicGains(k1=5, k2=3, k3=2))
+        assert math.isclose(v_c, 2.5, rel_tol=1e-12)
 
     def test_lateral_term(self):
-        from platoon_asmc.control import PostureError
-        cmd = kinematic_control(PostureError(0, 0.2, 0),
-                                VelocityReference(2.0, 0.0),
-                                KinematicGains(k1=5, k2=3, k3=2))
-        assert math.isclose(cmd.omega_c, 1.2, rel_tol=1e-12)
+        _, omega_c = kinematic_control(0, 0.2, 0, 2.0, 0.0,
+                                       KinematicGains(k1=5, k2=3, k3=2))
+        assert math.isclose(omega_c, 1.2, rel_tol=1e-12)
 
 
 class TestSlidingVariables:
     def test_zero_error_zero_surface(self):
         ad = AdaptiveState()
-        sv = update_sliding(ad, 1.0, 0.5, VelocityCommand(1.0, 0.5), CFG, 0.01)
-        assert sv.s_v == 0.0 and sv.s_w == 0.0
+        s_v, s_w, _, _ = update_sliding(ad, 1.0, 0.5, 1.0, 0.5, CFG, 0.01)
+        assert s_v == 0.0 and s_w == 0.0
         assert ad.int_ev == 0.0 and ad.int_ew == 0.0
 
     def test_constant_error_grows_linearly(self):
@@ -92,46 +78,46 @@ class TestSlidingVariables:
         ad = AdaptiveState()
         dt = 0.01
         for k in range(500):
-            sv = update_sliding(ad, 1.0, 0.0, VelocityCommand(0.0, 0.0), CFG, dt)
-            assert math.isclose(sv.s_v, 1.0 + 0.5 * (k * dt), rel_tol=1e-9)
+            s_v = update_sliding(ad, 1.0, 0.0, 0.0, 0.0, CFG, dt)[0]
+            assert math.isclose(s_v, 1.0 + 0.5 * (k * dt), rel_tol=1e-9)
 
     def test_surface_identity_is_exact(self):
         ad = AdaptiveState(int_ev=0.7, int_ew=-0.3)
-        sv = update_sliding(ad, 1.4, 0.2, VelocityCommand(1.1, 0.6), CFG, 0.01)
+        s_v, s_w, _, _ = update_sliding(ad, 1.4, 0.2, 1.1, 0.6, CFG, 0.01)
         # s is built from the integral held before the call
-        assert sv.s_v == (1.4 - 1.1) + CFG.phi_v * 0.7
-        assert sv.s_w == (0.2 - 0.6) + CFG.phi_w * -0.3
+        assert s_v == (1.4 - 1.1) + CFG.phi_v * 0.7
+        assert s_w == (0.2 - 0.6) + CFG.phi_w * -0.3
 
     def test_xi_norm(self):
         ad = AdaptiveState(int_ev=2.0)
-        sv = update_sliding(ad, 1.0, 0.0, VelocityCommand(0.0, 0.0), CFG, 0.01)
-        assert math.isclose(sv.xi_v_norm, math.sqrt(5.0), rel_tol=1e-12)
+        xi_v = update_sliding(ad, 1.0, 0.0, 0.0, 0.0, CFG, 0.01)[2]
+        assert math.isclose(xi_v, math.sqrt(5.0), rel_tol=1e-12)
 
     def test_rejects_nonpositive_dt(self):
         with pytest.raises(ValueError):
-            update_sliding(AdaptiveState(), 0, 0, VelocityCommand(0, 0), CFG, 0.0)
+            update_sliding(AdaptiveState(), 0, 0, 0, 0, CFG, 0.0)
 
 
 class TestForceTorqueLaws:
     def test_force_vanishes_on_surface(self):
-        assert asmc_force(sliding(), AdaptiveState(), CFG) == 0.0
+        assert asmc_force(0.0, 0.0, 0.0, AdaptiveState(), CFG) == 0.0
 
     def test_force_outside_boundary_layer(self):
         ad = AdaptiveState(K_v0=0.2)
-        F = asmc_force(sliding(s_v=1.0), ad, AsmcConfig(Lambda_v=3.0))
+        F = asmc_force(1.0, 0.0, 0.0, ad, AsmcConfig(Lambda_v=3.0))
         assert math.isclose(F, -3.2, rel_tol=1e-12)
 
     def test_force_odd_symmetry_example(self):
         ad = AdaptiveState(K_v0=0.2)
-        F = asmc_force(sliding(s_v=-1.0), ad, AsmcConfig(Lambda_v=3.0))
+        F = asmc_force(-1.0, 0.0, 0.0, ad, AsmcConfig(Lambda_v=3.0))
         assert math.isclose(F, 3.2, rel_tol=1e-12)
 
     def test_torque_vanishes_on_surface(self):
-        assert asmc_torque(sliding(), AdaptiveState(), CFG) == 0.0
+        assert asmc_torque(0.0, 0.0, 0.0, AdaptiveState(), CFG) == 0.0
 
     def test_torque_outside_boundary_layer(self):
         ad = AdaptiveState(K_w0=0.1)
-        tau = asmc_torque(sliding(s_w=1.0), ad, AsmcConfig(Lambda_w=2.0))
+        tau = asmc_torque(1.0, 0.0, 0.0, ad, AsmcConfig(Lambda_w=2.0))
         assert math.isclose(tau, -2.1, rel_tol=1e-12)
 
     @given(s_v=st.floats(-10, 10, allow_nan=False),
@@ -141,23 +127,23 @@ class TestForceTorqueLaws:
     def test_odd_symmetry(self, s_v, s_w, xi_v, xi_w):
         ad = AdaptiveState(K_v0=0.3, K_v1=0.2, K_w2=0.1, K_w0=0.4, K_w1=0.5,
                            K_v2=0.6)
-        F1 = asmc_force(sliding(s_v, s_w, xi_v, xi_w), ad, CFG)
-        F2 = asmc_force(sliding(-s_v, -s_w, xi_v, xi_w), ad, CFG)
-        t1 = asmc_torque(sliding(s_v, s_w, xi_v, xi_w), ad, CFG)
-        t2 = asmc_torque(sliding(-s_v, -s_w, xi_v, xi_w), ad, CFG)
+        F1 = asmc_force(s_v, xi_v, xi_w, ad, CFG)
+        F2 = asmc_force(-s_v, xi_v, xi_w, ad, CFG)
+        t1 = asmc_torque(s_w, xi_v, xi_w, ad, CFG)
+        t2 = asmc_torque(-s_w, xi_v, xi_w, ad, CFG)
         assert math.isclose(F1, -F2, rel_tol=1e-12, abs_tol=1e-12)
         assert math.isclose(t1, -t2, rel_tol=1e-12, abs_tol=1e-12)
 
     def test_baseline_uses_constant_bound_only(self):
         ad = AdaptiveState(K_v0=0.2, K_v1=9.0, K_w2=9.0, K_w0=0.1, K_w1=9.0,
                            K_v2=9.0)
-        F, tau = baseline_asmc(sliding(s_v=1.0, s_w=1.0, xi_v=5.0, xi_w=5.0),
-                               ad, AsmcConfig(Lambda_v=3.0, Lambda_w=2.0))
+        F, tau = baseline_asmc(1.0, 1.0, ad,
+                               AsmcConfig(Lambda_v=3.0, Lambda_w=2.0))
         assert math.isclose(F, -3.2, rel_tol=1e-12)
         assert math.isclose(tau, -2.1, rel_tol=1e-12)
 
     def test_baseline_zero_surface(self):
-        F, tau = baseline_asmc(sliding(), AdaptiveState(), CFG)
+        F, tau = baseline_asmc(0.0, 0.0, AdaptiveState(), CFG)
         assert F == 0.0 and tau == 0.0
 
 
@@ -166,14 +152,14 @@ class TestGainAdaptation:
         ad = AdaptiveState(K_v0=1.0)
         dt = 0.01
         before = ad.K_v0
-        adapt_gains(ad, sliding(), AsmcConfig(alpha_v0=2.5), dt)
+        adapt_gains(ad, 0.0, 0.0, 0.0, 0.0, AsmcConfig(alpha_v0=2.5), dt)
         assert math.isclose((ad.K_v0 - before) / dt, -2.5, rel_tol=1e-12)
 
     def test_drive_minus_leak(self):
         ad = AdaptiveState(K_v1=0.01)
         dt = 1e-3
         before = ad.K_v1
-        adapt_gains(ad, sliding(s_v=1.0, xi_v=2.0), AsmcConfig(alpha_v1=2.5), dt)
+        adapt_gains(ad, 1.0, 0.0, 2.0, 0.0, AsmcConfig(alpha_v1=2.5), dt)
         assert math.isclose((ad.K_v1 - before) / dt, 1.975, rel_tol=1e-9)
 
     def test_cross_coupled_drives(self):
@@ -181,11 +167,11 @@ class TestGainAdaptation:
         cfg = AsmcConfig()
         dt = 0.01
         ad = AdaptiveState.fresh(0.01)
-        adapt_gains(ad, sliding(s_v=1.0, xi_v=2.0, s_w=0.0, xi_w=0.0), cfg, dt)
+        adapt_gains(ad, 1.0, 0.0, 2.0, 0.0, cfg, dt)
         assert ad.K_v2 > 0.01 * (1 - cfg.alpha_v2 * dt) + 1e-9
         assert ad.K_w2 < 0.01  # only leaks
         ad = AdaptiveState.fresh(0.01)
-        adapt_gains(ad, sliding(s_v=0.0, xi_v=0.0, s_w=1.0, xi_w=2.0), cfg, dt)
+        adapt_gains(ad, 0.0, 1.0, 0.0, 2.0, cfg, dt)
         assert ad.K_w2 > 0.01 * (1 - cfg.alpha_w2 * dt) + 1e-9
         assert ad.K_v2 < 0.01
 
@@ -193,7 +179,7 @@ class TestGainAdaptation:
         ad = AdaptiveState.fresh(0.01)
         prev = ad.gains()
         for _ in range(2000):
-            adapt_gains(ad, sliding(), CFG, 0.01)
+            adapt_gains(ad, 0.0, 0.0, 0.0, 0.0, CFG, 0.01)
             now = ad.gains()
             assert all(0 < g <= p for g, p in zip(now, prev))
             prev = now
@@ -210,7 +196,7 @@ class TestGainAdaptation:
         ad = AdaptiveState.fresh(0.01)
         decay = 1.0
         for s_v, s_w, xi_v, xi_w in signals:
-            adapt_gains(ad, sliding(s_v, s_w, xi_v, xi_w), cfg, dt)
+            adapt_gains(ad, s_v, s_w, xi_v, xi_w, cfg, dt)
             decay *= 1.0 - cfg.max_alpha() * dt
             floor = 0.99 * 0.01 * decay
             assert all(g > 0 for g in ad.gains())
@@ -219,20 +205,18 @@ class TestGainAdaptation:
     def test_clamp_caps_gains(self):
         cfg = AsmcConfig(gain_clamp=0.02)
         ad = AdaptiveState.fresh(0.019)
-        adapt_gains(ad, sliding(s_v=100.0, s_w=100.0, xi_v=10.0, xi_w=10.0),
-                    cfg, 0.01)
+        adapt_gains(ad, 100.0, 100.0, 10.0, 10.0, cfg, 0.01)
         assert all(g <= 0.02 for g in ad.gains())
 
     def test_oversized_step_is_rejected_not_silently_negative(self):
         # alpha * dt >= 1 would flip a gain's sign; the update refuses instead
         with pytest.raises(ValueError, match="positive domain"):
-            adapt_gains(AdaptiveState.fresh(0.01), sliding(),
+            adapt_gains(AdaptiveState.fresh(0.01), 0.0, 0.0, 0.0, 0.0,
                         AsmcConfig(alpha_w0=5.0), dt=0.5)
 
     def test_baseline_adapts_constant_gains_only(self):
         ad = AdaptiveState.fresh(0.01)
-        adapt_gains_baseline(ad, sliding(s_v=1.0, s_w=1.0, xi_v=3.0, xi_w=3.0),
-                             CFG, 0.01)
+        adapt_gains_baseline(ad, 1.0, 1.0, CFG, 0.01)
         assert ad.K_v0 > 0.01 and ad.K_w0 > 0.01
         assert ad.K_v1 == 0.01 and ad.K_w1 == 0.01
         assert ad.K_v2 == 0.01 and ad.K_w2 == 0.01
@@ -256,11 +240,11 @@ def test_frozen_gain_surface_attraction():
     dt = 1e-3
     prev_s = None
     for _ in range(4000):
-        sv = update_sliding(ad, v, 0.0, VelocityCommand(v_c, 0.0), cfg, dt)
+        s_v, _, xi_v, xi_w = update_sliding(ad, v, 0.0, v_c, 0.0, cfg, dt)
         if prev_s is not None and abs(prev_s) > cfg.epsilon_bl:
-            assert sv.s_v ** 2 < prev_s ** 2
-        prev_s = sv.s_v
-        F = asmc_force(sv, frozen, cfg)
+            assert s_v ** 2 < prev_s ** 2
+        prev_s = s_v
+        F = asmc_force(s_v, xi_v, xi_w, frozen, cfg)
         v += dt * (F - friction(v)) / m
         assert abs(friction(v)) < rho
 
@@ -276,19 +260,19 @@ def oracle_sat(x):
     return x
 
 
-def oracle_force(sv, ad, cfg):
-    rho = ad.K_v0 + ad.K_v1 * sv.xi_v_norm + ad.K_w2 * sv.xi_w_norm
-    return -cfg.Lambda_v * sv.s_v - rho * oracle_sat(sv.s_v / cfg.epsilon_bl)
+def oracle_force(s_v, xi_v, xi_w, ad, cfg):
+    rho = ad.K_v0 + ad.K_v1 * xi_v + ad.K_w2 * xi_w
+    return -cfg.Lambda_v * s_v - rho * oracle_sat(s_v / cfg.epsilon_bl)
 
 
-def oracle_torque(sv, ad, cfg):
-    rho = ad.K_w0 + ad.K_w1 * sv.xi_w_norm + ad.K_v2 * sv.xi_v_norm
-    return -cfg.Lambda_w * sv.s_w - rho * oracle_sat(sv.s_w / cfg.epsilon_bl)
+def oracle_torque(s_w, xi_v, xi_w, ad, cfg):
+    rho = ad.K_w0 + ad.K_w1 * xi_w + ad.K_v2 * xi_v
+    return -cfg.Lambda_w * s_w - rho * oracle_sat(s_w / cfg.epsilon_bl)
 
 
-def oracle_baseline(sv, ad, cfg):
-    F = -cfg.Lambda_v * sv.s_v - ad.K_v0 * oracle_sat(sv.s_v / cfg.epsilon_bl)
-    tau = -cfg.Lambda_w * sv.s_w - ad.K_w0 * oracle_sat(sv.s_w / cfg.epsilon_bl)
+def oracle_baseline(s_v, s_w, ad, cfg):
+    F = -cfg.Lambda_v * s_v - ad.K_v0 * oracle_sat(s_v / cfg.epsilon_bl)
+    tau = -cfg.Lambda_w * s_w - ad.K_w0 * oracle_sat(s_w / cfg.epsilon_bl)
     return F, tau
 
 
@@ -300,13 +284,13 @@ def oracle_clamp(k, clamp):
     return k
 
 
-def oracle_adapt(ad, sv, cfg, dt):
+def oracle_adapt(ad, s_v, s_w, xi_v, xi_w, cfg, dt):
     if not dt > 0:
         raise ValueError(dt)
-    abs_sv = abs(sv.s_v)
-    abs_sw = abs(sv.s_w)
-    drive_v = abs_sv * sv.xi_v_norm
-    drive_w = abs_sw * sv.xi_w_norm
+    abs_sv = abs(s_v)
+    abs_sw = abs(s_w)
+    drive_v = abs_sv * xi_v
+    drive_w = abs_sw * xi_w
     c = cfg.gain_clamp
     ad.K_v0 = oracle_clamp(ad.K_v0 + dt * (abs_sv - cfg.alpha_v0 * ad.K_v0), c)
     ad.K_v1 = oracle_clamp(ad.K_v1 + dt * (drive_v - cfg.alpha_v1 * ad.K_v1), c)
@@ -317,12 +301,12 @@ def oracle_adapt(ad, sv, cfg, dt):
     return ad
 
 
-def oracle_adapt_baseline(ad, sv, cfg, dt):
+def oracle_adapt_baseline(ad, s_v, s_w, cfg, dt):
     if not dt > 0:
         raise ValueError(dt)
     c = cfg.gain_clamp
-    ad.K_v0 = oracle_clamp(ad.K_v0 + dt * (abs(sv.s_v) - cfg.alpha_v0 * ad.K_v0), c)
-    ad.K_w0 = oracle_clamp(ad.K_w0 + dt * (abs(sv.s_w) - cfg.alpha_w0 * ad.K_w0), c)
+    ad.K_v0 = oracle_clamp(ad.K_v0 + dt * (abs(s_v) - cfg.alpha_v0 * ad.K_v0), c)
+    ad.K_w0 = oracle_clamp(ad.K_w0 + dt * (abs(s_w) - cfg.alpha_w0 * ad.K_w0), c)
     return ad
 
 
@@ -353,7 +337,8 @@ NORM = st.sampled_from((0.0, 1e-300, 1e300, math.inf, math.nan)) | \
     st.floats(0.0, 10.0)
 GAIN = st.sampled_from((0.01, 5e-324, 1e4, 1e300, math.inf, math.nan)) | \
     st.floats(1e-6, 100.0)
-sliding_st = st.builds(SlidingVars, SIGNAL, SIGNAL, NORM, NORM)
+# (s_v, s_w, xi_v, xi_w), as `update_sliding` returns them
+sliding_st = st.tuples(SIGNAL, SIGNAL, NORM, NORM)
 adaptive_st = st.builds(AdaptiveState, *[GAIN] * 6, SIGNAL, SIGNAL)
 asmc_st = st.builds(
     AsmcConfig, Lambda_v=st.floats(0.1, 10.0), Lambda_w=st.floats(0.1, 10.0),
@@ -370,17 +355,20 @@ class TestMatchesTheSeparateLaws:
     @settings(max_examples=300, deadline=None)
     @given(sliding_st, adaptive_st, asmc_st)
     def test_force_torque_and_baseline(self, sv, ad, cfg):
-        assert bits(lambda: asmc_force(sv, ad, cfg)) == \
-            bits(lambda: oracle_force(sv, ad, cfg))
-        assert bits(lambda: asmc_torque(sv, ad, cfg)) == \
-            bits(lambda: oracle_torque(sv, ad, cfg))
-        assert bits(lambda: baseline_asmc(sv, ad, cfg)) == \
-            bits(lambda: oracle_baseline(sv, ad, cfg))
+        s_v, s_w, xi_v, xi_w = sv
+        assert bits(lambda: asmc_force(s_v, xi_v, xi_w, ad, cfg)) == \
+            bits(lambda: oracle_force(s_v, xi_v, xi_w, ad, cfg))
+        assert bits(lambda: asmc_torque(s_w, xi_v, xi_w, ad, cfg)) == \
+            bits(lambda: oracle_torque(s_w, xi_v, xi_w, ad, cfg))
+        assert bits(lambda: baseline_asmc(s_v, s_w, ad, cfg)) == \
+            bits(lambda: oracle_baseline(s_v, s_w, ad, cfg))
 
     @settings(max_examples=300, deadline=None)
     @given(sliding_st, adaptive_st, asmc_st, DT)
     def test_adaptation(self, sv, ad, cfg, dt):
-        for law, oracle in ((adapt_gains, oracle_adapt),
-                            (adapt_gains_baseline, oracle_adapt_baseline)):
-            assert bits(lambda: law(copy.copy(ad), sv, cfg, dt)) == \
-                bits(lambda: oracle(copy.copy(ad), sv, cfg, dt))
+        s_v, s_w, xi_v, xi_w = sv
+        for law, oracle, signals in (
+                (adapt_gains, oracle_adapt, sv),
+                (adapt_gains_baseline, oracle_adapt_baseline, (s_v, s_w))):
+            assert bits(lambda: law(copy.copy(ad), *signals, cfg, dt)) == \
+                bits(lambda: oracle(copy.copy(ad), *signals, cfg, dt))

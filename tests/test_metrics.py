@@ -188,9 +188,11 @@ class TestTraceCsv:
 
     def test_load_rejects_foreign_header(self, tmp_path):
         f = tmp_path / "t.csv"
-        f.write_text("time,bogus\n0.0,1.0\n")
-        with pytest.raises(ValueError, match="column contract"):
-            load_trace(f)
+        # a foreign column, and a header with no robot's columns at all
+        for text in ("time,bogus\n0.0,1.0\n", "time\n0.0\n"):
+            f.write_text(text)
+            with pytest.raises(ValueError, match="column contract"):
+                load_trace(f)
 
 
 def test_plotspec_lists_known_columns(tmp_path, short_traces):

@@ -32,11 +32,13 @@ def unit_path(n=11):
 def waypoint_pose(path, index):
     """(x, y, theta) of the follower reference at waypoint `index`, which a
     zero gap targets."""
-    return follower_target(path, index, 0.0, 1.0)[:3]
+    return follower_target(path, index, 0.0)[:3]
 
 
 def waypoint_twist(path, index, v_d):
-    return follower_target(path, index, 0.0, v_d)[3]
+    """The yaw rate omega_d the engine derives from the reference at waypoint
+    `index`, curvature * v_d."""
+    return follower_target(path, index, 0.0)[3] * v_d
 
 
 def brute_force_target(path, leader_index, gap_des):
@@ -141,24 +143,24 @@ class TestReferencePose:
 
 class TestReferenceVelocity:
     def test_straight_line_zero_yaw(self):
-        assert waypoint_twist(unit_path(), 5, 2.0).omega_d == 0.0
+        assert waypoint_twist(unit_path(), 5, 2.0) == 0.0
 
     def test_circle_curvature(self):
         ang = np.deg2rad(np.arange(0, 360))
         p = build_path(5 * np.cos(ang), 5 * np.sin(ang))
-        ref = waypoint_twist(p, 90, 2.0)
-        assert math.isclose(ref.omega_d, 0.4, rel_tol=0.02)
-        assert ref.omega_d > 0  # counter-clockwise circle turns left
+        omega_d = waypoint_twist(p, 90, 2.0)
+        assert math.isclose(omega_d, 0.4, rel_tol=0.02)
+        assert omega_d > 0  # counter-clockwise circle turns left
 
     def test_zero_speed_scales_to_zero(self):
         ang = np.deg2rad(np.arange(0, 360))
         p = build_path(5 * np.cos(ang), 5 * np.sin(ang))
-        assert waypoint_twist(p, 90, 0.0).omega_d == 0.0
+        assert waypoint_twist(p, 90, 0.0) == 0.0
 
     def test_endpoint_curvature_is_zero(self):
         p = unit_path()
-        assert waypoint_twist(p, 0, 2.0).omega_d == 0.0
-        assert waypoint_twist(p, len(p) - 1, 2.0).omega_d == 0.0
+        assert waypoint_twist(p, 0, 2.0) == 0.0
+        assert waypoint_twist(p, len(p) - 1, 2.0) == 0.0
 
 
 class TestGapError:
@@ -190,11 +192,11 @@ def test_follower_target_depends_only_on_predecessor_index():
     rng = np.random.default_rng(5)
     p = random_path(rng, 80)
     for leader in (10, 40, 79):
-        a = follower_target(p, leader, 3.0, 2.0)
-        b = follower_target(p, leader, 3.0, 2.0)
+        a = follower_target(p, leader, 3.0)
+        b = follower_target(p, leader, 3.0)
         assert a == b
         index = target_waypoint(p, leader, 3.0)
-        assert a == follower_target(p, index, 0.0, 2.0)
+        assert a == follower_target(p, index, 0.0)
         assert a[:2] == (p.cx[index], p.cy[index])
 
 
@@ -426,9 +428,9 @@ class TestReferenceSamplingIsExact:
     def test_reference_pose_and_velocity_at_every_vertex(self, paths):
         for p in paths:
             for i in range(len(p)):
-                x, y, theta, twist = follower_target(p, i, 0.0, 1.7)
+                x, y, theta, kappa = follower_target(p, i, 0.0)
                 assert same_bits((x, y, theta), numpy_reference_pose(p, i)), i
-                assert same_bits(twist, (1.7, float(p.curvature[i]) * 1.7)), i
+                assert same_bits(kappa, float(p.curvature[i])), i
 
 
 class TestPoseAtArc:
