@@ -643,6 +643,24 @@ PINNED_TRACE_SHA256 = {
         "b16e3901c21746a3f22e47e88433f5e2572f280f876afee2144ffbf044198c6e",
 }
 
+# sha256 of the reports from the same `run --duration 20`, with both
+# controllers and with the proposed one alone. They pin the RMS figures and
+# the layout of both renderings.
+PINNED_REPORT_SHA256 = {
+    "both": {
+        "report.txt":
+            "5541666e5d933ba519865f252a3595b57ae4705e901aad5bb84e914a97525d36",
+        "report.json":
+            "37a38c6a10f3c7c286c3b544d67ef40cb48266da6cc7ceb33a8fa5f54172b9de",
+    },
+    "proposed": {
+        "report.txt":
+            "9123238ff397108b60660c3c0c293f6420251e92f127a4c4a24ac02d321f6684",
+        "report.json":
+            "d95bab9e1c19f3b5614f8905db3c12a49a7e7db3dea808fdc3b1bcf0af7e41dc",
+    },
+}
+
 
 @pytest.mark.parametrize("controller,children", [("both", 1), ("proposed", 0)])
 def test_run_forks_one_child_per_episode_after_the_first(tmp_path, forks,
@@ -675,3 +693,12 @@ def test_default_scenario_trace_bytes_are_pinned(tmp_path):
     for name, digest in PINNED_TRACE_SHA256.items():
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, \
             name
+
+
+@pytest.mark.parametrize("controller", sorted(PINNED_REPORT_SHA256))
+def test_default_scenario_report_bytes_are_pinned(tmp_path, controller):
+    assert main(["run", "--duration", "20", "--controller", controller,
+                 "--out", str(tmp_path), "--quiet"]) == 0
+    for name, digest in PINNED_REPORT_SHA256[controller].items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() \
+            == digest, name
