@@ -121,10 +121,11 @@ def run_command(args: argparse.Namespace) -> int:
         # baseline first, as `compare_reports` takes them
         ordered = [reports[c] for c in reversed(controllers)]
         comparison = mx.compare_reports(*ordered) if len(ordered) == 2 else None
-        text = mx.render_report_text(ordered, comparison)
+        report = mx.report_to_json(ordered, comparison)
+        text = mx.render_report_text(report)
         (out_dir / "report.txt").write_text(text)
         with open(out_dir / "report.json", "w") as fh:
-            json.dump(mx.report_to_json(ordered, comparison), fh, indent=2)
+            json.dump(report, fh, indent=2)
             fh.write("\n")
     except OSError as exc:
         return _fail("validation", f"cannot write output to {out_dir}: {exc}")

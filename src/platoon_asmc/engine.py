@@ -109,7 +109,7 @@ class SimConfig:
                 f"of control_period {self.control_period}")
 
     def substeps(self) -> int:
-        return max(1, int(round(self.control_period / self.dt_plant)))
+        return int(round(self.control_period / self.dt_plant))
 
     def n_periods(self) -> int:
         return int(round(self.duration / self.control_period))
@@ -625,14 +625,14 @@ def _child(job, i: int, result: int) -> None:
 
 def _diagnostic(rec: np.ndarray, marks: np.ndarray, path: Path,
                 gap_des: float, k: int, r: int) -> dict:
-    """Snapshot of the aborting robot's last fully finite record before the
-    abort at step k, whose records are incomplete, with that step's gap
-    errors."""
-    j = k - 1
-    while j >= 0 and not np.isfinite(rec[j, r]).all():
-        j -= 1
-    if j < 0:
+    """Snapshot of the aborting robot's record at step k - 1, the last
+    before the abort at step k, whose records are incomplete, with that
+    step's gap errors. The record is finite: its wrench was, and a wrench
+    computed from a non-finite state, reference, command or gain is not, or
+    its control raises."""
+    if k == 0:
         return {"step": None, "robot": r + 1}
+    j = k - 1
     return {
         "step": j,
         "robot": r + 1,

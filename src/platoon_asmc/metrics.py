@@ -10,7 +10,7 @@ round-trips exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -38,14 +38,15 @@ def quadrant_mask(trace: Trace, robot: int, quadrant: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RmsReport:
-    """Per-robot x/y tracking RMS and per-pair gap RMS for one episode."""
+    """Per-robot x/y tracking RMS and per-pair gap RMS for one episode, its
+    fields in the order `report.json` writes them."""
 
     controller: str
     scenario: str
+    warmup_cutoff: float
     rms_x: tuple[float, ...]
     rms_y: tuple[float, ...]
     rms_gap: tuple[float, ...]
-    warmup_cutoff: float = 0.0
 
 
 def report_from_trace(trace: Trace, warmup_cutoff: float = 0.0) -> RmsReport:
@@ -60,32 +61,24 @@ def report_from_trace(trace: Trace, warmup_cutoff: float = 0.0) -> RmsReport:
     return RmsReport(
         controller=trace.controller,
         scenario=trace.scenario,
+        warmup_cutoff=warmup_cutoff,
         rms_x=tuple(rms(ex[:, r]) for r in range(trace.n_robots)),
         rms_y=tuple(rms(ey[:, r]) for r in range(trace.n_robots)),
         rms_gap=tuple(rms(gaps[:, j]) for j in range(gaps.shape[1])),
-        warmup_cutoff=warmup_cutoff,
     )
 
 
-@dataclass(frozen=True)
-class ComparisonRow:
-    metric: str
-    baseline: float
-    proposed: float
-
-    @property
-    def proposed_lower(self) -> bool:
-        return self.proposed < self.baseline
-
-    @property
-    def improvement_pct(self) -> float:
-        if self.baseline == 0.0:
-            return 0.0
-        return 100.0 * (self.baseline - self.proposed) / self.baseline
+def _row(metric: str, baseline: float, proposed: float) -> dict:
+    return {"metric": metric, "baseline": baseline, "proposed": proposed,
+            "improvement_pct": (0.0 if baseline == 0.0 else
+                                100.0 * (baseline - proposed) / baseline),
+            "proposed_lower": proposed < baseline}
 
 
-def compare_reports(baseline: RmsReport, proposed: RmsReport) -> list[ComparisonRow]:
-    """Side-by-side metric rows; reports must come from the same scenario."""
+def compare_reports(baseline: RmsReport, proposed: RmsReport) -> list[dict]:
+    """The comparison rows of `report.json`, one per RMS metric, each with
+    the proposed controller's improvement in percent of the baseline (0.0
+    where the baseline is 0); reports must come from the same scenario."""
     if baseline.scenario != proposed.scenario:
         raise ValueError(
             f"scenario mismatch: {baseline.scenario!r} vs {proposed.scenario!r}")
@@ -93,20 +86,20 @@ def compare_reports(baseline: RmsReport, proposed: RmsReport) -> list[Comparison
         raise ValueError("reports cover different robot counts")
     rows = []
     for r in range(len(baseline.rms_x)):
-        rows.append(ComparisonRow(f"rms_x_robot{r + 1}", baseline.rms_x[r],
-                                  proposed.rms_x[r]))
-        rows.append(ComparisonRow(f"rms_y_robot{r + 1}", baseline.rms_y[r],
-                                  proposed.rms_y[r]))
+        rows.append(_row(f"rms_x_robot{r + 1}", baseline.rms_x[r],
+                         proposed.rms_x[r]))
+        rows.append(_row(f"rms_y_robot{r + 1}", baseline.rms_y[r],
+                         proposed.rms_y[r]))
     for j in range(len(baseline.rms_gap)):
-        rows.append(ComparisonRow(f"rms_gap_robot{j + 1}{j + 2}",
-                                  baseline.rms_gap[j], proposed.rms_gap[j]))
+        rows.append(_row(f"rms_gap_robot{j + 1}{j + 2}", baseline.rms_gap[j],
+                         proposed.rms_gap[j]))
     return rows
 
 
 def build_report(trace_proposed: Trace, trace_baseline: Trace,
                  warmup_cutoff: float = 0.0
-                 ) -> tuple[RmsReport, RmsReport, list[ComparisonRow]]:
-    """Reports for both controllers plus the comparison table, which
+                 ) -> tuple[RmsReport, RmsReport, list[dict]]:
+    """Reports for both controllers plus the comparison rows, which
     `compare_reports` refuses for traces of different scenarios."""
     rp = report_from_trace(trace_proposed, warmup_cutoff)
     rb = report_from_trace(trace_baseline, warmup_cutoff)
@@ -114,52 +107,36 @@ def build_report(trace_proposed: Trace, trace_baseline: Trace,
 
 
 def report_to_json(reports: list[RmsReport],
-                   comparison: list[ComparisonRow] | None = None) -> dict:
-    out: dict = {"reports": []}
-    for rep in reports:
-        out["reports"].append({
-            "controller": rep.controller,
-            "scenario": rep.scenario,
-            "warmup_cutoff": rep.warmup_cutoff,
-            "rms_x": list(rep.rms_x),
-            "rms_y": list(rep.rms_y),
-            "rms_gap": list(rep.rms_gap),
-        })
+                   comparison: list[dict] | None = None) -> dict:
+    """The report document: what `report.json` holds and what
+    `render_report_text` renders."""
+    doc = {"reports": [asdict(rep) for rep in reports]}
     if comparison is not None:
-        out["comparison"] = [
-            {
-                "metric": row.metric,
-                "baseline": row.baseline,
-                "proposed": row.proposed,
-                "improvement_pct": row.improvement_pct,
-                "proposed_lower": row.proposed_lower,
-            }
-            for row in comparison
-        ]
-    return out
+        doc["comparison"] = comparison
+    return doc
 
 
-def render_report_text(reports: list[RmsReport],
-                       comparison: list[ComparisonRow] | None = None) -> str:
-    """Aligned plain-text rendering of the reports and comparison table."""
+def render_report_text(doc: dict) -> str:
+    """Aligned plain-text rendering of a `report_to_json` document."""
     lines: list[str] = []
-    for rep in reports:
-        lines.append(f"controller={rep.controller}  scenario={rep.scenario}  "
-                     f"warmup_cutoff={rep.warmup_cutoff:g}s")
-        for r in range(len(rep.rms_x)):
-            lines.append(f"  robot{r + 1}  rms_x={rep.rms_x[r]:.6f} m  "
-                         f"rms_y={rep.rms_y[r]:.6f} m")
-        for j in range(len(rep.rms_gap)):
-            lines.append(f"  gap robot{j + 1}-robot{j + 2}  "
-                         f"rms={rep.rms_gap[j]:.6f} m")
+    for rep in doc["reports"]:
+        lines.append(f"controller={rep['controller']}  "
+                     f"scenario={rep['scenario']}  "
+                     f"warmup_cutoff={rep['warmup_cutoff']:g}s")
+        for r, (x, y) in enumerate(zip(rep["rms_x"], rep["rms_y"]), 1):
+            lines.append(f"  robot{r}  rms_x={x:.6f} m  rms_y={y:.6f} m")
+        for j, gap in enumerate(rep["rms_gap"], 1):
+            lines.append(f"  gap robot{j}-robot{j + 1}  rms={gap:.6f} m")
         lines.append("")
-    if comparison is not None:
-        w = max(len(row.metric) for row in comparison)
+    if "comparison" in doc:
+        rows = doc["comparison"]
+        w = max(len(row["metric"]) for row in rows)
         lines.append(f"{'metric':<{w}}  {'baseline':>10}  {'proposed':>10}  "
                      f"{'improve%':>8}")
-        for row in comparison:
-            lines.append(f"{row.metric:<{w}}  {row.baseline:>10.6f}  "
-                         f"{row.proposed:>10.6f}  {row.improvement_pct:>8.2f}")
+        for row in rows:
+            lines.append(f"{row['metric']:<{w}}  {row['baseline']:>10.6f}  "
+                         f"{row['proposed']:>10.6f}  "
+                         f"{row['improvement_pct']:>8.2f}")
         lines.append("")
     return "\n".join(lines)
 

@@ -239,11 +239,12 @@ def test_criterion_8_cli_determinism(acceptance_cfg, tmp_path_factory):
 
 def test_reports_full_run_and_warmup_variants(scenario_traces, tmp_path):
     # both full-run and warm-up-trimmed reports accompany the acceptance runs
-    from platoon_asmc.metrics import build_report, render_report_text
+    from platoon_asmc.metrics import (build_report, render_report_text,
+                                      report_to_json)
 
     for cutoff in (0.0, 60.0):
         rp, rb, comp = build_report(scenario_traces["proposed"],
                                     scenario_traces["baseline"], cutoff)
-        text = render_report_text([rb, rp], comp)
+        text = render_report_text(report_to_json([rb, rp], comp))
         assert f"warmup_cutoff={cutoff:g}" in text
         print(text)

@@ -14,7 +14,11 @@ from platoon_asmc.config import (
     from_dict,
     load_config,
 )
-from platoon_asmc.metrics import load_trace, report_from_trace
+from platoon_asmc.metrics import (
+    load_trace,
+    render_report_text,
+    report_from_trace,
+)
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -702,3 +706,12 @@ def test_default_scenario_report_bytes_are_pinned(tmp_path, controller):
     for name, digest in PINNED_REPORT_SHA256[controller].items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() \
             == digest, name
+
+
+@pytest.mark.parametrize("controller", ["both", "proposed"])
+def test_report_txt_renders_report_json(tmp_path, controller):
+    assert main(["run", "--duration", "5", "--controller", controller,
+                 "--out", str(tmp_path), "--quiet"]) == 0
+    doc = json.loads((tmp_path / "report.json").read_text())
+    assert render_report_text(doc).encode() == \
+        (tmp_path / "report.txt").read_bytes()

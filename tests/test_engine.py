@@ -300,7 +300,7 @@ class TestIntegratorQuality:
                             cfg.arena, sim, ctl), cfg.metrics.warmup_cutoff)
                 for ctl in ("baseline", "proposed"))
             values = [v for r in (rb, rp) for v in r.rms_x + r.rms_y + r.rms_gap]
-            return values, [row.improvement_pct
+            return values, [row["improvement_pct"]
                             for row in compare_reports(rb, rp)]
 
         ref_rms, ref_pct = reports(1e-4)

@@ -331,6 +331,15 @@ def test_episode_exits_cleanly_and_pipelines_exactly(episode):
                 event("tail dropped: past the tail's abort")
                 assert not isinstance(short, EpisodeAborted) or \
                     short.step > outcome[0], c
+    for outcome in serial:
+        if len(outcome) == 4:
+            # the diagnostic is the aborting robot's record before the abort,
+            # which is finite
+            step, _, _, diag = outcome
+            assert diag["step"] == (step - 1 if step else None)
+            assert all(math.isfinite(v)
+                       for v in (*diag.values(), *diag.get("gap_err", ()))
+                       if isinstance(v, float))
     if any(len(s) == 4 for s in serial):
         assert code == 3
     elif code == 0:

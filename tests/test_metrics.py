@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from platoon_asmc import build_report, export_trace, load_trace, \
     report_from_trace, rms
 from platoon_asmc.metrics import (
-    ComparisonRow,
     RmsReport,
     compare_reports,
     csv_header,
@@ -50,8 +49,8 @@ class TestReports:
     def test_report_purity_same_bytes(self, short_traces):
         rp, rb, comp = build_report(short_traces["proposed"],
                                     short_traces["baseline"])
-        a = render_report_text([rb, rp], comp)
-        b = render_report_text([rb, rp], comp)
+        a = render_report_text(report_to_json([rb, rp], comp))
+        b = render_report_text(report_to_json([rb, rp], comp))
         assert a == b
         assert json.dumps(report_to_json([rb, rp], comp)) == \
             json.dumps(report_to_json([rb, rp], comp))
@@ -65,19 +64,19 @@ class TestReports:
 
     def test_comparison_marks_lower_tracking_rms(self):
         # benchmark-table shape: per-robot x RMS 0.081 (baseline) vs 0.076
-        base = RmsReport("baseline", "s", (0.081,), (0.063,), ())
-        prop = RmsReport("proposed", "s", (0.076,), (0.056,), ())
+        base = RmsReport("baseline", "s", 0.0, (0.081,), (0.063,), ())
+        prop = RmsReport("proposed", "s", 0.0, (0.076,), (0.056,), ())
         rows = compare_reports(base, prop)
-        assert all(r.proposed_lower for r in rows)
-        x = next(r for r in rows if r.metric == "rms_x_robot1")
-        assert math.isclose(x.improvement_pct, 100 * (0.081 - 0.076) / 0.081)
+        assert all(r["proposed_lower"] for r in rows)
+        x = next(r for r in rows if r["metric"] == "rms_x_robot1")
+        assert math.isclose(x["improvement_pct"], 100 * (0.081 - 0.076) / 0.081)
 
     def test_comparison_marks_lower_gap_rms(self):
-        base = RmsReport("baseline", "s", (0.1,), (0.1,), (0.026, 0.050))
-        prop = RmsReport("proposed", "s", (0.1,), (0.1,), (0.014, 0.036))
+        base = RmsReport("baseline", "s", 0.0, (0.1,), (0.1,), (0.026, 0.050))
+        prop = RmsReport("proposed", "s", 0.0, (0.1,), (0.1,), (0.014, 0.036))
         rows = compare_reports(base, prop)
-        gaps = [r for r in rows if r.metric.startswith("rms_gap")]
-        assert len(gaps) == 2 and all(r.proposed_lower for r in gaps)
+        gaps = [r for r in rows if r["metric"].startswith("rms_gap")]
+        assert len(gaps) == 2 and all(r["proposed_lower"] for r in gaps)
 
     def test_warmup_cutoff_drops_leading_window(self, short_traces):
         tr = short_traces["proposed"]
@@ -87,7 +86,11 @@ class TestReports:
         assert trimmed != full
 
     def test_comparison_row_handles_zero_baseline(self):
-        assert ComparisonRow("m", 0.0, 0.0).improvement_pct == 0.0
+        base = RmsReport("baseline", "s", 0.0, (0.0,), (0.0,), ())
+        prop = RmsReport("proposed", "s", 0.0, (0.01,), (0.02,), ())
+        for row in compare_reports(base, prop):
+            assert row["improvement_pct"] == 0.0
+            assert row["proposed_lower"] is False
 
 
 class TestTraceCsv:
