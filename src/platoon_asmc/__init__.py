@@ -12,7 +12,6 @@ from .config import (
     load_config,
 )
 from .control import (
-    AdaptiveState,
     AsmcConfig,
     KinematicGains,
     adapt_gains,

@@ -198,13 +198,23 @@ def from_dict(doc: dict) -> RunConfig:
     return _build(RunConfig, doc, "config")
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's dict; a key given twice is rejected, not kept last."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ValueError(f"duplicate key {key!r}")
+        doc[key] = value
+    return doc
+
+
 def load_config(path) -> RunConfig:
     try:
-        with open(path) as fh:
-            doc = json.load(fh)
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except (ValueError, RecursionError) as exc:  # bad UTF-8, nesting or digits
+    except (ValueError, RecursionError) as exc:  # bad UTF-8, nesting, digits or keys
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     return from_dict(doc)
 

@@ -8,7 +8,8 @@ serves as the comparison controller.
 
 The controller is a discrete-time component: integral and gain states advance
 with explicit Euler at the control period, independently of the plant
-integrator.
+integrator. The laws hold no state: a law that advances a robot's `Gains` or
+its integrals, the pair (int_v, int_w), returns the new values.
 """
 
 from __future__ import annotations
@@ -17,6 +18,10 @@ import math
 from dataclasses import dataclass
 
 from .arena import finite, require
+
+Gains = tuple[float, float, float, float, float, float]
+"""The six adaptive gains in the trace's column order, (K_v0, K_v1, K_w2,
+K_w0, K_w1, K_v2): the force law's three, then the torque law's three."""
 
 
 def wrap_angle(a: float) -> float:
@@ -83,33 +88,6 @@ class AsmcConfig:
                    self.alpha_w0, self.alpha_w1, self.alpha_v2)
 
 
-@dataclass
-class AdaptiveState:
-    """Per-robot adaptive gains and controller integral states.
-
-    The six gains stay strictly positive for positive initialisation as long
-    as alpha * dt < 1 (checked by the episode engine); int_ev / int_ew are the
-    running integrals of the velocity tracking errors.
-    """
-
-    K_v0: float = 0.01
-    K_v1: float = 0.01
-    K_w2: float = 0.01
-    K_w0: float = 0.01
-    K_w1: float = 0.01
-    K_v2: float = 0.01
-    int_ev: float = 0.0
-    int_ew: float = 0.0
-
-    @classmethod
-    def fresh(cls, k_init: float) -> "AdaptiveState":
-        return cls(K_v0=k_init, K_v1=k_init, K_w2=k_init,
-                   K_w0=k_init, K_w1=k_init, K_v2=k_init)
-
-    def gains(self) -> tuple[float, float, float, float, float, float]:
-        return (self.K_v0, self.K_v1, self.K_w2, self.K_w0, self.K_w1, self.K_v2)
-
-
 def posture_error(x: float, y: float, theta: float, x_r: float, y_r: float,
                   theta_r: float) -> tuple[float, float, float]:
     """Rotate the inertial pose error into the robot body frame: the
@@ -134,28 +112,26 @@ def kinematic_control(e1: float, e2: float, e3: float, v_d: float,
             omega_d + gains.k2 * v_d * e2 + gains.k3 * v_d * math.sin(e3))
 
 
-def update_sliding(adaptive: AdaptiveState, v: float, omega: float,
+def update_sliding(integrals: tuple[float, float], v: float, omega: float,
                    v_c: float, omega_c: float, cfg: AsmcConfig, dt: float
-                   ) -> tuple[float, float, float, float]:
-    """Sliding variables at the current sample, advancing the integrals.
+                   ) -> tuple[float, float, float, float, tuple[float, float]]:
+    """Sliding variables at the current sample, and the advanced integrals.
 
-    Returns (s_v, s_w, xi_v, xi_w): s = e + phi * int(e) of the velocity and
-    yaw-rate channels, and the norms |xi| = hypot(e, int(e)) that drive
-    adaptation. s uses the integral accumulated up to (not including) this
-    sample, so a constant error e held from t=0 yields s(t) = e * (1 + phi *
-    t) exactly on the sample grid. The integrals in `adaptive` are then
-    advanced by e * dt for the next call.
+    Returns (s_v, s_w, xi_v, xi_w, integrals'): s = e + phi * int(e) of the
+    velocity and yaw-rate channels, and the norms |xi| = hypot(e, int(e))
+    that drive adaptation. s uses `integrals`, the pair (int_v, int_w)
+    accumulated up to (not including) this sample, so a constant error e
+    held from t=0 yields s(t) = e * (1 + phi * t) exactly on the sample grid;
+    integrals' adds e * dt to each for the next call.
     """
     if not dt > 0:
         raise ValueError(f"dt must be > 0, got {dt}")
     e_v = v - v_c
     e_w = omega - omega_c
-    int_v = adaptive.int_ev
-    int_w = adaptive.int_ew
-    adaptive.int_ev = int_v + e_v * dt
-    adaptive.int_ew = int_w + e_w * dt
+    int_v, int_w = integrals
     return (e_v + cfg.phi_v * int_v, e_w + cfg.phi_w * int_w,
-            math.hypot(e_v, int_v), math.hypot(e_w, int_w))
+            math.hypot(e_v, int_v), math.hypot(e_w, int_w),
+            (int_v + e_v * dt, int_w + e_w * dt))
 
 
 def _switching(s: float, lam: float, rho: float, eps: float) -> float:
@@ -169,30 +145,30 @@ def _switching(s: float, lam: float, rho: float, eps: float) -> float:
     return -lam * s - rho * x
 
 
-def asmc_force(s_v: float, xi_v: float, xi_w: float, adaptive: AdaptiveState,
+def asmc_force(s_v: float, xi_v: float, xi_w: float, gains: Gains,
                cfg: AsmcConfig) -> float:
     """Force law F = -Lambda_v s_v - rho_v sat(s_v/eps) with the
     state-dependent bound rho_v = K_v0 + K_v1 |xi_v| + K_w2 |xi_w|."""
-    rho = adaptive.K_v0 + adaptive.K_v1 * xi_v + adaptive.K_w2 * xi_w
+    rho = gains[0] + gains[1] * xi_v + gains[2] * xi_w
     return _switching(s_v, cfg.Lambda_v, rho, cfg.epsilon_bl)
 
 
-def asmc_torque(s_w: float, xi_v: float, xi_w: float, adaptive: AdaptiveState,
+def asmc_torque(s_w: float, xi_v: float, xi_w: float, gains: Gains,
                 cfg: AsmcConfig) -> float:
     """Torque law, mirror of `asmc_force` on the yaw channel with
     rho_w = K_w0 + K_w1 |xi_w| + K_v2 |xi_v|."""
-    rho = adaptive.K_w0 + adaptive.K_w1 * xi_w + adaptive.K_v2 * xi_v
+    rho = gains[3] + gains[4] * xi_w + gains[5] * xi_v
     return _switching(s_w, cfg.Lambda_w, rho, cfg.epsilon_bl)
 
 
-def baseline_asmc(s_v: float, s_w: float, adaptive: AdaptiveState,
+def baseline_asmc(s_v: float, s_w: float, gains: Gains,
                   cfg: AsmcConfig) -> tuple[float, float]:
     """Bounded-gain comparison controller: the proposed laws with the
     state-dependent terms masked off, rho_v = K_v0 and rho_w = K_w0, i.e. a
     switching gain that can only track an a-priori-bounded uncertainty level.
     """
-    return (_switching(s_v, cfg.Lambda_v, adaptive.K_v0, cfg.epsilon_bl),
-            _switching(s_w, cfg.Lambda_w, adaptive.K_w0, cfg.epsilon_bl))
+    return (_switching(s_v, cfg.Lambda_v, gains[0], cfg.epsilon_bl),
+            _switching(s_w, cfg.Lambda_w, gains[3], cfg.epsilon_bl))
 
 
 def _clamp_gain(k: float, clamp: float | None) -> float:
@@ -207,9 +183,9 @@ def _clamp_gain(k: float, clamp: float | None) -> float:
     return k
 
 
-def adapt_gains(adaptive: AdaptiveState, s_v: float, s_w: float, xi_v: float,
-                xi_w: float, cfg: AsmcConfig, dt: float) -> AdaptiveState:
-    """Advance the six adaptive-gain ODEs one explicit-Euler step (in place).
+def adapt_gains(gains: Gains, s_v: float, s_w: float, xi_v: float,
+                xi_w: float, cfg: AsmcConfig, dt: float) -> Gains:
+    """The six adaptive gains after one explicit-Euler step of their ODEs.
 
     Drives: K_v0 <- |s_v|; K_v1 <- |s_v||xi_v|; K_w0 <- |s_w|;
     K_w1 <- |s_w||xi_w|; and the cross-coupled pair K_w2 <- |s_w||xi_w|
@@ -217,26 +193,26 @@ def adapt_gains(adaptive: AdaptiveState, s_v: float, s_w: float, xi_v: float,
     Each gain leaks at its own alpha rate. K_v0 and K_w0 advance as in
     `adapt_gains_baseline`; each update reads only its own gain.
     """
-    adapt_gains_baseline(adaptive, s_v, s_w, cfg, dt)
+    K_v0, K_v1, K_w2, K_w0, K_w1, K_v2 = adapt_gains_baseline(
+        gains, s_v, s_w, cfg, dt)
     drive_v = abs(s_v) * xi_v
     drive_w = abs(s_w) * xi_w
     c = cfg.gain_clamp
-    adaptive.K_v1 = _clamp_gain(adaptive.K_v1 + dt * (drive_v - cfg.alpha_v1 * adaptive.K_v1), c)
-    adaptive.K_w2 = _clamp_gain(adaptive.K_w2 + dt * (drive_w - cfg.alpha_w2 * adaptive.K_w2), c)
-    adaptive.K_w1 = _clamp_gain(adaptive.K_w1 + dt * (drive_w - cfg.alpha_w1 * adaptive.K_w1), c)
-    adaptive.K_v2 = _clamp_gain(adaptive.K_v2 + dt * (drive_v - cfg.alpha_v2 * adaptive.K_v2), c)
-    return adaptive
+    K_v1 = _clamp_gain(K_v1 + dt * (drive_v - cfg.alpha_v1 * K_v1), c)
+    K_w2 = _clamp_gain(K_w2 + dt * (drive_w - cfg.alpha_w2 * K_w2), c)
+    K_w1 = _clamp_gain(K_w1 + dt * (drive_w - cfg.alpha_w1 * K_w1), c)
+    K_v2 = _clamp_gain(K_v2 + dt * (drive_v - cfg.alpha_v2 * K_v2), c)
+    return K_v0, K_v1, K_w2, K_w0, K_w1, K_v2
 
 
-def adapt_gains_baseline(adaptive: AdaptiveState, s_v: float, s_w: float,
-                         cfg: AsmcConfig, dt: float) -> AdaptiveState:
+def adapt_gains_baseline(gains: Gains, s_v: float, s_w: float,
+                         cfg: AsmcConfig, dt: float) -> Gains:
     """Baseline adaptation: only the constant-bound gains K_v0 / K_w0 adapt;
-    the state-dependent gains are left untouched (they are not used)."""
+    the state-dependent gains are returned untouched (they are not used)."""
     if not dt > 0:
         raise ValueError(f"dt must be > 0, got {dt}")
+    K_v0, K_v1, K_w2, K_w0, K_w1, K_v2 = gains
     c = cfg.gain_clamp
-    adaptive.K_v0 = _clamp_gain(
-        adaptive.K_v0 + dt * (abs(s_v) - cfg.alpha_v0 * adaptive.K_v0), c)
-    adaptive.K_w0 = _clamp_gain(
-        adaptive.K_w0 + dt * (abs(s_w) - cfg.alpha_w0 * adaptive.K_w0), c)
-    return adaptive
+    K_v0 = _clamp_gain(K_v0 + dt * (abs(s_v) - cfg.alpha_v0 * K_v0), c)
+    K_w0 = _clamp_gain(K_w0 + dt * (abs(s_w) - cfg.alpha_w0 * K_w0), c)
+    return K_v0, K_v1, K_w2, K_w0, K_w1, K_v2

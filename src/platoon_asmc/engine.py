@@ -40,7 +40,7 @@ import numpy as np
 
 from . import control as ctl
 from .arena import Arena, require
-from .control import AdaptiveState, AsmcConfig, KinematicGains
+from .control import AsmcConfig, KinematicGains
 from .platoon import (
     Path,
     PlatoonConfig,
@@ -364,7 +364,7 @@ def run_episode(
     marks = np.frombuffer(log, np.int64).reshape(n_rec, R)
     run = functools.partial(
         _run_group, path, robots, states, markers,
-        [AdaptiveState.fresh(asmc.k_init) for _ in range(R)], kin, asmc,
+        [(asmc.k_init,) * 6] * R, [(0.0, 0.0)] * R, kin, asmc,
         platoon, sim, controller == "proposed",
         [plant_step_for(rp, packed) for rp in robots], lead_start_arc, buf,
         memoryview(log).cast("q"))
@@ -390,11 +390,12 @@ def _gap_errors(path: Path, marks: np.ndarray, gap_des: float) -> np.ndarray:
 
 
 def _run_group(path: Path, robots: list, states: list, markers: list,
-               adaptives: list, kin: KinematicGains, asmc: AsmcConfig,
-               platoon: PlatoonConfig, sim: SimConfig, proposed: bool,
-               plants: list, lead_start_arc: float, buf: mmap.mmap,
-               marks: memoryview, lo: int, hi: int, recv_fd: int | None,
-               send_fd: int | None) -> tuple[int, tuple[int, int] | None]:
+               gains: list, integrals: list, kin: KinematicGains,
+               asmc: AsmcConfig, platoon: PlatoonConfig, sim: SimConfig,
+               proposed: bool, plants: list, lead_start_arc: float,
+               buf: mmap.mmap, marks: memoryview, lo: int, hi: int,
+               recv_fd: int | None, send_fd: int | None
+               ) -> tuple[int, tuple[int, int] | None]:
     """Run robots lo..hi-1 as one group of the pipeline, per step each in
     turn from projection to plant; return how many steps of their records
     are complete, and the group's abort or None.
@@ -448,20 +449,19 @@ def _run_group(path: Path, robots: list, states: list, markers: list,
                     thr = rows[(base + r - 1) * nf + _THETA]
             omega_d = kappa * v_d
 
-            ad = adaptives[r]
-            gains_now = ad.gains()
+            K = gains[r]
             try:
                 e1, e2, e3 = ctl.posture_error(x, y, th, xr, yr, thr)
                 v_c, w_c = ctl.kinematic_control(e1, e2, e3, v_d, omega_d, kin)
-                s_v, s_w, xi_v, xi_w = ctl.update_sliding(ad, v, w, v_c, w_c,
-                                                          asmc, cp)
+                s_v, s_w, xi_v, xi_w, integrals[r] = ctl.update_sliding(
+                    integrals[r], v, w, v_c, w_c, asmc, cp)
                 if proposed:
-                    F = ctl.asmc_force(s_v, xi_v, xi_w, ad, asmc)
-                    tau = ctl.asmc_torque(s_w, xi_v, xi_w, ad, asmc)
-                    ctl.adapt_gains(ad, s_v, s_w, xi_v, xi_w, asmc, cp)
+                    F = ctl.asmc_force(s_v, xi_v, xi_w, K, asmc)
+                    tau = ctl.asmc_torque(s_w, xi_v, xi_w, K, asmc)
+                    gains[r] = ctl.adapt_gains(K, s_v, s_w, xi_v, xi_w, asmc, cp)
                 else:
-                    F, tau = ctl.baseline_asmc(s_v, s_w, ad, asmc)
-                    ctl.adapt_gains_baseline(ad, s_v, s_w, asmc, cp)
+                    F, tau = ctl.baseline_asmc(s_v, s_w, K, asmc)
+                    gains[r] = ctl.adapt_gains_baseline(K, s_v, s_w, asmc, cp)
             except (ValueError, OverflowError):
                 # math.* rejects an angle or gain that has run off
                 return k, (k, r)
@@ -469,7 +469,7 @@ def _run_group(path: Path, robots: list, states: list, markers: list,
 
             pack_row(buf, (base + r) * row_size,
                      x, y, th, v, w, xr, yr, v_c, w_c, F, tau, tau_r, tau_l,
-                     s_v, s_w, *gains_now, xr - x, yr - y)
+                     s_v, s_w, *K, xr - x, yr - y)
 
             if not (isfinite(F) and isfinite(tau) and isfinite(tau_r)
                     and isfinite(tau_l)):

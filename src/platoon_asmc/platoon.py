@@ -118,7 +118,7 @@ def load_path_xy(path_file: str) -> Path:
     """
     xs: list[float] = []
     ys: list[float] = []
-    with open(path_file) as fh:
+    with open(path_file, encoding="utf-8") as fh:
         for ln, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):

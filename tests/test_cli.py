@@ -2,6 +2,9 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -119,6 +122,17 @@ class TestConfigParsing:
         p = tmp_path / "cfg.json"
         p.write_bytes(raw)
         assert "is not valid JSON" in assert_rejected(tmp_path, capfd, p)
+
+    @pytest.mark.parametrize("raw,key", [
+        (b'{"sim": {"duration": 3}, "sim": {"seed": 3}}', "sim"),
+        (b'{"sim": {"duration": 1, "duration": 3}}', "duration"),
+    ], ids=["section", "field"])
+    def test_duplicate_key_is_rejected_by_validation(self, tmp_path, capfd,
+                                                     raw, key):
+        # json.load alone keeps the last value: a 600 s run for the first
+        p = tmp_path / "cfg.json"
+        p.write_bytes(raw)
+        assert f"duplicate key {key!r}" in assert_rejected(tmp_path, capfd, p)
 
     def test_unknown_section_key(self, tmp_path, capsys):
         # `arena.mu_lateral` was a setting that nothing read
@@ -602,6 +616,38 @@ class TestRunCommand:
             path_file.write_text(course)
         assert_one_validation_error(tmp_path, capfd, ("path_file",),
                                     str(path_file))
+
+
+# Neither UTF-8 mode nor locale coercion: the C locale's own encoding, ASCII,
+# is what `open()` would read with by default.
+C_LOCALE = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+
+
+@pytest.mark.parametrize("config_encoding,course_encoding,code", [
+    ("utf-8", "utf-8", 0), ("latin-1", "utf-8", 2), ("utf-8", "latin-1", 2),
+], ids=["utf8", "latin1_config", "latin1_path_file"])
+def test_files_are_read_as_utf8_whatever_the_locale(
+        tmp_path, config_encoding, course_encoding, code):
+    """A config whose output_dir holds "é" (which --out overrides) and a
+    path file with a comment holding it run in the C locale; a Latin-1 "é"
+    in either file is rejected."""
+    course = tmp_path / "course.txt"
+    course.write_bytes("# café\n".encode(course_encoding) + "".join(
+        f"{0.05 * i} 0.0\n" for i in range(2000)).encode())
+    doc = tiny_config(path_file=str(course), output_dir="café")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(json.dumps(doc, ensure_ascii=False).encode(config_encoding))
+    env = {**os.environ, **C_LOCALE, "PYTHONPATH": os.pathsep.join(
+        filter(None, (str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "platoon_asmc", "run", "--config", str(cfg),
+         "--out", str(tmp_path / "out"), "--quiet"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == code, proc.stderr
+    if code:
+        assert proc.stderr.startswith("error: kind=validation")
+        assert proc.stderr.count("\n") == 1
+        assert not (tmp_path / "out").exists()
 
 
 def assert_one_validation_error(tmp_path, capfd, keys, value):

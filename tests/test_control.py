@@ -1,4 +1,3 @@
-import copy
 import math
 import struct
 
@@ -8,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from platoon_asmc import (
-    AdaptiveState,
     AsmcConfig,
     KinematicGains,
     adapt_gains,
@@ -24,6 +22,17 @@ from platoon_asmc.control import wrap_angle
 
 CFG = AsmcConfig()
 GAIN_NAMES = ("K_v0", "K_v1", "K_w2", "K_w0", "K_w1", "K_v2")
+NO_INTEGRALS = (0.0, 0.0)
+
+
+def gain_tuple(**gains):
+    """The gains tuple in GAIN_NAMES order, each gain not named at 0.01."""
+    assert set(gains) <= set(GAIN_NAMES), gains
+    return tuple(gains.get(name, 0.01) for name in GAIN_NAMES)
+
+
+def named(gains):
+    return dict(zip(GAIN_NAMES, gains))
 
 
 class TestPostureError:
@@ -68,56 +77,56 @@ class TestKinematicControl:
 
 class TestSlidingVariables:
     def test_zero_error_zero_surface(self):
-        ad = AdaptiveState()
-        s_v, s_w, _, _ = update_sliding(ad, 1.0, 0.5, 1.0, 0.5, CFG, 0.01)
+        s_v, s_w, _, _, integrals = update_sliding(
+            NO_INTEGRALS, 1.0, 0.5, 1.0, 0.5, CFG, 0.01)
         assert s_v == 0.0 and s_w == 0.0
-        assert ad.int_ev == 0.0 and ad.int_ew == 0.0
+        assert integrals == (0.0, 0.0)
 
     def test_constant_error_grows_linearly(self):
         # e_v held at 1 from t=0 with phi_v = 0.5: s(t_k) = 1 + 0.5 * t_k
-        ad = AdaptiveState()
+        integrals = NO_INTEGRALS
         dt = 0.01
         for k in range(500):
-            s_v = update_sliding(ad, 1.0, 0.0, 0.0, 0.0, CFG, dt)[0]
+            s_v, _, _, _, integrals = update_sliding(
+                integrals, 1.0, 0.0, 0.0, 0.0, CFG, dt)
             assert math.isclose(s_v, 1.0 + 0.5 * (k * dt), rel_tol=1e-9)
 
     def test_surface_identity_is_exact(self):
-        ad = AdaptiveState(int_ev=0.7, int_ew=-0.3)
-        s_v, s_w, _, _ = update_sliding(ad, 1.4, 0.2, 1.1, 0.6, CFG, 0.01)
+        s_v, s_w, _, _, _ = update_sliding((0.7, -0.3), 1.4, 0.2, 1.1, 0.6,
+                                           CFG, 0.01)
         # s is built from the integral held before the call
         assert s_v == (1.4 - 1.1) + CFG.phi_v * 0.7
         assert s_w == (0.2 - 0.6) + CFG.phi_w * -0.3
 
     def test_xi_norm(self):
-        ad = AdaptiveState(int_ev=2.0)
-        xi_v = update_sliding(ad, 1.0, 0.0, 0.0, 0.0, CFG, 0.01)[2]
+        xi_v = update_sliding((2.0, 0.0), 1.0, 0.0, 0.0, 0.0, CFG, 0.01)[2]
         assert math.isclose(xi_v, math.sqrt(5.0), rel_tol=1e-12)
 
     def test_rejects_nonpositive_dt(self):
         with pytest.raises(ValueError):
-            update_sliding(AdaptiveState(), 0, 0, 0, 0, CFG, 0.0)
+            update_sliding(NO_INTEGRALS, 0, 0, 0, 0, CFG, 0.0)
 
 
 class TestForceTorqueLaws:
     def test_force_vanishes_on_surface(self):
-        assert asmc_force(0.0, 0.0, 0.0, AdaptiveState(), CFG) == 0.0
+        assert asmc_force(0.0, 0.0, 0.0, gain_tuple(), CFG) == 0.0
 
     def test_force_outside_boundary_layer(self):
-        ad = AdaptiveState(K_v0=0.2)
-        F = asmc_force(1.0, 0.0, 0.0, ad, AsmcConfig(Lambda_v=3.0))
+        K = gain_tuple(K_v0=0.2)
+        F = asmc_force(1.0, 0.0, 0.0, K, AsmcConfig(Lambda_v=3.0))
         assert math.isclose(F, -3.2, rel_tol=1e-12)
 
     def test_force_odd_symmetry_example(self):
-        ad = AdaptiveState(K_v0=0.2)
-        F = asmc_force(-1.0, 0.0, 0.0, ad, AsmcConfig(Lambda_v=3.0))
+        K = gain_tuple(K_v0=0.2)
+        F = asmc_force(-1.0, 0.0, 0.0, K, AsmcConfig(Lambda_v=3.0))
         assert math.isclose(F, 3.2, rel_tol=1e-12)
 
     def test_torque_vanishes_on_surface(self):
-        assert asmc_torque(0.0, 0.0, 0.0, AdaptiveState(), CFG) == 0.0
+        assert asmc_torque(0.0, 0.0, 0.0, gain_tuple(), CFG) == 0.0
 
     def test_torque_outside_boundary_layer(self):
-        ad = AdaptiveState(K_w0=0.1)
-        tau = asmc_torque(1.0, 0.0, 0.0, ad, AsmcConfig(Lambda_w=2.0))
+        K = gain_tuple(K_w0=0.1)
+        tau = asmc_torque(1.0, 0.0, 0.0, K, AsmcConfig(Lambda_w=2.0))
         assert math.isclose(tau, -2.1, rel_tol=1e-12)
 
     @given(s_v=st.floats(-10, 10, allow_nan=False),
@@ -125,62 +134,56 @@ class TestForceTorqueLaws:
            xi_v=st.floats(0, 10, allow_nan=False),
            xi_w=st.floats(0, 10, allow_nan=False))
     def test_odd_symmetry(self, s_v, s_w, xi_v, xi_w):
-        ad = AdaptiveState(K_v0=0.3, K_v1=0.2, K_w2=0.1, K_w0=0.4, K_w1=0.5,
-                           K_v2=0.6)
-        F1 = asmc_force(s_v, xi_v, xi_w, ad, CFG)
-        F2 = asmc_force(-s_v, xi_v, xi_w, ad, CFG)
-        t1 = asmc_torque(s_w, xi_v, xi_w, ad, CFG)
-        t2 = asmc_torque(-s_w, xi_v, xi_w, ad, CFG)
+        K = gain_tuple(K_v0=0.3, K_v1=0.2, K_w2=0.1, K_w0=0.4, K_w1=0.5,
+                       K_v2=0.6)
+        F1 = asmc_force(s_v, xi_v, xi_w, K, CFG)
+        F2 = asmc_force(-s_v, xi_v, xi_w, K, CFG)
+        t1 = asmc_torque(s_w, xi_v, xi_w, K, CFG)
+        t2 = asmc_torque(-s_w, xi_v, xi_w, K, CFG)
         assert math.isclose(F1, -F2, rel_tol=1e-12, abs_tol=1e-12)
         assert math.isclose(t1, -t2, rel_tol=1e-12, abs_tol=1e-12)
 
     def test_baseline_uses_constant_bound_only(self):
-        ad = AdaptiveState(K_v0=0.2, K_v1=9.0, K_w2=9.0, K_w0=0.1, K_w1=9.0,
-                           K_v2=9.0)
-        F, tau = baseline_asmc(1.0, 1.0, ad,
+        K = gain_tuple(K_v0=0.2, K_v1=9.0, K_w2=9.0, K_w0=0.1, K_w1=9.0,
+                       K_v2=9.0)
+        F, tau = baseline_asmc(1.0, 1.0, K,
                                AsmcConfig(Lambda_v=3.0, Lambda_w=2.0))
         assert math.isclose(F, -3.2, rel_tol=1e-12)
         assert math.isclose(tau, -2.1, rel_tol=1e-12)
 
     def test_baseline_zero_surface(self):
-        F, tau = baseline_asmc(0.0, 0.0, AdaptiveState(), CFG)
+        F, tau = baseline_asmc(0.0, 0.0, gain_tuple(), CFG)
         assert F == 0.0 and tau == 0.0
 
 
 class TestGainAdaptation:
     def test_pure_leak_rate(self):
-        ad = AdaptiveState(K_v0=1.0)
+        K = gain_tuple(K_v0=1.0)
         dt = 0.01
-        before = ad.K_v0
-        adapt_gains(ad, 0.0, 0.0, 0.0, 0.0, AsmcConfig(alpha_v0=2.5), dt)
-        assert math.isclose((ad.K_v0 - before) / dt, -2.5, rel_tol=1e-12)
+        after = adapt_gains(K, 0.0, 0.0, 0.0, 0.0, AsmcConfig(alpha_v0=2.5), dt)
+        assert math.isclose((after[0] - K[0]) / dt, -2.5, rel_tol=1e-12)
 
     def test_drive_minus_leak(self):
-        ad = AdaptiveState(K_v1=0.01)
+        K = gain_tuple(K_v1=0.01)
         dt = 1e-3
-        before = ad.K_v1
-        adapt_gains(ad, 1.0, 0.0, 2.0, 0.0, AsmcConfig(alpha_v1=2.5), dt)
-        assert math.isclose((ad.K_v1 - before) / dt, 1.975, rel_tol=1e-9)
+        after = adapt_gains(K, 1.0, 0.0, 2.0, 0.0, AsmcConfig(alpha_v1=2.5), dt)
+        assert math.isclose((after[1] - K[1]) / dt, 1.975, rel_tol=1e-9)
 
     def test_cross_coupled_drives(self):
         # K_w2 adapts on the yaw-channel signals, K_v2 on the force-channel ones
         cfg = AsmcConfig()
         dt = 0.01
-        ad = AdaptiveState.fresh(0.01)
-        adapt_gains(ad, 1.0, 0.0, 2.0, 0.0, cfg, dt)
-        assert ad.K_v2 > 0.01 * (1 - cfg.alpha_v2 * dt) + 1e-9
-        assert ad.K_w2 < 0.01  # only leaks
-        ad = AdaptiveState.fresh(0.01)
-        adapt_gains(ad, 0.0, 1.0, 0.0, 2.0, cfg, dt)
-        assert ad.K_w2 > 0.01 * (1 - cfg.alpha_w2 * dt) + 1e-9
-        assert ad.K_v2 < 0.01
+        K = named(adapt_gains((0.01,) * 6, 1.0, 0.0, 2.0, 0.0, cfg, dt))
+        assert K["K_v2"] > 0.01 * (1 - cfg.alpha_v2 * dt) + 1e-9
+        assert K["K_w2"] < 0.01  # only leaks
+        K = named(adapt_gains((0.01,) * 6, 0.0, 1.0, 0.0, 2.0, cfg, dt))
+        assert K["K_w2"] > 0.01 * (1 - cfg.alpha_w2 * dt) + 1e-9
+        assert K["K_v2"] < 0.01
 
     def test_pure_leak_decays_monotonically_positive(self):
-        ad = AdaptiveState.fresh(0.01)
-        prev = ad.gains()
+        prev = (0.01,) * 6
         for _ in range(2000):
-            adapt_gains(ad, 0.0, 0.0, 0.0, 0.0, CFG, 0.01)
-            now = ad.gains()
+            now = adapt_gains(prev, 0.0, 0.0, 0.0, 0.0, CFG, 0.01)
             assert all(0 < g <= p for g, p in zip(now, prev))
             prev = now
 
@@ -193,33 +196,31 @@ class TestGainAdaptation:
     def test_positivity_under_bounded_signals(self, signals):
         cfg = AsmcConfig(gain_clamp=None)
         dt = 0.01
-        ad = AdaptiveState.fresh(0.01)
+        K = (0.01,) * 6
         decay = 1.0
         for s_v, s_w, xi_v, xi_w in signals:
-            adapt_gains(ad, s_v, s_w, xi_v, xi_w, cfg, dt)
+            K = adapt_gains(K, s_v, s_w, xi_v, xi_w, cfg, dt)
             decay *= 1.0 - cfg.max_alpha() * dt
             floor = 0.99 * 0.01 * decay
-            assert all(g > 0 for g in ad.gains())
-            assert all(g >= floor for g in ad.gains())
+            assert all(g > 0 for g in K)
+            assert all(g >= floor for g in K)
 
     def test_clamp_caps_gains(self):
         cfg = AsmcConfig(gain_clamp=0.02)
-        ad = AdaptiveState.fresh(0.019)
-        adapt_gains(ad, 100.0, 100.0, 10.0, 10.0, cfg, 0.01)
-        assert all(g <= 0.02 for g in ad.gains())
+        K = adapt_gains((0.019,) * 6, 100.0, 100.0, 10.0, 10.0, cfg, 0.01)
+        assert all(g <= 0.02 for g in K)
 
     def test_oversized_step_is_rejected_not_silently_negative(self):
         # alpha * dt >= 1 would flip a gain's sign; the update refuses instead
         with pytest.raises(ValueError, match="positive domain"):
-            adapt_gains(AdaptiveState.fresh(0.01), 0.0, 0.0, 0.0, 0.0,
+            adapt_gains((0.01,) * 6, 0.0, 0.0, 0.0, 0.0,
                         AsmcConfig(alpha_w0=5.0), dt=0.5)
 
     def test_baseline_adapts_constant_gains_only(self):
-        ad = AdaptiveState.fresh(0.01)
-        adapt_gains_baseline(ad, 1.0, 1.0, CFG, 0.01)
-        assert ad.K_v0 > 0.01 and ad.K_w0 > 0.01
-        assert ad.K_v1 == 0.01 and ad.K_w1 == 0.01
-        assert ad.K_v2 == 0.01 and ad.K_w2 == 0.01
+        K = named(adapt_gains_baseline((0.01,) * 6, 1.0, 1.0, CFG, 0.01))
+        assert K["K_v0"] > 0.01 and K["K_w0"] > 0.01
+        assert K["K_v1"] == 0.01 and K["K_w1"] == 0.01
+        assert K["K_v2"] == 0.01 and K["K_w2"] == 0.01
 
 
 def test_frozen_gain_surface_attraction():
@@ -234,13 +235,14 @@ def test_frozen_gain_surface_attraction():
 
     cfg = AsmcConfig()
     rho = 10.0  # exceeds |eps_v| = |f(v)| for the speeds this run visits
-    frozen = AdaptiveState(K_v0=rho, K_v1=0.0, K_w2=0.0)
+    frozen = gain_tuple(K_v0=rho, K_v1=0.0, K_w2=0.0)
     v, v_c = 0.0, 1.0
-    ad = AdaptiveState()  # integral bookkeeping only
+    integrals = NO_INTEGRALS
     dt = 1e-3
     prev_s = None
     for _ in range(4000):
-        s_v, _, xi_v, xi_w = update_sliding(ad, v, 0.0, v_c, 0.0, cfg, dt)
+        s_v, _, xi_v, xi_w, integrals = update_sliding(
+            integrals, v, 0.0, v_c, 0.0, cfg, dt)
         if prev_s is not None and abs(prev_s) > cfg.epsilon_bl:
             assert s_v ** 2 < prev_s ** 2
         prev_s = s_v
@@ -260,19 +262,22 @@ def oracle_sat(x):
     return x
 
 
-def oracle_force(s_v, xi_v, xi_w, ad, cfg):
-    rho = ad.K_v0 + ad.K_v1 * xi_v + ad.K_w2 * xi_w
+def oracle_force(s_v, xi_v, xi_w, gains, cfg):
+    K_v0, K_v1, K_w2, K_w0, K_w1, K_v2 = gains
+    rho = K_v0 + K_v1 * xi_v + K_w2 * xi_w
     return -cfg.Lambda_v * s_v - rho * oracle_sat(s_v / cfg.epsilon_bl)
 
 
-def oracle_torque(s_w, xi_v, xi_w, ad, cfg):
-    rho = ad.K_w0 + ad.K_w1 * xi_w + ad.K_v2 * xi_v
+def oracle_torque(s_w, xi_v, xi_w, gains, cfg):
+    K_v0, K_v1, K_w2, K_w0, K_w1, K_v2 = gains
+    rho = K_w0 + K_w1 * xi_w + K_v2 * xi_v
     return -cfg.Lambda_w * s_w - rho * oracle_sat(s_w / cfg.epsilon_bl)
 
 
-def oracle_baseline(s_v, s_w, ad, cfg):
-    F = -cfg.Lambda_v * s_v - ad.K_v0 * oracle_sat(s_v / cfg.epsilon_bl)
-    tau = -cfg.Lambda_w * s_w - ad.K_w0 * oracle_sat(s_w / cfg.epsilon_bl)
+def oracle_baseline(s_v, s_w, gains, cfg):
+    K_v0, K_v1, K_w2, K_w0, K_w1, K_v2 = gains
+    F = -cfg.Lambda_v * s_v - K_v0 * oracle_sat(s_v / cfg.epsilon_bl)
+    tau = -cfg.Lambda_w * s_w - K_w0 * oracle_sat(s_w / cfg.epsilon_bl)
     return F, tau
 
 
@@ -284,44 +289,44 @@ def oracle_clamp(k, clamp):
     return k
 
 
-def oracle_adapt(ad, s_v, s_w, xi_v, xi_w, cfg, dt):
+def oracle_adapt(gains, s_v, s_w, xi_v, xi_w, cfg, dt):
     if not dt > 0:
         raise ValueError(dt)
+    K_v0, K_v1, K_w2, K_w0, K_w1, K_v2 = gains
     abs_sv = abs(s_v)
     abs_sw = abs(s_w)
     drive_v = abs_sv * xi_v
     drive_w = abs_sw * xi_w
     c = cfg.gain_clamp
-    ad.K_v0 = oracle_clamp(ad.K_v0 + dt * (abs_sv - cfg.alpha_v0 * ad.K_v0), c)
-    ad.K_v1 = oracle_clamp(ad.K_v1 + dt * (drive_v - cfg.alpha_v1 * ad.K_v1), c)
-    ad.K_w2 = oracle_clamp(ad.K_w2 + dt * (drive_w - cfg.alpha_w2 * ad.K_w2), c)
-    ad.K_w0 = oracle_clamp(ad.K_w0 + dt * (abs_sw - cfg.alpha_w0 * ad.K_w0), c)
-    ad.K_w1 = oracle_clamp(ad.K_w1 + dt * (drive_w - cfg.alpha_w1 * ad.K_w1), c)
-    ad.K_v2 = oracle_clamp(ad.K_v2 + dt * (drive_v - cfg.alpha_v2 * ad.K_v2), c)
-    return ad
+    K_v0 = oracle_clamp(K_v0 + dt * (abs_sv - cfg.alpha_v0 * K_v0), c)
+    K_v1 = oracle_clamp(K_v1 + dt * (drive_v - cfg.alpha_v1 * K_v1), c)
+    K_w2 = oracle_clamp(K_w2 + dt * (drive_w - cfg.alpha_w2 * K_w2), c)
+    K_w0 = oracle_clamp(K_w0 + dt * (abs_sw - cfg.alpha_w0 * K_w0), c)
+    K_w1 = oracle_clamp(K_w1 + dt * (drive_w - cfg.alpha_w1 * K_w1), c)
+    K_v2 = oracle_clamp(K_v2 + dt * (drive_v - cfg.alpha_v2 * K_v2), c)
+    return K_v0, K_v1, K_w2, K_w0, K_w1, K_v2
 
 
-def oracle_adapt_baseline(ad, s_v, s_w, cfg, dt):
+def oracle_adapt_baseline(gains, s_v, s_w, cfg, dt):
     if not dt > 0:
         raise ValueError(dt)
+    K_v0, K_v1, K_w2, K_w0, K_w1, K_v2 = gains
     c = cfg.gain_clamp
-    ad.K_v0 = oracle_clamp(ad.K_v0 + dt * (abs(s_v) - cfg.alpha_v0 * ad.K_v0), c)
-    ad.K_w0 = oracle_clamp(ad.K_w0 + dt * (abs(s_w) - cfg.alpha_w0 * ad.K_w0), c)
-    return ad
+    K_v0 = oracle_clamp(K_v0 + dt * (abs(s_v) - cfg.alpha_v0 * K_v0), c)
+    K_w0 = oracle_clamp(K_w0 + dt * (abs(s_w) - cfg.alpha_w0 * K_w0), c)
+    return K_v0, K_v1, K_w2, K_w0, K_w1, K_v2
 
 
 def bits(call):
-    """The float bits of the result (a float, a tuple of floats, or the
-    gains of an AdaptiveState), every NaN as one NaN, or the type of the
-    exception raised. Which operand's payload a NaN sum carries is not
-    fixed in CPython, so NaN payloads are not compared."""
+    """The float bits of the result (a float or a tuple of floats), every
+    NaN as one NaN, or the type of the exception raised. Which operand's
+    payload a NaN sum carries is not fixed in CPython, so NaN payloads are
+    not compared."""
     try:
         out = call()
     except ValueError as exc:
         return type(exc)
-    if isinstance(out, AdaptiveState):
-        out = (*out.gains(), out.int_ev, out.int_ew)
-    elif isinstance(out, float):
+    if isinstance(out, float):
         out = (out,)
     return struct.pack(f"{len(out)}d", *(math.nan if v != v else v for v in out))
 
@@ -339,7 +344,7 @@ GAIN = st.sampled_from((0.01, 5e-324, 1e4, 1e300, math.inf, math.nan)) | \
     st.floats(1e-6, 100.0)
 # (s_v, s_w, xi_v, xi_w), as `update_sliding` returns them
 sliding_st = st.tuples(SIGNAL, SIGNAL, NORM, NORM)
-adaptive_st = st.builds(AdaptiveState, *[GAIN] * 6, SIGNAL, SIGNAL)
+gains_st = st.tuples(*[GAIN] * 6)
 asmc_st = st.builds(
     AsmcConfig, Lambda_v=st.floats(0.1, 10.0), Lambda_w=st.floats(0.1, 10.0),
     alpha_v0=st.floats(0.1, 10.0), alpha_w1=st.floats(0.1, 10.0),
@@ -353,22 +358,22 @@ class TestMatchesTheSeparateLaws:
     `adapt_gains_baseline`, with the same bits as the separate laws."""
 
     @settings(max_examples=300, deadline=None)
-    @given(sliding_st, adaptive_st, asmc_st)
-    def test_force_torque_and_baseline(self, sv, ad, cfg):
+    @given(sliding_st, gains_st, asmc_st)
+    def test_force_torque_and_baseline(self, sv, K, cfg):
         s_v, s_w, xi_v, xi_w = sv
-        assert bits(lambda: asmc_force(s_v, xi_v, xi_w, ad, cfg)) == \
-            bits(lambda: oracle_force(s_v, xi_v, xi_w, ad, cfg))
-        assert bits(lambda: asmc_torque(s_w, xi_v, xi_w, ad, cfg)) == \
-            bits(lambda: oracle_torque(s_w, xi_v, xi_w, ad, cfg))
-        assert bits(lambda: baseline_asmc(s_v, s_w, ad, cfg)) == \
-            bits(lambda: oracle_baseline(s_v, s_w, ad, cfg))
+        assert bits(lambda: asmc_force(s_v, xi_v, xi_w, K, cfg)) == \
+            bits(lambda: oracle_force(s_v, xi_v, xi_w, K, cfg))
+        assert bits(lambda: asmc_torque(s_w, xi_v, xi_w, K, cfg)) == \
+            bits(lambda: oracle_torque(s_w, xi_v, xi_w, K, cfg))
+        assert bits(lambda: baseline_asmc(s_v, s_w, K, cfg)) == \
+            bits(lambda: oracle_baseline(s_v, s_w, K, cfg))
 
     @settings(max_examples=300, deadline=None)
-    @given(sliding_st, adaptive_st, asmc_st, DT)
-    def test_adaptation(self, sv, ad, cfg, dt):
+    @given(sliding_st, gains_st, asmc_st, DT)
+    def test_adaptation(self, sv, K, cfg, dt):
         s_v, s_w, xi_v, xi_w = sv
         for law, oracle, signals in (
                 (adapt_gains, oracle_adapt, sv),
                 (adapt_gains_baseline, oracle_adapt_baseline, (s_v, s_w))):
-            assert bits(lambda: law(copy.copy(ad), *signals, cfg, dt)) == \
-                bits(lambda: oracle(copy.copy(ad), *signals, cfg, dt))
+            assert bits(lambda: law(K, *signals, cfg, dt)) == \
+                bits(lambda: oracle(K, *signals, cfg, dt))

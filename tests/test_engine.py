@@ -14,10 +14,17 @@ from platoon_asmc import (
     PlatoonConfig,
     RobotParams,
     SimConfig,
+    adapt_gains,
+    adapt_gains_baseline,
+    asmc_force,
+    asmc_torque,
+    baseline_asmc,
     run_episode,
+    update_sliding,
 )
 from platoon_asmc.arena import NO_ARENA
 from platoon_asmc.engine import (
+    PER_ROBOT_FIELDS,
     ForkedJobLost,
     default_path_for,
     lead_start_on,
@@ -414,6 +421,40 @@ def test_fast_path_matches_public_ops_bitwise(cfg):
         manual = tuple(s0[i] + h / 6 * (k1[i] + 2.0 * (k2[i] + k3[i]) + k4[i])
                        for i in range(5))
         assert plant_step_for(params, packed)(*s0, F, tau, 1, h) == manual
+
+
+@pytest.mark.parametrize("controller", ["proposed", "baseline"])
+def test_trace_replays_through_the_laws(cfg, controller):
+    """Each robot's logged v, omega, vc and wc, fed through the control laws
+    from fresh gains and integrals, give its logged s_v, s_w, F, tau and
+    gains bit for bit: the engine logs the gains before their update, and
+    builds the sliding variables from the integrals before they advance."""
+    sim = dataclasses.replace(cfg.sim, duration=20.0)
+    trace = run_episode(cfg.robot, cfg.kinematic, cfg.asmc, cfg.platoon,
+                        cfg.arena, sim, controller, processes=2)
+    asmc, cp = cfg.asmc, sim.control_period
+    logged = [PER_ROBOT_FIELDS.index(name) for name in (
+        "s_v", "s_w", "F", "tau", "K_v0", "K_v1", "K_w2", "K_w0", "K_w1",
+        "K_v2")]
+    inputs = [PER_ROBOT_FIELDS.index(name) for name in ("v", "omega", "vc",
+                                                         "wc")]
+    for r in range(trace.n_robots):
+        gains, integrals = (asmc.k_init,) * 6, (0.0, 0.0)
+        replay = []
+        for v, omega, v_c, omega_c in trace.rec[:, r, inputs].tolist():
+            s_v, s_w, xi_v, xi_w, integrals = update_sliding(
+                integrals, v, omega, v_c, omega_c, asmc, cp)
+            if controller == "proposed":
+                F = asmc_force(s_v, xi_v, xi_w, gains, asmc)
+                tau = asmc_torque(s_w, xi_v, xi_w, gains, asmc)
+                after = adapt_gains(gains, s_v, s_w, xi_v, xi_w, asmc, cp)
+            else:
+                F, tau = baseline_asmc(s_v, s_w, gains, asmc)
+                after = adapt_gains_baseline(gains, s_v, s_w, asmc, cp)
+            replay.append((s_v, s_w, F, tau, *gains))
+            gains = after
+        assert np.array(replay).tobytes() == \
+            np.ascontiguousarray(trace.rec[:, r, logged]).tobytes()
 
 
 def _children() -> list[int]:
