@@ -103,6 +103,10 @@ def run_command(args: argparse.Namespace) -> int:
         return _fail("validation", str(exc))
 
     out_dir = FsPath(cfg.output_dir or os.environ.get(OUT_ENV_VAR) or "out")
+    try:  # the locale decides which names the file system can hold
+        os.fsencode(out_dir)
+    except UnicodeEncodeError as exc:
+        return _fail("validation", f"cannot write output to {out_dir}: {exc}")
     controllers = CONTROLLERS if cfg.controller == "both" else (cfg.controller,)
     say = (lambda *a: None) if args.quiet else print
     try:

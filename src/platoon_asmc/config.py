@@ -104,9 +104,10 @@ class RunConfig:
             raise ConfigError(
                 f"[controller] must be one of {CONTROLLERS + ('both',)}, "
                 f"got {self.controller!r}")
-        if "\0" in (self.output_dir or ""):  # no file system takes it
-            raise ConfigError(
-                f"[output_dir] must not contain a NUL byte, got {self.output_dir!r}")
+        if self.output_dir == "" or "\0" in (self.output_dir or ""):
+            # no file system takes either
+            raise ConfigError(f"[output_dir] must be non-empty and hold no "
+                              f"NUL byte, got {self.output_dir!r}")
 
     def scenario_hash(self) -> str:
         """Digest of everything that defines the physics and references; two

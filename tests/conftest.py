@@ -3,7 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from platoon_asmc import default_config, run_episode
+from platoon_asmc.config import default_config
+from platoon_asmc.engine import run_episode
 from platoon_asmc.platoon import build_path
 
 

@@ -17,12 +17,11 @@ import time
 import numpy as np
 import pytest
 
-from platoon_asmc import default_config, run_episode
 from platoon_asmc.arena import NO_ARENA
-from platoon_asmc.control import kinematic_control, posture_error
 from platoon_asmc.cli import main as cli_main
-from platoon_asmc.config import dump_config
-from platoon_asmc.engine import default_path_for
+from platoon_asmc.config import default_config, dump_config
+from platoon_asmc.control import kinematic_control, posture_error
+from platoon_asmc.engine import default_path_for, run_episode
 from platoon_asmc.metrics import quadrant_mask, rms
 from platoon_asmc.platoon import build_path, pose_at_arc, target_waypoint
 from platoon_asmc.vehicle import RobotParams, plant_step_for

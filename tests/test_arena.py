@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from plant_oracle import oracle_rhs
 
-from platoon_asmc import Arena, RobotParams, SpeedBreaker
-from platoon_asmc.arena import NO_ARENA, quadrant_of
+from platoon_asmc.arena import NO_ARENA, Arena, SpeedBreaker, quadrant_of
+from platoon_asmc.vehicle import RobotParams
 
 # Unit mass and inertia, so the stage derivative reads the forces back exactly.
 VISCOUS = RobotParams(m=1.0, J=1.0, f_kr=0.0, f_kl=0.0, f_cr=1.0, f_cl=1.0)

@@ -526,14 +526,15 @@ class TestRunCommand:
         # the friction scale mu_q / mu_1 of a quadrant overflows
         (("arena", "quadrant_mu", 1), 1e308),
         (("arena", "quadrant_mu", 0), 1e-320),
-        # no file system takes a NUL in a path
+        # no file system takes a NUL in a path, or an empty one
         (("output_dir",), "\0x"),
+        (("output_dir",), ""),
     ], ids=["m_str", "n_robots_float", "n_robots_bool", "amp_force_str",
             "quadrant_mu_str", "path_file_int", "duration_inf",
             "warmup_past_end", "duration_huge", "duration_off_grid",
             "k_init_over_clamp", "breaker_width_squared_overflows",
             "gap_des_huge", "gap_des_inf", "k1_inf", "quadrant_ratio_huge",
-            "quadrant_ratio_tiny_base", "output_dir_nul"])
+            "quadrant_ratio_tiny_base", "output_dir_nul", "output_dir_empty"])
     def test_bad_value_is_rejected_by_validation(self, tmp_path, capfd, keys,
                                                  value):
         assert_one_validation_error(tmp_path, capfd, keys, value)
@@ -562,8 +563,11 @@ class TestRunCommand:
         (["--bogus"], "unrecognized arguments: --bogus"),
         (["--bo\ngus"], "unrecognized arguments: --bo gus"),
         (None, "the following arguments are required: command"),
+        # the last --out wins, and it names no directory
+        (["--out", ""], "[output_dir] must be non-empty and hold no NUL "
+                        "byte, got ''"),
     ], ids=["controller_unknown", "duration_not_a_number", "unknown_flag",
-            "unknown_flag_with_newline", "no_subcommand"])
+            "unknown_flag_with_newline", "no_subcommand", "out_empty"])
     def test_bad_command_line_is_rejected_by_validation(self, tmp_path, capfd,
                                                         flags, message):
         config = write_config(tmp_path, tiny_config())
@@ -572,6 +576,17 @@ class TestRunCommand:
         else:
             err = assert_rejected(tmp_path, capfd, config, *flags)
         assert err == f"error: kind=validation; message={message}\n"
+
+    def test_output_dir_no_file_name_can_hold_is_rejected(self, tmp_path,
+                                                          capfd):
+        # a lone surrogate, written as a JSON escape, has no UTF-8 bytes
+        out = f"{tmp_path}/out_\ud800"
+        config = write_config(tmp_path, tiny_config(output_dir=out))
+        err = assert_rejected(tmp_path, capfd, config,
+                              argv=["run", "--config", str(config), "--quiet"])
+        assert err.startswith("error: kind=validation; message=cannot write "
+                              "output to ")
+        assert os.listdir(tmp_path) == ["cfg.json"]
 
     @pytest.mark.parametrize("argv", [["-h"], ["run", "-h"]],
                              ids=["top_level", "run"])
@@ -623,6 +638,16 @@ class TestRunCommand:
 C_LOCALE = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
 
 
+def run_module(*args, **env):
+    """`python -m platoon_asmc run ... --quiet` in a subprocess, with `env`
+    over this process's environment."""
+    env = {**os.environ, **env, "PYTHONPATH": os.pathsep.join(
+        filter(None, (str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH"))))}
+    return subprocess.run(
+        [sys.executable, "-m", "platoon_asmc", "run", *args, "--quiet"],
+        env=env, capture_output=True, text=True, timeout=120)
+
+
 @pytest.mark.parametrize("config_encoding,course_encoding,code", [
     ("utf-8", "utf-8", 0), ("latin-1", "utf-8", 2), ("utf-8", "latin-1", 2),
 ], ids=["utf8", "latin1_config", "latin1_path_file"])
@@ -637,17 +662,35 @@ def test_files_are_read_as_utf8_whatever_the_locale(
     doc = tiny_config(path_file=str(course), output_dir="café")
     cfg = tmp_path / "cfg.json"
     cfg.write_bytes(json.dumps(doc, ensure_ascii=False).encode(config_encoding))
-    env = {**os.environ, **C_LOCALE, "PYTHONPATH": os.pathsep.join(
-        filter(None, (str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH"))))}
-    proc = subprocess.run(
-        [sys.executable, "-m", "platoon_asmc", "run", "--config", str(cfg),
-         "--out", str(tmp_path / "out"), "--quiet"],
-        env=env, capture_output=True, text=True, timeout=120)
+    proc = run_module("--config", str(cfg), "--out", str(tmp_path / "out"),
+                      **C_LOCALE)
     assert proc.returncode == code, proc.stderr
     if code:
         assert proc.stderr.startswith("error: kind=validation")
         assert proc.stderr.count("\n") == 1
         assert not (tmp_path / "out").exists()
+
+
+def test_output_dir_the_locale_cannot_encode_is_rejected(tmp_path):
+    """In the C locale, whose file-system encoding is ASCII, a config's
+    output_dir holding "é" is one validation line, before anything is
+    written."""
+    cfg = write_config(tmp_path, tiny_config(output_dir=f"{tmp_path}/out_é"))
+    proc = run_module("--config", str(cfg), **C_LOCALE)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: kind=validation; message=cannot "
+                                  "write output to ")
+    assert proc.stderr.count("\n") == 1
+    assert os.listdir(tmp_path) == ["cfg.json"]
+
+
+def test_out_flag_that_is_not_utf8_runs(tmp_path):
+    """--out bytes that do not decode reach the file system as they were."""
+    cfg = write_config(tmp_path, tiny_config())
+    out = os.fsencode(tmp_path) + b"/out_\xff"
+    proc = run_module("--config", str(cfg), "--out", out)
+    assert proc.returncode == 0, proc.stderr
+    assert os.path.isfile(out + b"/report.json")
 
 
 def assert_one_validation_error(tmp_path, capfd, keys, value):

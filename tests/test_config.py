@@ -13,14 +13,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from platoon_asmc import (
-    Arena,
-    AsmcConfig,
-    KinematicGains,
-    PlatoonConfig,
-    RobotParams,
-    SimConfig,
-)
+from platoon_asmc.arena import Arena
 from platoon_asmc.config import (
     ConfigError,
     MetricsConfig,
@@ -28,6 +21,10 @@ from platoon_asmc.config import (
     default_config,
     from_dict,
 )
+from platoon_asmc.control import AsmcConfig, KinematicGains
+from platoon_asmc.engine import SimConfig
+from platoon_asmc.platoon import PlatoonConfig
+from platoon_asmc.vehicle import RobotParams
 
 # the edge values by name, as plain draws reach them too rarely
 EDGES = st.sampled_from((0, -1, 2**64, 10**400, 0.0, -0.0, 5e-324, 1e-300,

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from platoon_asmc import (
+from platoon_asmc.control import (
     AsmcConfig,
     KinematicGains,
     adapt_gains,
@@ -17,8 +17,8 @@ from platoon_asmc import (
     kinematic_control,
     posture_error,
     update_sliding,
+    wrap_angle,
 )
-from platoon_asmc.control import wrap_angle
 
 CFG = AsmcConfig()
 GAIN_NAMES = ("K_v0", "K_v1", "K_w2", "K_w0", "K_w1", "K_v2")

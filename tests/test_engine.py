@@ -6,32 +6,34 @@ import numpy as np
 import pytest
 from plant_oracle import oracle_rhs
 
-from platoon_asmc import (
-    Arena,
+from platoon_asmc.arena import NO_ARENA, Arena
+from platoon_asmc.control import (
     AsmcConfig,
-    EpisodeAborted,
     KinematicGains,
-    PlatoonConfig,
-    RobotParams,
-    SimConfig,
     adapt_gains,
     adapt_gains_baseline,
     asmc_force,
     asmc_torque,
     baseline_asmc,
-    run_episode,
     update_sliding,
 )
-from platoon_asmc.arena import NO_ARENA
 from platoon_asmc.engine import (
     PER_ROBOT_FIELDS,
+    EpisodeAborted,
     ForkedJobLost,
+    SimConfig,
     default_path_for,
     lead_start_on,
+    run_episode,
 )
 from platoon_asmc.metrics import compare_reports, report_from_trace
-from platoon_asmc.platoon import build_path, figure_eight_lap, pose_at_arc
-from platoon_asmc.vehicle import plant_step_for
+from platoon_asmc.platoon import (
+    PlatoonConfig,
+    build_path,
+    figure_eight_lap,
+    pose_at_arc,
+)
+from platoon_asmc.vehicle import RobotParams, plant_step_for
 
 FRICTIONLESS = RobotParams(f_kr=0, f_kl=0, f_cr=0, f_cl=0)
 
@@ -359,7 +361,7 @@ def test_integrator_matches_scipy_reference(cfg, inside_breaker):
     entirely inside one; band-edge crossings are inherently step-limited)."""
     from scipy.integrate import solve_ivp
 
-    from platoon_asmc import SpeedBreaker
+    from platoon_asmc.arena import SpeedBreaker
 
     params = cfg.robot
     if inside_breaker:

@@ -23,11 +23,18 @@ from hypothesis import strategies as st
 
 from test_mirror import NEGATED, SWAPPED, mirrored
 
-from platoon_asmc import EpisodeAborted, RobotParams, engine, run_episode
+from platoon_asmc import engine
 from platoon_asmc.cli import _load_path, main
 from platoon_asmc.config import ConfigError, default_config, from_dict
-from platoon_asmc.engine import PER_ROBOT_FIELDS, default_path_for, lead_start_on
+from platoon_asmc.engine import (
+    PER_ROBOT_FIELDS,
+    EpisodeAborted,
+    default_path_for,
+    lead_start_on,
+    run_episode,
+)
 from platoon_asmc.platoon import build_path, pose_at_arc
+from platoon_asmc.vehicle import RobotParams
 
 GAINS = [("kinematic", k) for k in ("k1", "k2", "k3")] + [
     ("asmc", k) for k in ("Lambda_v", "Lambda_w", "phi_v", "phi_w",
@@ -90,8 +97,8 @@ def episodes(draw):
     gain, the gain cap, the desired gap, the heading mode, a speed breaker,
     the seed with a breaker's amplitude and width, the wheel radius or
     half-track, the plant step, the control period, the output directory
-    (relative, maybe with a NUL byte) or the course; and the text of the
-    course file, or None."""
+    (relative, maybe with a NUL byte or a lone surrogate) or the course; and
+    the text of the course file, or None."""
     doc = default_config().to_dict()
     course = None
     doc["sim"]["duration"] = draw(st.integers(5, 50)) / 100
@@ -144,7 +151,9 @@ def episodes(draw):
             doc["sim"]["control_period"] = draw(
                 st.sampled_from(CONTROL_PERIODS))
         elif edit == "output_dir":
-            doc["output_dir"] = draw(st.text("o\0", min_size=1, max_size=3))
+            # a lone surrogate has no bytes in any file-system encoding
+            doc["output_dir"] = draw(st.text("o\0\ud800", min_size=1,
+                                             max_size=3))
         else:
             course = draw(courses())
     return doc, course

@@ -7,14 +7,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from platoon_asmc import build_report, export_trace, load_trace, \
-    report_from_trace, rms
 from platoon_asmc.metrics import (
     RmsReport,
+    build_report,
     compare_reports,
     csv_header,
+    export_trace,
+    load_trace,
     render_report_text,
+    report_from_trace,
     report_to_json,
+    rms,
     write_plotspec,
 )
 
@@ -119,7 +122,7 @@ class TestTraceCsv:
     def test_zero_duration_trace_is_header_plus_one_row(self, cfg, tmp_path):
         import dataclasses
 
-        from platoon_asmc import run_episode
+        from platoon_asmc.engine import run_episode
 
         sim = dataclasses.replace(cfg.sim, duration=0.0)
         tr = run_episode(cfg.robot, cfg.kinematic, cfg.asmc, cfg.platoon,

@@ -13,9 +13,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from platoon_asmc import run_episode
 from platoon_asmc.arena import Arena
-from platoon_asmc.engine import PER_ROBOT_FIELDS, default_path_for
+from platoon_asmc.engine import PER_ROBOT_FIELDS, default_path_for, run_episode
 from platoon_asmc.platoon import build_path
 
 NEGATED = {"y", "theta", "omega", "yref", "wc", "tau", "s_w", "e_y"}

@@ -6,17 +6,17 @@ import numpy as np
 import pytest
 from path_oracle import oracle_curvature
 
-from platoon_asmc import (
+from platoon_asmc.engine import SimConfig, default_path_for, run_episode
+from platoon_asmc.platoon import (
     PlatoonConfig,
     build_path,
+    figure_eight_lap,
     follower_target,
     load_path_xy,
     nearest_index,
     pose_at_arc,
     target_waypoint,
 )
-from platoon_asmc.engine import SimConfig, default_path_for, run_episode
-from platoon_asmc.platoon import figure_eight_lap
 
 
 def figure_eight(laps):

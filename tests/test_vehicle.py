@@ -5,9 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from plant_oracle import oracle_rhs
 
-from platoon_asmc import Arena, RobotParams, SpeedBreaker, wheel_torque_split
-from platoon_asmc.arena import NO_ARENA
-from platoon_asmc.vehicle import plant_step_for
+from platoon_asmc.arena import NO_ARENA, Arena, SpeedBreaker
+from platoon_asmc.vehicle import RobotParams, plant_step_for, wheel_torque_split
 
 finite = st.floats(min_value=-50, max_value=50, allow_nan=False)
 nonneg = st.floats(min_value=0, max_value=10, allow_nan=False)
