@@ -52,6 +52,14 @@ def _fail(kind: str, message: str) -> int:
     return EXIT_CONFIG if kind == "validation" else EXIT_ABORT
 
 
+def _say(line: str) -> None:
+    """Print `line`, escaped where stdout's encoding cannot hold it: an
+    output name's undecodable bytes are surrogates, which a strict UTF-8
+    stdout rejects."""
+    encoding = sys.stdout.encoding or "utf-8"  # None for an io.StringIO
+    print(line.encode(encoding, "backslashreplace").decode(encoding))
+
+
 def _load_path(cfg: RunConfig) -> Path | None:
     """The course in cfg.path_file, checked to hold the whole run; None for
     the built-in course."""
@@ -108,7 +116,7 @@ def run_command(args: argparse.Namespace) -> int:
     except UnicodeEncodeError as exc:
         return _fail("validation", f"cannot write output to {out_dir}: {exc}")
     controllers = CONTROLLERS if cfg.controller == "both" else (cfg.controller,)
-    say = (lambda *a: None) if args.quiet else print
+    say = (lambda *a: None) if args.quiet else _say
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         dump_config(cfg, out_dir / "config_echo.json")

@@ -11,9 +11,9 @@ that the per-step path projection need not enter its own. Identical inputs
 produce bit-identical traces.
 
 Coupling runs one way, down the platoon: a follower reads only its
-predecessor's path marker and heading at the same step. So `run_episode`
-runs the robots as a pipeline of contiguous groups through `run_forked`:
-the leader's group in the calling process and each later group in a forked
+predecessor's path marker at the same step. So `run_episode` runs the
+robots as a pipeline of contiguous groups through `run_forked`: the
+leader's group in the calling process and each later group in a forked
 child that follows the group before it a few steps behind. Every group runs
 the same loop, each robot in turn lead-to-tail from reference to plant,
 writes its records into one shared buffer and returns its abort, if any;
@@ -136,7 +136,6 @@ class EpisodeAborted(RuntimeError):
 
 # Column of each per-robot field in the last axis of `Trace.rec`.
 _FIELD_INDEX = {name: i for i, name in enumerate(PER_ROBOT_FIELDS)}
-_THETA = _FIELD_INDEX["theta"]
 # One robot-step's record, native float64s as numpy stores them.
 _ROW = struct.Struct(f"{len(PER_ROBOT_FIELDS)}d")
 
@@ -402,23 +401,22 @@ def _run_group(path: Path, robots: list, states: list, markers: list,
 
     The per-robot lists hold the whole platoon, each group advancing only
     its own robots; a state is `(x, y, theta, v, omega)`, theta unwrapped.
-    `buf` holds the records and `marks` views the markers flat.
+    The group writes its records into `buf` and never reads them; `marks`
+    views the markers flat, the one thing a robot reads of its predecessor.
 
     Every PROGRESS_CHUNK steps the group writes that count to the next group
-    (`send_fd`). It takes robot lo's predecessor (at lo > 0) from the group
-    before, waiting on `recv_fd` until the step is published. A group stops
-    at its first abort, the first robot-step whose control raises or whose
-    wrench is not finite, which it returns as (step, robot); where the group
-    before stopped short; and once the next group has stopped reading, which
-    it does only past an abort that comes before any step this one has left.
+    (`send_fd`). It takes robot lo's predecessor's marker (at lo > 0) from
+    the group before, waiting on `recv_fd` until the step is published. A
+    group stops at its first abort, the first robot-step whose control
+    raises or whose wrench is not finite, which it returns as (step, robot);
+    where the group before stopped short; and once the next group has
+    stopped reading, which it does only past an abort that comes before any
+    step this one has left.
     """
     N, cp, n_sub = sim.n_periods(), sim.control_period, sim.substeps()
     h = cp / n_sub
     v_d, gap_des = platoon.v_d, platoon.gap_des
-    heading_from_predecessor = platoon.follower_heading == "predecessor"
-    rows = memoryview(buf).cast("d")
     R = len(states)
-    nf = len(PER_ROBOT_FIELDS)
     pack_row = _ROW.pack_into
     row_size = _ROW.size
     isfinite = math.isfinite
@@ -437,7 +435,7 @@ def _run_group(path: Path, robots: list, states: list, markers: list,
             if r == 0:
                 xr, yr, thr, kappa = pose_at_arc(path, lead_arc)
             else:
-                # the predecessor's step-k record; upstream of robot lo it is
+                # the predecessor's step-k marker; upstream of robot lo it is
                 # another group's, published through recv_fd
                 if r == lo and k >= ready:
                     ready = _wait(recv_fd, k)
@@ -445,8 +443,6 @@ def _run_group(path: Path, robots: list, states: list, markers: list,
                         return k, None
                 xr, yr, thr, kappa = follower_target(
                     path, marks[base + r - 1], gap_des)
-                if heading_from_predecessor:
-                    thr = rows[(base + r - 1) * nf + _THETA]
             omega_d = kappa * v_d
 
             K = gains[r]

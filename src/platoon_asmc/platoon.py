@@ -133,25 +133,18 @@ def load_path_xy(path_file: str) -> Path:
     return build_path(xs, ys)
 
 
-FOLLOWER_HEADING_MODES = ("tangent", "predecessor")
-
-
 @dataclass(frozen=True)
 class PlatoonConfig:
     """Platoon composition: robot count, desired arc gap and cruise speed.
 
     start_poses optionally overrides the default on-path placement; when None
     the robots are seeded on the path at the desired gaps behind the leader.
-    follower_heading selects the heading reference for followers: the target
-    waypoint's path tangent (default) or the predecessor robot's actual
-    heading.
     """
 
     n_robots: int = 3
     gap_des: float = 1.0
     v_d: float = 2.0
     start_poses: tuple[tuple[float, float, float], ...] | None = None
-    follower_heading: str = "tangent"
 
     def __post_init__(self) -> None:
         if type(self.n_robots) is not int or \
@@ -169,10 +162,6 @@ class PlatoonConfig:
                     f"start_poses[{i}] must be (x, y, theta), got {pose}")
             if not all(map(finite, pose)):
                 raise ValueError(f"start_poses[{i}] must be finite, got {pose}")
-        if self.follower_heading not in FOLLOWER_HEADING_MODES:
-            raise ValueError(
-                f"follower_heading must be one of {FOLLOWER_HEADING_MODES}, "
-                f"got {self.follower_heading!r}")
 
 
 def target_waypoint(path: Path, leader_index: int, gap_des: float) -> int:

@@ -88,8 +88,8 @@ class TestConfigParsing:
 
     def test_default_scenario_hash_is_pinned(self):
         shipped = load_config(REPO_ROOT / "configs" / "defaults.json")
-        assert shipped.scenario_hash() == "1e1a1ba7f263"
-        assert default_config().scenario_hash() == "1e1a1ba7f263"
+        assert shipped.scenario_hash() == "b10a18f82abd"
+        assert default_config().scenario_hash() == "b10a18f82abd"
 
     @pytest.mark.parametrize("section,key,value", [
         ("sim", "duration", 600), ("robot", "m", 1)])
@@ -529,15 +529,21 @@ class TestRunCommand:
         # no file system takes a NUL in a path, or an empty one
         (("output_dir",), "\0x"),
         (("output_dir",), ""),
+        # no such setting: a follower's heading is always the path tangent
+        (("platoon", "follower_heading"), "tangent"),
+        (("platoon", "follower_heading"), "predecessor"),
     ], ids=["m_str", "n_robots_float", "n_robots_bool", "amp_force_str",
             "quadrant_mu_str", "path_file_int", "duration_inf",
             "warmup_past_end", "duration_huge", "duration_off_grid",
             "k_init_over_clamp", "breaker_width_squared_overflows",
             "gap_des_huge", "gap_des_inf", "k1_inf", "quadrant_ratio_huge",
-            "quadrant_ratio_tiny_base", "output_dir_nul", "output_dir_empty"])
+            "quadrant_ratio_tiny_base", "output_dir_nul", "output_dir_empty",
+            "follower_heading_tangent", "follower_heading_predecessor"])
     def test_bad_value_is_rejected_by_validation(self, tmp_path, capfd, keys,
                                                  value):
-        assert_one_validation_error(tmp_path, capfd, keys, value)
+        err = assert_one_validation_error(tmp_path, capfd, keys, value)
+        if keys[-1] == "follower_heading":  # a key that no section has
+            assert err.endswith("[platoon] unknown key(s): follower_heading\n")
 
     @pytest.mark.parametrize("flags,message", [
         (["--dt", "0"], "dt_plant must be finite and > 0, got 0.0"),
@@ -638,13 +644,14 @@ class TestRunCommand:
 C_LOCALE = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
 
 
-def run_module(*args, **env):
-    """`python -m platoon_asmc run ... --quiet` in a subprocess, with `env`
-    over this process's environment."""
+def run_module(*args, quiet=True, **env):
+    """`python -m platoon_asmc run ... --quiet` (or without `--quiet`) in a
+    subprocess, with `env` over this process's environment."""
     env = {**os.environ, **env, "PYTHONPATH": os.pathsep.join(
         filter(None, (str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH"))))}
     return subprocess.run(
-        [sys.executable, "-m", "platoon_asmc", "run", *args, "--quiet"],
+        [sys.executable, "-m", "platoon_asmc", "run", *args,
+         *(["--quiet"] if quiet else [])],
         env=env, capture_output=True, text=True, timeout=120)
 
 
@@ -693,15 +700,29 @@ def test_out_flag_that_is_not_utf8_runs(tmp_path):
     assert os.path.isfile(out + b"/report.json")
 
 
+def test_out_flag_that_is_not_utf8_is_printed_escaped(tmp_path):
+    """Without --quiet, on a stdout that rejects the surrogate an
+    undecodable byte becomes, the run names its output directory with the
+    byte escaped, and succeeds."""
+    cfg = write_config(tmp_path, tiny_config())
+    out = os.fsencode(tmp_path) + b"/out_\xff"
+    proc = run_module("--config", str(cfg), "--out", out, quiet=False,
+                      PYTHONIOENCODING="utf-8")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert proc.stdout.endswith("/out_\\udcff/\n")
+    assert os.path.isfile(out + b"/report.json")
+
+
 def assert_one_validation_error(tmp_path, capfd, keys, value):
     """Set doc[keys...] = value in a tiny run and check that it is
-    rejected (see `assert_rejected`)."""
+    rejected (see `assert_rejected`); return the error line."""
     doc = tiny_config()
     node = doc
     for key in keys[:-1]:
         node = node[key]
     node[keys[-1]] = value
-    assert_rejected(tmp_path, capfd, write_config(tmp_path, doc))
+    return assert_rejected(tmp_path, capfd, write_config(tmp_path, doc))
 
 
 def assert_rejected(tmp_path, capfd, config, *flags, argv=None):
@@ -742,15 +763,15 @@ PINNED_TRACE_SHA256 = {
 PINNED_REPORT_SHA256 = {
     "both": {
         "report.txt":
-            "5541666e5d933ba519865f252a3595b57ae4705e901aad5bb84e914a97525d36",
+            "7324d3e14efecb41371d66ebc2d156eff3b4a590c5462b462db091467937044a",
         "report.json":
-            "37a38c6a10f3c7c286c3b544d67ef40cb48266da6cc7ceb33a8fa5f54172b9de",
+            "d0d429e36375394b39a41b4afde512b2f1c66c558636da14a3803ed6b6e14556",
     },
     "proposed": {
         "report.txt":
-            "9123238ff397108b60660c3c0c293f6420251e92f127a4c4a24ac02d321f6684",
+            "7abde7a339748ec28d731c0fbc14b09696beb96a61c13b31964d9389b86b28bd",
         "report.json":
-            "d95bab9e1c19f3b5614f8905db3c12a49a7e7db3dea808fdc3b1bcf0af7e41dc",
+            "c67d68684809fbc3219e6dbc4243435b6a06f08ae64bfcbc727f6331f8873baa",
     },
 }
 

@@ -68,35 +68,51 @@ def _abort_of(cfg, **edits):
     return e.step, e.t, e.robot, e.diagnostic
 
 
+def _control_fails_at_start(cfg, monkeypatch):
+    """Episode edits under which robot 2's control raises ValueError at step
+    0, as math.fmod does on an angle that has run off: `posture_error` is
+    patched to raise on robot 2's start pose, the state it holds at step 0
+    alone. The poses are the course's start slots."""
+    from platoon_asmc import control
+
+    poses = ((14.0, 0.0, 1.6), (13.8, -1.0, 1.6), (13.6, -2.0, 1.6))
+    posture_error = control.posture_error
+
+    def raises(x, y, theta, *reference):
+        if (x, y, theta) == poses[1]:
+            raise ValueError("math domain error")
+        return posture_error(x, y, theta, *reference)
+
+    monkeypatch.setattr(control, "posture_error", raises)
+    return dict(platoon=dataclasses.replace(cfg.platoon, start_poses=poses),
+                sim=dataclasses.replace(cfg.sim, duration=1.0))
+
+
 # The abort cases TestRunEpisode checks, plus: an F of -inf at step 0; a leader
 # whose plant overflows during step 0, which its command at step 1 reports;
 # and that leader ahead of a follower whose control fails at step 0, which
-# comes first.
+# comes first. Each gives the edits to the default episode, and may patch the
+# control through `monkeypatch`.
 ABORTS = {
-    "plant_overflow": lambda cfg: dict(
+    "plant_overflow": lambda cfg, monkeypatch: dict(
         asmc=dataclasses.replace(cfg.asmc, Lambda_v=1e300),
         sim=dataclasses.replace(cfg.sim, duration=1.0)),
-    "inside_substep": lambda cfg: dict(
+    "inside_substep": lambda cfg, monkeypatch: dict(
         platoon=dataclasses.replace(cfg.platoon, start_poses=(
             (100.0, 100.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0))),
         sim=dataclasses.replace(cfg.sim, duration=2.0)),
-    "controller_math": lambda cfg: dict(
-        platoon=dataclasses.replace(
-            cfg.platoon, follower_heading="predecessor",
-            start_poses=((14.0, 0.0, 1e308), (13.0, 0.0, -1e308),
-                         (12.0, 0.0, 0.0))),
-        sim=dataclasses.replace(cfg.sim, duration=1.0)),
-    "infinite_force_at_step_0": lambda cfg: dict(
+    "controller_math": _control_fails_at_start,
+    "infinite_force_at_step_0": lambda cfg, monkeypatch: dict(
         asmc=dataclasses.replace(cfg.asmc, Lambda_v=1e308, gain_clamp=None),
         platoon=dataclasses.replace(cfg.platoon, start_poses=(
             (16.0, 1.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0))),
         sim=dataclasses.replace(cfg.sim, duration=1.0)),
-    "leader_plant_at_step_0": lambda cfg: dict(
+    "leader_plant_at_step_0": lambda cfg, monkeypatch: dict(
         robot=(dataclasses.replace(cfg.robot, m=1e-300), cfg.robot, cfg.robot),
         sim=dataclasses.replace(cfg.sim, duration=1.0)),
-    "follower_control_before_leader_plant": lambda cfg: dict(
+    "follower_control_before_leader_plant": lambda cfg, monkeypatch: dict(
         robot=(dataclasses.replace(cfg.robot, m=1e-300), cfg.robot, cfg.robot),
-        **ABORTS["controller_math"](cfg)),
+        **_control_fails_at_start(cfg, monkeypatch)),
 }
 
 
@@ -188,18 +204,6 @@ class TestRunEpisode:
             run_episode(robots[:2], cfg.kinematic, cfg.asmc, cfg.platoon,
                         cfg.arena, sim, "proposed")
 
-    def test_follower_heading_modes(self, cfg):
-        sim = dataclasses.replace(cfg.sim, duration=1.0)
-        alt = dataclasses.replace(cfg.platoon, follower_heading="predecessor")
-        a = run_episode(cfg.robot, cfg.kinematic, cfg.asmc, cfg.platoon,
-                        cfg.arena, sim, "proposed")
-        b = run_episode(cfg.robot, cfg.kinematic, cfg.asmc, alt,
-                        cfg.arena, sim, "proposed")
-        assert not np.array_equal(a["wc"][:, 1:], b["wc"][:, 1:])
-        assert np.array_equal(a["wc"][:, 0], b["wc"][:, 0])  # leader unaffected
-        with pytest.raises(ValueError, match="follower_heading"):
-            dataclasses.replace(cfg.platoon, follower_heading="gps")
-
     def test_rejects_path_too_short_for_the_run(self, cfg, straight_path):
         # the 200 m straight path holds 99 s of the leader at 2 m/s
         sim = SimConfig(duration=100.0)
@@ -218,26 +222,29 @@ class TestRunEpisode:
             run_episode(cfg.robot, cfg.kinematic, bad, cfg.platoon,
                         cfg.arena, cfg.sim, "proposed")
 
-    def test_abort_carries_diagnostic_record(self, cfg):
+    def test_abort_carries_diagnostic_record(self, cfg, monkeypatch):
         # an absurd linear gain overflows the plant within a few periods
-        diag = _abort_of(cfg, **ABORTS["plant_overflow"](cfg))[3]
+        diag = _abort_of(cfg, **ABORTS["plant_overflow"](cfg, monkeypatch))[3]
         assert {"step", "robot", "x", "v", "s_v"} <= set(diag)
         assert all(math.isfinite(v) for k, v in diag.items()
                    if isinstance(v, float))
 
-    def test_state_blowing_up_inside_a_substep_aborts(self, cfg):
+    def test_state_blowing_up_inside_a_substep_aborts(self, cfg, monkeypatch):
         # a start pose far off its slot drives the plant to inf within an RK4
         # substep, where math.cos(inf) raises ValueError
-        step, _, robot, diag = _abort_of(cfg, **ABORTS["inside_substep"](cfg))
+        step, _, robot, diag = _abort_of(
+            cfg, **ABORTS["inside_substep"](cfg, monkeypatch))
         assert robot == 0
         assert diag["step"] < step
         assert all(math.isfinite(v) for v in diag.values()
                    if isinstance(v, float))
 
-    def test_controller_math_error_aborts_before_recording(self, cfg):
-        # headings of +-1e308 make the follower's heading error overflow to
-        # inf at the first step, which wrap_angle's math.fmod rejects
-        step, _, robot, diag = _abort_of(cfg, **ABORTS["controller_math"](cfg))
+    def test_controller_math_error_aborts_before_recording(self, cfg,
+                                                           monkeypatch):
+        # robot 2's control raises at step 0, before its record is written,
+        # so the abort has no finite record to report
+        step, _, robot, diag = _abort_of(
+            cfg, **ABORTS["controller_math"](cfg, monkeypatch))
         assert (step, robot) == (0, 1)
         assert diag == {"step": None, "robot": 2}
 
@@ -467,10 +474,11 @@ def _children() -> list[int]:
             for pid in (task / "children").read_text().split()]
 
 
-def test_abort_with_no_finite_record_reports_no_step(cfg):
+def test_abort_with_no_finite_record_reports_no_step(cfg, monkeypatch):
     # the leader's force is -inf at step 0, so no record of it is finite;
     # the diagnostic used to print that row and an unwritten gap row
-    k, t, r, diag = _abort_of(cfg, **ABORTS["infinite_force_at_step_0"](cfg))
+    k, t, r, diag = _abort_of(
+        cfg, **ABORTS["infinite_force_at_step_0"](cfg, monkeypatch))
     assert (k, t, r) == (0, 0.0, 0)
     assert diag == {"step": None, "robot": 1}
 
@@ -558,13 +566,12 @@ class TestPipeline:
     def _bits(trace):
         return trace.rec.tobytes(), trace.t.tobytes(), trace.gap_err.tobytes()
 
-    @pytest.mark.parametrize("heading", ["tangent", "predecessor"])
     @pytest.mark.parametrize("controller", ["proposed", "baseline"])
-    def test_trace_is_bitwise_the_serial_trace(self, cfg, controller, heading):
-        platoon = dataclasses.replace(cfg.platoon, follower_heading=heading)
+    def test_trace_is_bitwise_the_serial_trace(self, cfg, controller):
         sim = dataclasses.replace(cfg.sim, duration=1.0, seed=5)
-        traces = {p: run_episode(cfg.robot, cfg.kinematic, cfg.asmc, platoon,
-                                 cfg.arena, sim, controller, processes=p)
+        traces = {p: run_episode(cfg.robot, cfg.kinematic, cfg.asmc,
+                                 cfg.platoon, cfg.arena, sim, controller,
+                                 processes=p)
                   for p in (1, 2, 3)}
         assert len(self.forks) == 0 + 1 + 2
         for p in (2, 3):
@@ -572,8 +579,7 @@ class TestPipeline:
 
     @pytest.mark.parametrize("controller", ["proposed", "baseline"])
     def test_eight_robots_in_eight_processes(self, cfg, controller):
-        platoon = dataclasses.replace(cfg.platoon, n_robots=8, gap_des=4.0,
-                                      follower_heading="predecessor")
+        platoon = dataclasses.replace(cfg.platoon, n_robots=8, gap_des=4.0)
         sim = dataclasses.replace(cfg.sim, duration=1.0, dt_plant=1e-2)
         serial, split = (run_episode(cfg.robot, cfg.kinematic, cfg.asmc,
                                      platoon, cfg.arena, sim, controller,
@@ -582,10 +588,11 @@ class TestPipeline:
         assert self._bits(split) == self._bits(serial)
 
     @pytest.mark.parametrize("case", sorted(ABORTS))
-    def test_abort_is_the_serial_abort(self, cfg, case):
-        serial = _abort_of(cfg, processes=1, **ABORTS[case](cfg))
+    def test_abort_is_the_serial_abort(self, cfg, monkeypatch, case):
+        edits = ABORTS[case](cfg, monkeypatch)
+        serial = _abort_of(cfg, processes=1, **edits)
         for p in (2, 3):
-            assert _abort_of(cfg, processes=p, **ABORTS[case](cfg)) == serial
+            assert _abort_of(cfg, processes=p, **edits) == serial
 
     @pytest.mark.parametrize("control_fails", [True, False])
     def test_plant_run_off_aborts_at_the_robots_next_step(

@@ -94,11 +94,11 @@ def courses(draw):
 def episodes(draw):
     """The default document, 0.05-0.5 s long under one controller or both,
     with one or two edits: the robot count, start poses, cruise speed, a
-    gain, the gain cap, the desired gap, the heading mode, a speed breaker,
-    the seed with a breaker's amplitude and width, the wheel radius or
-    half-track, the plant step, the control period, the output directory
-    (relative, maybe with a NUL byte or a lone surrogate) or the course; and
-    the text of the course file, or None."""
+    gain, the gain cap, the desired gap, a speed breaker, the seed with a
+    breaker's amplitude and width, the wheel radius or half-track, the plant
+    step, the control period, the output directory (relative, maybe with a
+    NUL byte or a lone surrogate) or the course; and the text of the course
+    file, or None."""
     doc = default_config().to_dict()
     course = None
     doc["sim"]["duration"] = draw(st.integers(5, 50)) / 100
@@ -107,10 +107,10 @@ def episodes(draw):
     platoon = doc["platoon"]
     for _ in range(draw(st.integers(1, 2))):
         edit = draw(st.sampled_from(("n_robots", "start_poses", "v_d", "gain",
-                                     "gain_clamp", "gap_des",
-                                     "follower_heading", "breaker", "seed",
-                                     "robot", "dt_plant", "control_period",
-                                     "output_dir", "path_file")))
+                                     "gain_clamp", "gap_des", "breaker",
+                                     "seed", "robot", "dt_plant",
+                                     "control_period", "output_dir",
+                                     "path_file")))
         if edit == "n_robots":
             platoon["n_robots"] = draw(st.integers(1, 5))
         elif edit == "start_poses":
@@ -128,9 +128,6 @@ def episodes(draw):
             doc["asmc"]["gain_clamp"] = draw(st.sampled_from((None, 1e-3)))
         elif edit == "gap_des":
             platoon["gap_des"] = draw(st.floats(-1.0, 60.0))
-        elif edit == "follower_heading":
-            platoon["follower_heading"] = draw(
-                st.sampled_from(("tangent", "predecessor")))
         elif edit == "breaker":
             band = draw(st.sampled_from(doc["arena"]["speed_breakers"]))
             key = draw(st.sampled_from(("half_width", "amp_force",
