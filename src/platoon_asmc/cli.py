@@ -7,12 +7,16 @@ output directory. The episodes run at once (`engine.run_forked`); each
 writes its trace and returns its RMS report. An error is one
 machine-parseable line on stderr: exit 2 for a bad command line or config,
 or an output that cannot be written; exit 3 for an episode that aborts, runs
-out of memory, or whose forked process could not start or was lost.
+out of memory, or whose forked process could not start or was lost. What it
+prints on stdout and stderr is best-effort: a missing, closed, broken or full
+stream drops the line and never changes how the run ends. A SIGTERM to the
+command ends every process it forked.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -46,18 +50,30 @@ class ReportNotFinite(ArithmeticError):
     the errors were too large to square."""
 
 
+def _say(line: str, stream: str = "stdout") -> None:
+    """Write `line` to sys.stdout (or sys.stderr), best-effort. It is escaped
+    where the stream's encoding cannot hold it: an output name's undecodable
+    bytes are surrogates, which a strict UTF-8 stream rejects. It is dropped
+    where the stream is missing, closed, broken or full, and the stream's fd
+    then points at os.devnull, so that the flush at exit cannot fail."""
+    out = getattr(sys, stream)
+    if out is None:  # the fd was closed when the interpreter started
+        return
+    encoding = out.encoding or "utf-8"  # None for an io.StringIO
+    try:
+        out.write(line.encode(encoding, "backslashreplace").decode(encoding)
+                  + "\n")
+        out.flush()
+    except (OSError, ValueError):
+        with contextlib.suppress(OSError, ValueError), \
+                open(os.devnull, "wb") as devnull:
+            os.dup2(devnull.fileno(), out.fileno())
+
+
 def _fail(kind: str, message: str) -> int:
     message = " ".join(message.splitlines())  # one line, whatever it quotes
-    sys.stderr.write(f"error: kind={kind}; message={message}\n")
+    _say(f"error: kind={kind}; message={message}", "stderr")
     return EXIT_CONFIG if kind == "validation" else EXIT_ABORT
-
-
-def _say(line: str) -> None:
-    """Print `line`, escaped where stdout's encoding cannot hold it: an
-    output name's undecodable bytes are surrogates, which a strict UTF-8
-    stdout rejects."""
-    encoding = sys.stdout.encoding or "utf-8"  # None for an io.StringIO
-    print(line.encode(encoding, "backslashreplace").decode(encoding))
 
 
 def _load_path(cfg: RunConfig) -> Path | None:

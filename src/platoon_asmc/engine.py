@@ -26,6 +26,7 @@ The traces and aborts are the same bytes for every group count.
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import math
 import mmap
@@ -70,6 +71,14 @@ PER_ROBOT_FIELDS = (
     "F", "tau", "tau_r", "tau_l", "s_v", "s_w",
     "K_v0", "K_v1", "K_w2", "K_w0", "K_w1", "K_v2", "e_x", "e_y",
 )
+
+# Linux's prctl; `prctl(PR_SET_PDEATHSIG, sig)` in a forked child has the
+# kernel send it `sig` when the process that forked it dies
+PR_SET_PDEATHSIG = 1
+try:
+    _prctl = ctypes.CDLL(None).prctl
+except (AttributeError, OSError, TypeError):  # no prctl, or no C library
+    _prctl = None
 
 
 def _whole_multiple(total: float, step: float) -> bool:
@@ -553,10 +562,13 @@ def run_forked(jobs: list) -> list:
     ForkedJobLost for a child that sent back nothing. A job whose pipe or
     fork fails raises ForkedJobLost at once, and a KeyboardInterrupt here
     propagates; both kill the children already started. No child outlives
-    the call. Where the process may not fork, the jobs run here in turn."""
+    the call, nor a caller killed by a signal: on Linux each child gets
+    SIGKILL when the process that forked it dies, so a SIGTERM to the caller
+    ends every process forked below it too. Where the process may not fork,
+    the jobs run here in turn."""
     if not _can_fork():
         return [job() for job in jobs]
-    pids, reads = [], []
+    pids, reads, parent = [], [], os.getpid()
     try:
         for i, job in enumerate(jobs[1:], 1):
             try:
@@ -565,7 +577,7 @@ def run_forked(jobs: list) -> list:
                 try:
                     pids.append(os.fork())
                     if not pids[-1]:
-                        _child(job, i, write)
+                        _child(job, i, write, parent)
                 finally:
                     os.close(write)
             except OSError as exc:
@@ -596,13 +608,18 @@ def run_forked(jobs: list) -> list:
     return [value for _, value in outcomes]
 
 
-def _child(job, i: int, result: int) -> None:
+def _child(job, i: int, result: int, parent: int) -> None:
     """Body of forked job i; never returns. The child must not unwind into
-    its caller's frames: every exception ends here, pickled to `result`."""
+    its caller's frames: every exception ends here, pickled to `result`. It
+    dies with `parent`, the process that forked it."""
     code = 1
     try:
         signal.signal(signal.SIGTERM, signal.SIG_DFL)
         signal.signal(signal.SIGINT, signal.SIG_DFL)
+        if _prctl is not None:
+            _prctl(PR_SET_PDEATHSIG, ctypes.c_ulong(signal.SIGKILL))
+        if os.getppid() != parent:  # it died before the death signal was set
+            return
         try:
             outcome = True, job()
         except BaseException as exc:

@@ -1,10 +1,15 @@
+import contextlib
 import dataclasses
+import functools
 import hashlib
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
+import time
+import uuid
 import warnings
 from pathlib import Path
 
@@ -267,7 +272,8 @@ class TestRunCommand:
                      "--quiet"]) == 0
         assert main(["run", "--config", str(out1 / "config_echo.json"),
                      "--out", str(out2), "--quiet"]) == 0
-        for name in ("trace_proposed.csv", "trace_baseline.csv"):
+        for name in ("trace_proposed.csv", "trace_baseline.csv", "report.json",
+                     "report.txt"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
     def test_custom_course_from_path_file(self, tmp_path):
@@ -496,11 +502,6 @@ class TestRunCommand:
         (("sim", "duration"), math.nan),
         (("platoon", "start_poses"),
          [[0.0, 0.0, 0.0], [math.nan, 0.0, 0.0], [-2.0, 0.0, 0.0]]),
-    ], ids=["warmup_cutoff", "f_kr", "breaker_x", "duration", "start_poses"])
-    def test_nan_is_rejected_by_validation(self, tmp_path, capfd, keys, value):
-        assert_one_validation_error(tmp_path, capfd, keys, value)
-
-    @pytest.mark.parametrize("keys,value", [
         (("robot", "m"), "1.2"),
         (("platoon", "n_robots"), 2.5),
         (("platoon", "n_robots"), True),
@@ -532,8 +533,9 @@ class TestRunCommand:
         # no such setting: a follower's heading is always the path tangent
         (("platoon", "follower_heading"), "tangent"),
         (("platoon", "follower_heading"), "predecessor"),
-    ], ids=["m_str", "n_robots_float", "n_robots_bool", "amp_force_str",
-            "quadrant_mu_str", "path_file_int", "duration_inf",
+    ], ids=["warmup_cutoff_nan", "f_kr_nan", "breaker_x_nan", "duration_nan",
+            "start_poses_nan", "m_str", "n_robots_float", "n_robots_bool",
+            "amp_force_str", "quadrant_mu_str", "path_file_int", "duration_inf",
             "warmup_past_end", "duration_huge", "duration_off_grid",
             "k_init_over_clamp", "breaker_width_squared_overflows",
             "gap_des_huge", "gap_des_inf", "k1_inf", "quadrant_ratio_huge",
@@ -644,15 +646,21 @@ class TestRunCommand:
 C_LOCALE = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
 
 
-def run_module(*args, quiet=True, **env):
-    """`python -m platoon_asmc run ... --quiet` (or without `--quiet`) in a
-    subprocess, with `env` over this process's environment."""
-    env = {**os.environ, **env, "PYTHONPATH": os.pathsep.join(
+MODULE = [sys.executable, "-m", "platoon_asmc"]
+
+
+def module_env(**env):
+    """This process's environment with `env` over it, and the package's
+    source first on PYTHONPATH."""
+    return {**os.environ, **env, "PYTHONPATH": os.pathsep.join(
         filter(None, (str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH"))))}
-    return subprocess.run(
-        [sys.executable, "-m", "platoon_asmc", "run", *args,
-         *(["--quiet"] if quiet else [])],
-        env=env, capture_output=True, text=True, timeout=120)
+
+
+def run_module(*argv, **env):
+    """`python -m platoon_asmc *argv` in a subprocess, with `env` over this
+    process's environment; its output is captured as text."""
+    return subprocess.run([*MODULE, *argv], env=module_env(**env),
+                          capture_output=True, text=True, timeout=120)
 
 
 @pytest.mark.parametrize("config_encoding,course_encoding,code", [
@@ -669,8 +677,8 @@ def test_files_are_read_as_utf8_whatever_the_locale(
     doc = tiny_config(path_file=str(course), output_dir="café")
     cfg = tmp_path / "cfg.json"
     cfg.write_bytes(json.dumps(doc, ensure_ascii=False).encode(config_encoding))
-    proc = run_module("--config", str(cfg), "--out", str(tmp_path / "out"),
-                      **C_LOCALE)
+    proc = run_module("run", "--config", str(cfg), "--out",
+                      str(tmp_path / "out"), "--quiet", **C_LOCALE)
     assert proc.returncode == code, proc.stderr
     if code:
         assert proc.stderr.startswith("error: kind=validation")
@@ -683,7 +691,7 @@ def test_output_dir_the_locale_cannot_encode_is_rejected(tmp_path):
     output_dir holding "é" is one validation line, before anything is
     written."""
     cfg = write_config(tmp_path, tiny_config(output_dir=f"{tmp_path}/out_é"))
-    proc = run_module("--config", str(cfg), **C_LOCALE)
+    proc = run_module("run", "--config", str(cfg), "--quiet", **C_LOCALE)
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error: kind=validation; message=cannot "
                                   "write output to ")
@@ -695,7 +703,7 @@ def test_out_flag_that_is_not_utf8_runs(tmp_path):
     """--out bytes that do not decode reach the file system as they were."""
     cfg = write_config(tmp_path, tiny_config())
     out = os.fsencode(tmp_path) + b"/out_\xff"
-    proc = run_module("--config", str(cfg), "--out", out)
+    proc = run_module("run", "--config", str(cfg), "--out", out, "--quiet")
     assert proc.returncode == 0, proc.stderr
     assert os.path.isfile(out + b"/report.json")
 
@@ -706,12 +714,134 @@ def test_out_flag_that_is_not_utf8_is_printed_escaped(tmp_path):
     byte escaped, and succeeds."""
     cfg = write_config(tmp_path, tiny_config())
     out = os.fsencode(tmp_path) + b"/out_\xff"
-    proc = run_module("--config", str(cfg), "--out", out, quiet=False,
+    proc = run_module("run", "--config", str(cfg), "--out", out,
                       PYTHONIOENCODING="utf-8")
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
     assert proc.stdout.endswith("/out_\\udcff/\n")
     assert os.path.isfile(out + b"/report.json")
+
+
+@pytest.mark.parametrize("outcome,code,stdout,stderr", [
+    ("success", 0, "", ""),
+    ("rejected", 2, "", "error: kind=validation;"),
+    ("aborted", 3, "", "error: kind=abort;"),
+    ("help", 0, "usage:", ""),
+])
+def test_exit_status_through_the_interpreter(tmp_path, outcome, code, stdout,
+                                             stderr):
+    """`sys.exit(main())` passes each outcome's exit status on, with nothing
+    but its one line: the error on stderr, or the usage on stdout."""
+    diverging = write_config(tmp_path, {
+        "platoon": {"start_poses": [[100, 100, 0], [0, 0, 0], [0, 0, 0]]},
+        "sim": {"duration": 2}})
+    run = ["run", "--out", str(tmp_path / "out"), "--quiet"]
+    proc = run_module(*{
+        "success": [*run, "--controller", "proposed", "--duration", "1"],
+        "rejected": [*run, "--controller", "foo"],
+        "aborted": [*run, "--controller", "proposed", "--config",
+                    str(diverging)],
+        "help": ["-h"],
+    }[outcome])
+    assert proc.returncode == code, proc.stderr
+    assert proc.stdout.startswith(stdout) and bool(proc.stdout) == bool(stdout)
+    assert proc.stderr.startswith(stderr)
+    assert proc.stderr.count("\n") == bool(stderr)
+
+
+OUTPUTS = ["config_echo.json", "plotspec.txt", "report.json", "report.txt",
+           "trace_baseline.csv", "trace_proposed.csv"]
+
+
+@pytest.mark.parametrize("stdout", ["closed", "broken_pipe", "full"])
+def test_stdout_that_takes_no_line_changes_nothing(tmp_path, stdout):
+    """A run whose stdout is closed, a pipe nobody reads, or full runs to
+    the end as it would have: exit 0, every output written, and no error or
+    "Exception ignored" on stderr."""
+    if stdout == "full" and not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full")
+    with contextlib.ExitStack() as stack:
+        if stdout == "closed":
+            where = {"preexec_fn": functools.partial(os.close, 1)}
+        elif stdout == "broken_pipe":
+            read, write = os.pipe()
+            os.close(read)
+            stack.callback(os.close, write)
+            where = {"stdout": write}
+        else:
+            where = {"stdout": stack.enter_context(open("/dev/full", "wb"))}
+        proc = subprocess.run(
+            [*MODULE, "run", "--controller", "both", "--duration", "1",
+             "--out", str(tmp_path / "out")],
+            env=module_env(), stderr=subprocess.PIPE, text=True, timeout=120,
+            **where)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert sorted(os.listdir(tmp_path / "out")) == OUTPUTS
+
+
+def test_rejected_run_with_stderr_closed_exits_2(tmp_path):
+    """The error line is dropped; the exit status is still the rejection's."""
+    proc = subprocess.run(
+        [*MODULE, "run", "--duration", "-1", "--out", str(tmp_path / "x")],
+        env=module_env(), preexec_fn=functools.partial(os.close, 2),
+        stdout=subprocess.PIPE, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert not (tmp_path / "x").exists()
+
+
+def _live_processes(sid: int, marker: str) -> list[int]:
+    """Pids of the live (not zombie) processes that are in session `sid` or
+    whose environment holds `marker`."""
+    found = []
+    for entry in Path("/proc").iterdir():
+        if not entry.name.isdigit():
+            continue
+        try:
+            stat = (entry / "stat").read_text().rsplit(")", 1)[1].split()
+            environ = (entry / "environ").read_bytes()
+        except (OSError, IndexError):
+            continue
+        if stat[0] != "Z" and (int(stat[3]) == sid
+                               or marker.encode() in environ):
+            found.append(int(entry.name))
+    return found
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="the parent-death signal is Linux's")
+@pytest.mark.parametrize("launch,processes", [
+    (["-m", "platoon_asmc"], 2),
+    # two pipeline groups per episode: the forked baseline episode forks its
+    # second group, which must not outlive it either
+    (["-c", "import sys; from platoon_asmc import cli; "
+            "cli.usable_cores = lambda: 4; sys.exit(cli.main())"], 4),
+], ids=["episodes", "episode_groups"])
+def test_terminated_run_leaves_no_process_running(tmp_path, launch,
+                                                  processes):
+    """A SIGTERM to the command alone ends every process forked below it.
+    The command runs in a session of its own, and its processes are found
+    by that session and by an environment marker they all inherit."""
+    marker = f"PLATOON_ASMC_TEST_RUN={uuid.uuid4().hex}"
+    key, value = marker.split("=")
+    proc = subprocess.Popen(
+        [sys.executable, *launch, "run", "--controller", "both",
+         "--duration", "3000", "--out", str(tmp_path), "--quiet"],
+        env=module_env(**{key: value}), start_new_session=True)
+    try:
+        deadline = time.monotonic() + 60
+        while len(_live_processes(proc.pid, marker)) < processes:
+            assert time.monotonic() < deadline, "the episodes never forked"
+            time.sleep(0.05)
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=60) == -signal.SIGTERM
+        deadline = time.monotonic() + 5
+        while left := _live_processes(proc.pid, marker):
+            assert time.monotonic() < deadline, f"still running: {left}"
+            time.sleep(0.05)
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()
 
 
 def assert_one_validation_error(tmp_path, capfd, keys, value):
