@@ -169,10 +169,15 @@ def run_command(args: argparse.Namespace) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """A command line it cannot parse is a ConfigError, not a usage block."""
+    """A command line it cannot parse is a ConfigError, not a usage block.
+    Help goes through `_say` to stdout, or nowhere: argparse would write it
+    to stderr where stdout is missing."""
 
     def error(self, message: str):
         raise ConfigError(message)
+
+    def print_help(self, file=None):
+        _say(self.format_help().rstrip("\n"))
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -193,6 +193,21 @@ def _index_at_arc(path: Path, s: float) -> int:
     return j if path.arc[j] - s <= s - path.arc[j - 1] else j - 1
 
 
+@functools.cache
+def _lap() -> tuple[np.ndarray, np.ndarray]:
+    """`figure_eight_lap`, sampled once per process; read-only, as it is
+    shared."""
+    lap_x, lap_y = figure_eight_lap()
+    lap_x.flags.writeable = lap_y.flags.writeable = False
+    return lap_x, lap_y
+
+
+@functools.lru_cache(maxsize=1)
+def _tiled_course(laps: int) -> Path:
+    lap_x, lap_y = _lap()
+    return build_path(np.tile(lap_x, laps), np.tile(lap_y, laps))
+
+
 def default_path_for(platoon: PlatoonConfig, sim: SimConfig) -> tuple[Path, float]:
     """Built-in figure-eight tiled with enough laps for the whole episode.
 
@@ -201,14 +216,18 @@ def default_path_for(platoon: PlatoonConfig, sim: SimConfig) -> tuple[Path, floa
     laps behind it, at least one and enough for the platoon's (n - 1) gaps,
     so the followers (and the backward gap targeting) always have path to
     walk back over.
+
+    The course is shared: the process keeps the last one built, keyed by its
+    lap count, and returns that same `Path`, whose arrays are read-only, to
+    every call that needs as many laps.
     """
-    lap_x, lap_y = figure_eight_lap()
+    lap_x, lap_y = _lap()
     # the length of the one-lap course, summed as build_path sums its arc
     lap_len = float(np.cumsum(np.hypot(np.diff(lap_x), np.diff(lap_y)))[-1])
     behind = max(1, math.ceil((platoon.n_robots - 1) * platoon.gap_des / lap_len))
     need = behind * lap_len + platoon.v_d * sim.duration + lap_len
     laps = max(2 + behind, int(math.ceil(need / lap_len)) + 1)
-    path = build_path(np.tile(lap_x, laps), np.tile(lap_y, laps))
+    path = _tiled_course(laps)
     return path, float(path.arc[behind * len(lap_x)])
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import sys
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +33,12 @@ class Path:
     at vertex i (arc[0] == 0). tangent is the unwrapped tangent angle and
     curvature the signed discrete (Menger) curvature per vertex, both used by
     the interpolating reference sampler.
+
+    The arrays are read-only, since a course may be shared between episodes
+    and threads. For the per-step reads a Path also keeps float views of
+    them (`_cx` ... `_curvature`), which index to a Python float at less
+    cost than `ndarray.item`, and copies of cx and cy stored last vertex
+    first (`_rcx`, `_rcy`) for the projection's scan.
     """
 
     cx: np.ndarray
@@ -39,6 +46,18 @@ class Path:
     arc: np.ndarray
     tangent: np.ndarray
     curvature: np.ndarray
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_rcx", self.cx[::-1].copy())
+        object.__setattr__(self, "_rcy", self.cy[::-1].copy())
+        for name in ("cx", "cy", "arc", "tangent", "curvature"):
+            values = getattr(self, name)
+            values.flags.writeable = False
+            object.__setattr__(self, "_" + name, memoryview(values))
+
+    def __reduce__(self):
+        # the views do not pickle; the constructor makes them again
+        return Path, (self.cx, self.cy, self.arc, self.tangent, self.curvature)
 
     def __len__(self) -> int:
         return len(self.cx)
@@ -55,10 +74,11 @@ def build_path(cx, cy) -> Path:
     through it and its two neighbours (positive = left turn; 0 for collinear
     points): 2 (u x w) / (|u| |w| |u + w|) for its two segments u and w. It
     is 0 at both ends. The lengths are `math.hypot`'s, which `np.hypot` does
-    not round alike.
+    not round alike. The Path gets copies of the coordinates, since it makes
+    its arrays read-only.
     """
-    cx = np.asarray(cx, dtype=float)
-    cy = np.asarray(cy, dtype=float)
+    cx = np.array(cx, dtype=float)
+    cy = np.array(cy, dtype=float)
     if cx.ndim != 1 or cx.shape != cy.shape:
         raise ValueError("path coordinates must be two equal-length 1-D arrays")
     if len(cx) < 2:
@@ -178,13 +198,13 @@ def target_waypoint(path: Path, leader_index: int, gap_des: float) -> int:
         raise ValueError(f"leader_index {leader_index} outside path of {len(path)} points")
     if gap_des < 0:
         raise ValueError(f"gap_des must be >= 0, got {gap_des}")
-    arc = path.arc.item
-    a = arc(leader_index)
+    arc = path._arc
+    a = arc[leader_index]
     # invariant: the answer lies in [lo, hi]
     lo, hi = 0, leader_index
     while lo < hi:
         mid = (lo + hi + 1) >> 1
-        if a - arc(mid) >= gap_des:
+        if a - arc[mid] >= gap_des:
             lo = mid
         else:
             hi = mid - 1
@@ -198,10 +218,10 @@ def follower_target(path: Path, leader_index: int, gap_des: float
     forward-difference tangent (backward at the last index), curvature the
     vertex's."""
     idx = target_waypoint(path, leader_index, gap_des)
-    cx, cy = path.cx.item, path.cy.item
+    cx, cy = path._cx, path._cy
     j = idx if idx < len(path) - 1 else idx - 1
-    theta = math.atan2(cy(j + 1) - cy(j), cx(j + 1) - cx(j))
-    return cx(idx), cy(idx), theta, path.curvature.item(idx)
+    theta = math.atan2(cy[j + 1] - cy[j], cx[j + 1] - cx[j])
+    return cx[idx], cy[idx], theta, path._curvature[idx]
 
 
 def nearest_index(path: Path, x: float, y: float, hint: int | None = None,
@@ -222,19 +242,21 @@ def nearest_index_unguarded(path: Path, x: float, y: float,
     """`nearest_index` in the caller's numpy error state, for a caller that
     already ignores overflow (the engine runs a whole episode in one
     `np.errstate`); entering one costs about as much as the search."""
+    n = len(path)
     if hint is None:
-        lo, hi = 0, len(path)
+        lo, hi = 0, n
     else:
         lo = max(0, hint - window)
-        hi = min(len(path), hint + window + 1)
-    dx = path.cx[lo:hi] - x
-    dy = path.cy[lo:hi] - y
+        hi = min(n, hint + window + 1)
+    # the window last vertex first, so that argmin's first minimum is the
+    # largest-index one
+    dx = path._rcx[n - hi:n - lo] - x
+    dy = path._rcy[n - hi:n - lo] - y
     # squared distance, in place in the two temporaries
     dx *= dx
     dy *= dy
     dx += dy
-    # argmin on the reversed slice returns the last (largest-index) minimum.
-    return hi - 1 - int(dx[::-1].argmin())
+    return hi - 1 - int(dx.argmin())
 
 
 def pose_at_arc(path: Path, s: float) -> tuple[float, float, float, float]:
@@ -244,19 +266,19 @@ def pose_at_arc(path: Path, s: float) -> tuple[float, float, float, float]:
     vertex tangents, so it is continuous across segments. s is clamped to the
     path extent.
     """
-    cx, cy = path.cx.item, path.cy.item
-    tangent, curvature = path.tangent.item, path.curvature.item
+    cx, cy = path._cx, path._cy
+    tangent, curvature = path._tangent, path._curvature
     if s <= 0.0:
-        return cx(0), cy(0), tangent(0), curvature(0)
-    arc = path.arc
-    if s >= arc.item(-1):
-        return cx(-1), cy(-1), tangent(-1), curvature(-1)
-    j = int(arc.searchsorted(s, side="right")) - 1
-    a = arc.item(j)
-    w = (s - a) / (arc.item(j + 1) - a)
+        return cx[0], cy[0], tangent[0], curvature[0]
+    arc = path._arc
+    if s >= arc[-1]:
+        return cx[-1], cy[-1], tangent[-1], curvature[-1]
+    j = bisect_right(arc, s) - 1
+    a = arc[j]
+    w = (s - a) / (arc[j + 1] - a)
     return (
-        cx(j) + w * (cx(j + 1) - cx(j)),
-        cy(j) + w * (cy(j + 1) - cy(j)),
-        tangent(j) + w * (tangent(j + 1) - tangent(j)),
-        curvature(j) + w * (curvature(j + 1) - curvature(j)),
+        cx[j] + w * (cx[j + 1] - cx[j]),
+        cy[j] + w * (cy[j + 1] - cy[j]),
+        tangent[j] + w * (tangent[j + 1] - tangent[j]),
+        curvature[j] + w * (curvature[j + 1] - curvature[j]),
     )

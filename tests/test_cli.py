@@ -753,11 +753,10 @@ OUTPUTS = ["config_echo.json", "plotspec.txt", "report.json", "report.txt",
            "trace_baseline.csv", "trace_proposed.csv"]
 
 
-@pytest.mark.parametrize("stdout", ["closed", "broken_pipe", "full"])
-def test_stdout_that_takes_no_line_changes_nothing(tmp_path, stdout):
-    """A run whose stdout is closed, a pipe nobody reads, or full runs to
-    the end as it would have: exit 0, every output written, and no error or
-    "Exception ignored" on stderr."""
+def run_module_with_stdout(stdout, *argv):
+    """`python -m platoon_asmc *argv` in a subprocess whose stdout takes no
+    line: "closed", a "broken_pipe" that nobody reads, or "full"
+    (/dev/full); its stderr is captured as text."""
     if stdout == "full" and not os.path.exists("/dev/full"):
         pytest.skip("no /dev/full")
     with contextlib.ExitStack() as stack:
@@ -770,13 +769,30 @@ def test_stdout_that_takes_no_line_changes_nothing(tmp_path, stdout):
             where = {"stdout": write}
         else:
             where = {"stdout": stack.enter_context(open("/dev/full", "wb"))}
-        proc = subprocess.run(
-            [*MODULE, "run", "--controller", "both", "--duration", "1",
-             "--out", str(tmp_path / "out")],
-            env=module_env(), stderr=subprocess.PIPE, text=True, timeout=120,
-            **where)
+        return subprocess.run([*MODULE, *argv], env=module_env(),
+                              stderr=subprocess.PIPE, text=True, timeout=120,
+                              **where)
+
+
+@pytest.mark.parametrize("stdout", ["closed", "broken_pipe", "full"])
+def test_stdout_that_takes_no_line_changes_nothing(tmp_path, stdout):
+    """A run whose stdout is closed, a pipe nobody reads, or full runs to
+    the end as it would have: exit 0, every output written, and no error or
+    "Exception ignored" on stderr."""
+    proc = run_module_with_stdout(
+        stdout, "run", "--controller", "both", "--duration", "1",
+        "--out", str(tmp_path / "out"))
     assert (proc.returncode, proc.stderr) == (0, "")
     assert sorted(os.listdir(tmp_path / "out")) == OUTPUTS
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["run", "-h"]],
+                         ids=["top_level", "run"])
+def test_help_with_stdout_closed_exits_0_quietly(argv):
+    """The usage goes to stdout or nowhere: argparse alone would write it to
+    stderr where stdout is closed."""
+    proc = run_module_with_stdout("closed", *argv)
+    assert (proc.returncode, proc.stderr) == (0, "")
 
 
 def test_rejected_run_with_stderr_closed_exits_2(tmp_path):

@@ -1,6 +1,8 @@
 import dataclasses
 import itertools
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -405,6 +407,74 @@ def test_default_course_traverses_quadrants_in_order(cfg):
     assert seen == [1, 3, 2, 4]
 
 
+def _bits(trace):
+    return trace.rec.tobytes(), trace.t.tobytes(), trace.gap_err.tobytes()
+
+
+class TestDefaultCourse:
+    """`default_path_for` keeps the last course it built, read-only."""
+
+    @staticmethod
+    def course(cfg, duration):
+        return default_path_for(cfg.platoon,
+                                dataclasses.replace(cfg.sim, duration=duration))
+
+    def test_equal_inputs_share_one_read_only_course(self, cfg):
+        (a, start_a), (b, start_b) = (self.course(cfg, 20.0) for _ in "ab")
+        assert a is b and start_a == start_b
+        for name in ("cx", "cy", "arc", "tangent", "curvature"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(a, name)[0] = 0.0
+
+    def test_another_lap_count_builds_another_course(self, cfg):
+        short, _ = self.course(cfg, 20.0)
+        long, _ = self.course(cfg, 600.0)
+        assert len(long) > len(short)
+        # only the last course is kept
+        again, _ = self.course(cfg, 20.0)
+        assert again is not short and again.cx.tobytes() == short.cx.tobytes()
+
+    @pytest.mark.parametrize("controller", ["proposed", "baseline"])
+    def test_episode_on_it_is_the_episode_on_an_explicit_course(
+            self, cfg, controller):
+        sim = dataclasses.replace(cfg.sim, duration=5.0)
+        path, start = default_path_for(cfg.platoon, sim)
+        lap_x, lap_y = figure_eight_lap()
+        laps = len(path) // len(lap_x)
+        explicit = build_path(np.tile(lap_x, laps), np.tile(lap_y, laps))
+        cached, given = (
+            run_episode(cfg.robot, cfg.kinematic, cfg.asmc, cfg.platoon,
+                        cfg.arena, sim, controller, **course)
+            for course in ({}, {"path": explicit, "lead_start_arc": start}))
+        assert _bits(cached) == _bits(given)
+
+    def test_threads_running_the_default_episode_give_the_serial_trace(
+            self, cfg):
+        sim = dataclasses.replace(cfg.sim, duration=20.0)
+
+        def episode(**processes):
+            return _bits(run_episode(cfg.robot, cfg.kinematic, cfg.asmc,
+                                     cfg.platoon, cfg.arena, sim, "proposed",
+                                     **processes))
+
+        serial = episode(processes=1)
+        self.course(cfg, 600.0)  # so that both threads look the course up
+        results = []
+        threads = [threading.Thread(target=lambda: results.append(episode()))
+                   for _ in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=300)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == [serial, serial]
+
+
 def test_fast_path_matches_public_ops_bitwise(cfg):
     """One RK4 step of the engine's stepper must equal the same step
     composed by hand from the oracle's stage function, bit for bit."""
@@ -562,10 +632,6 @@ class TestPipeline:
             signal.signal(signal.SIGALRM, previous)
         assert _children() == []
 
-    @staticmethod
-    def _bits(trace):
-        return trace.rec.tobytes(), trace.t.tobytes(), trace.gap_err.tobytes()
-
     @pytest.mark.parametrize("controller", ["proposed", "baseline"])
     def test_trace_is_bitwise_the_serial_trace(self, cfg, controller):
         sim = dataclasses.replace(cfg.sim, duration=1.0, seed=5)
@@ -575,7 +641,7 @@ class TestPipeline:
                   for p in (1, 2, 3)}
         assert len(self.forks) == 0 + 1 + 2
         for p in (2, 3):
-            assert self._bits(traces[p]) == self._bits(traces[1])
+            assert _bits(traces[p]) == _bits(traces[1])
 
     @pytest.mark.parametrize("controller", ["proposed", "baseline"])
     def test_eight_robots_in_eight_processes(self, cfg, controller):
@@ -585,7 +651,7 @@ class TestPipeline:
                                      platoon, cfg.arena, sim, controller,
                                      processes=p) for p in (1, 8))
         assert len(self.forks) == 7
-        assert self._bits(split) == self._bits(serial)
+        assert _bits(split) == _bits(serial)
 
     @pytest.mark.parametrize("case", sorted(ABORTS))
     def test_abort_is_the_serial_abort(self, cfg, monkeypatch, case):

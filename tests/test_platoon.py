@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -14,6 +15,7 @@ from platoon_asmc.platoon import (
     follower_target,
     load_path_xy,
     nearest_index,
+    nearest_index_unguarded,
     pose_at_arc,
     target_waypoint,
 )
@@ -286,6 +288,30 @@ class TestPathConstruction:
             with pytest.raises(ValueError, match="not finite"):
                 build_path(xs, [0.0] * len(xs))
 
+    def test_arrays_are_read_only_copies(self):
+        xs, ys = np.arange(5.0), np.zeros(5)
+        p = build_path(xs, ys)
+        for name in ("cx", "cy", "arc", "tangent", "curvature"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(p, name)[0] = 1.0
+        xs[0] = ys[0] = 1.0  # the caller's arrays stay its own
+        assert p.cx[0] == p.cy[0] == 0.0
+
+    def test_pickled_path_gives_the_same_arrays_and_projections(self):
+        p = figure_eight(2)
+        q = pickle.loads(pickle.dumps(p))
+        for name in ("cx", "cy", "arc", "tangent", "curvature"):
+            assert getattr(q, name).tobytes() == getattr(p, name).tobytes()
+            assert not getattr(q, name).flags.writeable
+        rng = np.random.default_rng(3)
+        for x, y in rng.uniform(-15.0, 15.0, (200, 2)).tolist():
+            hint = int(rng.integers(0, len(p)))
+            assert nearest_index(q, x, y) == nearest_index(p, x, y)
+            assert nearest_index(q, x, y, hint) == nearest_index(p, x, y, hint)
+            assert follower_target(q, hint, 1.0) == follower_target(p, hint, 1.0)
+            s = float(rng.uniform(0.0, p.total_length))
+            assert pose_at_arc(q, s) == pose_at_arc(p, s)
+
     def test_load_path_file(self, tmp_path):
         f = tmp_path / "course.txt"
         f.write_text("# comment\n0.0 0.0\n1.0 0.0\n2.0 1.0\n")
@@ -384,6 +410,30 @@ class TestNearestIndexOracle:
             self.check(p, x, y, hint=10, window=40)
             self.check(p, x, y, hint=len(p) - 1, window=40)
 
+    def test_unguarded_at_the_engine_window_on_long_paths(self):
+        """The engine's call: `nearest_index_unguarded` in one errstate,
+        window 200, on paths of more than 401 vertices, with hints that
+        clip the window at either end. On the zigzag every other vertex
+        ties at (0, 0), and every vertex at (0.5, 0)."""
+        n = 600
+        zigzag = build_path(np.tile([0.0, 1.0], n // 2), np.zeros(n))
+        points = ((0.0, 0.0), (0.5, 0.0), (1.0, 0.0), (250.5, 0.0),
+                  (0.01, 0.0), (math.nan, 0.0), (0.0, math.nan),
+                  (math.inf, 0.0), (-math.inf, 1.0), (0.0, math.inf),
+                  (1.0, -math.inf), (1e200, 0.0), (-1e200, 1e200),
+                  (0.0, -1e200))
+        for p in (zigzag, unit_path(n), figure_eight(1)):
+            m = len(p)
+            for hint in (0, 1, 2, 100, 199, 200, 201, 202, m // 2, m - 203,
+                         m - 202, m - 201, m - 200, m - 101, m - 2, m - 1):
+                for x, y in points:
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("error")
+                        with np.errstate(over="ignore"):
+                            got = nearest_index_unguarded(p, x, y, hint, 200)
+                    assert got == brute_force_nearest(p, x, y, hint, 200), \
+                        (m, x, y, hint)
+
 
 def numpy_pose_at_arc(path, s):
     """pose_at_arc written on numpy scalars, as the reference for the
@@ -414,14 +464,22 @@ def same_bits(a, b):
 class TestReferenceSamplingIsExact:
     @pytest.fixture(scope="class")
     def paths(self):
-        return (figure_eight(2),
-                random_path(np.random.default_rng(2), 300))
+        # steps of a few subnormals, then steps near 1
+        rng = np.random.default_rng(5)
+        subnormal = build_path(
+            np.concatenate((np.arange(20) * 5e-324, 1.0 + np.arange(20))),
+            np.concatenate((rng.integers(-2, 3, 20) * 5e-324,
+                            rng.uniform(-1.0, 1.0, 20))))
+        cached, _ = default_path_for(PlatoonConfig(), SimConfig(duration=20.0))
+        return (figure_eight(2), random_path(np.random.default_rng(2), 300),
+                subnormal, cached)
 
     def test_pose_at_arc_at_every_vertex_and_random_arc(self, paths):
         rng = np.random.default_rng(21)
         for p in paths:
-            ss = p.arc.tolist() + rng.uniform(-1.0, p.total_length + 1.0,
-                                              size=2000).tolist()
+            midpoints = p.arc[:-1] + np.diff(p.arc) / 2
+            ss = p.arc.tolist() + midpoints.tolist() + rng.uniform(
+                -1.0, p.total_length + 1.0, size=2000).tolist()
             for s in ss:
                 assert same_bits(pose_at_arc(p, s), numpy_pose_at_arc(p, s)), s
 
