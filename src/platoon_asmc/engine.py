@@ -4,11 +4,12 @@ Runs the full platoon at a fixed control rate: per control period each robot
 (lead first) computes its reference, posture error, velocity command, sliding
 variables, wrench and gain update; its plant then advances with RK4 substeps
 under a zero-order-hold wrench, with the arena's friction field and breaker
-disturbances evaluated at every integrator stage. Each robot's plant
-stepper is built once per episode (`vehicle.plant_step_for`) and called
-once per robot-step, and the whole loop runs inside one `np.errstate` so
-that the per-step path projection need not enter its own. Identical inputs
-produce bit-identical traces.
+disturbances evaluated at every integrator stage. Each robot's control step
+(`control.step_for`) and plant stepper (`vehicle.plant_step_for`) are built
+once per episode and each called once per robot-step; a follower's target
+search starts from its previous target. The whole loop runs inside one
+`np.errstate` so that the per-step path projection need not enter its own.
+Identical inputs produce bit-identical traces.
 
 Coupling runs one way, down the platoon: a follower reads only its
 predecessor's path marker at the same step. So `run_episode` runs the
@@ -66,11 +67,9 @@ PROGRESS_CHUNK = 16
 MIN_GROUP_ROBOT_STEPS = 500
 
 # Per-robot trace columns, in the order they appear in the CSV contract.
-PER_ROBOT_FIELDS = (
-    "x", "y", "theta", "v", "omega", "xref", "yref", "vc", "wc",
-    "F", "tau", "tau_r", "tau_l", "s_v", "s_w",
-    "K_v0", "K_v1", "K_w2", "K_w0", "K_w1", "K_v2", "e_x", "e_y",
-)
+# The control step returns the fields from "vc" on.
+PER_ROBOT_FIELDS = ("x", "y", "theta", "v", "omega", "xref", "yref",
+                    *ctl.STEP_FIELDS)
 
 # Linux's prctl; `prctl(PR_SET_PDEATHSIG, sig)` in a forked child has the
 # kernel send it `sig` when the process that forked it dies
@@ -389,12 +388,15 @@ def run_episode(
         raise MemoryError(f"no memory for the episode's records: {exc}") from exc
     rec = np.frombuffer(buf, np.float64).reshape(n_rec, R, len(PER_ROBOT_FIELDS))
     marks = np.frombuffer(log, np.int64).reshape(n_rec, R)
+    proposed = controller == "proposed"
+    # the steps split the wrench by this module's `wheel_torque_split`, so
+    # that a wrapper put in its place is called
     run = functools.partial(
-        _run_group, path, robots, states, markers,
-        [(asmc.k_init,) * 6] * R, [(0.0, 0.0)] * R, kin, asmc,
-        platoon, sim, controller == "proposed",
-        [plant_step_for(rp, packed) for rp in robots], lead_start_arc, buf,
-        memoryview(log).cast("q"))
+        _run_group, path, states, markers,
+        [ctl.step_for(asmc, kin, rp, cp, proposed, wheel_torque_split)
+         for rp in robots],
+        [plant_step_for(rp, packed) for rp in robots], platoon, sim,
+        lead_start_arc, buf, memoryview(log).cast("q"))
     # the groups project without entering an errstate per call
     with np.errstate(over="ignore"):
         aborts = [a for a in _run_pipeline(run, bounds) if a is not None]
@@ -416,12 +418,10 @@ def _gap_errors(path: Path, marks: np.ndarray, gap_des: float) -> np.ndarray:
     return gap
 
 
-def _run_group(path: Path, robots: list, states: list, markers: list,
-               gains: list, integrals: list, kin: KinematicGains,
-               asmc: AsmcConfig, platoon: PlatoonConfig, sim: SimConfig,
-               proposed: bool, plants: list, lead_start_arc: float,
-               buf: mmap.mmap, marks: memoryview, lo: int, hi: int,
-               recv_fd: int | None, send_fd: int | None
+def _run_group(path: Path, states: list, markers: list, controls: list,
+               plants: list, platoon: PlatoonConfig, sim: SimConfig,
+               lead_start_arc: float, buf: mmap.mmap, marks: memoryview,
+               lo: int, hi: int, recv_fd: int | None, send_fd: int | None
                ) -> tuple[int, tuple[int, int] | None]:
     """Run robots lo..hi-1 as one group of the pipeline, per step each in
     turn from projection to plant; return how many steps of their records
@@ -429,8 +429,10 @@ def _run_group(path: Path, robots: list, states: list, markers: list,
 
     The per-robot lists hold the whole platoon, each group advancing only
     its own robots; a state is `(x, y, theta, v, omega)`, theta unwrapped.
-    The group writes its records into `buf` and never reads them; `marks`
-    views the markers flat, the one thing a robot reads of its predecessor.
+    `controls` and `plants` hold each robot's bound control step and plant
+    stepper, which the group alone calls. The group writes its records into
+    `buf` and never reads them; `marks` views the markers flat, the one
+    thing a robot reads of its predecessor.
 
     Every PROGRESS_CHUNK steps the group writes that count to the next group
     (`send_fd`). It takes robot lo's predecessor's marker (at lo > 0) from
@@ -449,6 +451,7 @@ def _run_group(path: Path, robots: list, states: list, markers: list,
     row_size = _ROW.size
     isfinite = math.isfinite
     ready = N + 1 if recv_fd is None else 0  # upstream steps published
+    targets = [None] * R  # each follower's last target, its next search's hint
 
     for k in range(N + 1):
         if k and not k % PROGRESS_CHUNK and not _publish(send_fd, k):
@@ -469,32 +472,16 @@ def _run_group(path: Path, robots: list, states: list, markers: list,
                     ready = _wait(recv_fd, k)
                     if ready <= k:
                         return k, None
-                xr, yr, thr, kappa = follower_target(
-                    path, marks[base + r - 1], gap_des)
-            omega_d = kappa * v_d
-
-            K = gains[r]
+                xr, yr, thr, kappa, targets[r] = follower_target(
+                    path, marks[base + r - 1], gap_des, targets[r])
             try:
-                e1, e2, e3 = ctl.posture_error(x, y, th, xr, yr, thr)
-                v_c, w_c = ctl.kinematic_control(e1, e2, e3, v_d, omega_d, kin)
-                s_v, s_w, xi_v, xi_w, integrals[r] = ctl.update_sliding(
-                    integrals[r], v, w, v_c, w_c, asmc, cp)
-                if proposed:
-                    F = ctl.asmc_force(s_v, xi_v, xi_w, K, asmc)
-                    tau = ctl.asmc_torque(s_w, xi_v, xi_w, K, asmc)
-                    gains[r] = ctl.adapt_gains(K, s_v, s_w, xi_v, xi_w, asmc, cp)
-                else:
-                    F, tau = ctl.baseline_asmc(s_v, s_w, K, asmc)
-                    gains[r] = ctl.adapt_gains_baseline(K, s_v, s_w, asmc, cp)
+                row = controls[r](x, y, th, v, w, xr, yr, thr, v_d,
+                                  kappa * v_d)
             except (ValueError, OverflowError):
                 # math.* rejects an angle or gain that has run off
                 return k, (k, r)
-            tau_r, tau_l = wheel_torque_split(F, tau, robots[r])
-
-            pack_row(buf, (base + r) * row_size,
-                     x, y, th, v, w, xr, yr, v_c, w_c, F, tau, tau_r, tau_l,
-                     s_v, s_w, *K, xr - x, yr - y)
-
+            pack_row(buf, (base + r) * row_size, x, y, th, v, w, xr, yr, *row)
+            F, tau, tau_r, tau_l = row[2:6]  # see ctl.STEP_FIELDS
             if not (isfinite(F) and isfinite(tau) and isfinite(tau_r)
                     and isfinite(tau_l)):
                 return k, (k, r)

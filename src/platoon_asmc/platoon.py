@@ -6,9 +6,10 @@ spacing and tiled over as many laps as an episode needs, so follower targeting
 can stay a plain search over one array with no wrap-around logic.
 
 Followers target the waypoint a desired arc gap behind their predecessor
-(a bisection on the cumulative arc length). The leader tracks a smooth
-time-parameterized reference sampled by arc length, with the tangent and
-curvature interpolated between waypoints.
+(a search on the cumulative arc length that gallops from the follower's
+previous target, then bisects). The leader tracks a smooth time-parameterized
+reference sampled by arc length, with the tangent and curvature interpolated
+between waypoints.
 """
 
 from __future__ import annotations
@@ -184,15 +185,20 @@ class PlatoonConfig:
                 raise ValueError(f"start_poses[{i}] must be finite, got {pose}")
 
 
-def target_waypoint(path: Path, leader_index: int, gap_des: float) -> int:
+def target_waypoint(path: Path, leader_index: int, gap_des: float,
+                    hint: int | None = None) -> int:
     """Index of the waypoint a desired arc gap behind the leader's index.
 
     The largest i <= leader_index whose arc distance to the leader,
     arc[leader_index] - arc[i], is >= gap_des; 0 when the path behind is
     shorter than the gap. That predicate is monotone in i (arc is
-    non-decreasing and float subtraction is monotone), so it is found by
-    bisection over [0, leader_index] in O(log n), evaluating exactly the
-    float expression above at every probe.
+    non-decreasing and float subtraction is monotone), so the search
+    gallops from `hint` (clipped to [0, leader_index]; leader_index when
+    None) toward the answer, doubling its stride, then bisects the last
+    stride: O(log d) probes for an answer d indices from the hint,
+    evaluating exactly the float expression above at every probe. A
+    follower's previous target makes a good hint, and any hint gives the
+    same index.
     """
     if not 0 <= leader_index < len(path):
         raise ValueError(f"leader_index {leader_index} outside path of {len(path)} points")
@@ -200,8 +206,27 @@ def target_waypoint(path: Path, leader_index: int, gap_des: float) -> int:
         raise ValueError(f"gap_des must be >= 0, got {gap_des}")
     arc = path._arc
     a = arc[leader_index]
-    # invariant: the answer lies in [lo, hi]
-    lo, hi = 0, leader_index
+    i = leader_index if hint is None else min(max(hint, 0), leader_index)
+    # gallop to a bracket: the answer lies in [lo, hi]
+    stride = 1
+    if a - arc[i] >= gap_des:
+        lo, hi = i, leader_index
+        while lo + stride <= hi:
+            if a - arc[lo + stride] >= gap_des:
+                lo += stride
+                stride *= 2
+            else:
+                hi = lo + stride - 1
+                break
+    else:
+        lo, hi = 0, i - 1
+        while stride <= hi:
+            probe = hi + 1 - stride
+            if a - arc[probe] >= gap_des:
+                lo = probe
+                break
+            hi = probe - 1
+            stride *= 2
     while lo < hi:
         mid = (lo + hi + 1) >> 1
         if a - arc[mid] >= gap_des:
@@ -211,17 +236,18 @@ def target_waypoint(path: Path, leader_index: int, gap_des: float) -> int:
     return lo
 
 
-def follower_target(path: Path, leader_index: int, gap_des: float
-                    ) -> tuple[float, float, float, float]:
+def follower_target(path: Path, leader_index: int, gap_des: float,
+                    hint: int | None = None
+                    ) -> tuple[float, float, float, float, int]:
     """A follower's reference (x, y, theta, curvature) at the
-    `target_waypoint`, the shape of `pose_at_arc`'s: heading the
-    forward-difference tangent (backward at the last index), curvature the
-    vertex's."""
-    idx = target_waypoint(path, leader_index, gap_des)
+    `target_waypoint`, searched from `hint`, the shape of `pose_at_arc`'s
+    followed by the waypoint's index: heading the forward-difference
+    tangent (backward at the last index), curvature the vertex's."""
+    idx = target_waypoint(path, leader_index, gap_des, hint)
     cx, cy = path._cx, path._cy
     j = idx if idx < len(path) - 1 else idx - 1
     theta = math.atan2(cy[j + 1] - cy[j], cx[j + 1] - cx[j])
-    return cx[idx], cy[idx], theta, path._curvature[idx]
+    return cx[idx], cy[idx], theta, path._curvature[idx], idx
 
 
 def nearest_index(path: Path, x: float, y: float, hint: int | None = None,
@@ -232,7 +258,12 @@ def nearest_index(path: Path, x: float, y: float, hint: int | None = None,
     the projection from jumping to the other branch at the figure-eight
     crossing and makes per-step progress tracking monotone in practice.
     A squared distance that overflows counts as inf, without a warning.
+    Raises ValueError for a hint outside the path or a negative window.
     """
+    if hint is not None and not 0 <= hint < len(path):
+        raise ValueError(f"hint {hint} outside path of {len(path)} points")
+    if window < 0:
+        raise ValueError(f"window must be >= 0, got {window}")
     with np.errstate(over="ignore"):
         return nearest_index_unguarded(path, x, y, hint, window)
 
@@ -241,7 +272,8 @@ def nearest_index_unguarded(path: Path, x: float, y: float,
                             hint: int | None = None, window: int = 200) -> int:
     """`nearest_index` in the caller's numpy error state, for a caller that
     already ignores overflow (the engine runs a whole episode in one
-    `np.errstate`); entering one costs about as much as the search."""
+    `np.errstate`); entering one costs about as much as the search. It
+    does not check its hint or window: the engine passes its own markers."""
     n = len(path)
     if hint is None:
         lo, hi = 0, n

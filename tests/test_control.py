@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from platoon_asmc.arena import NO_ARENA
 from platoon_asmc.control import (
+    STEP_FIELDS,
     AsmcConfig,
     KinematicGains,
     adapt_gains,
@@ -15,10 +17,13 @@ from platoon_asmc.control import (
     asmc_torque,
     baseline_asmc,
     kinematic_control,
+    laws_step_for,
     posture_error,
+    step_for,
     update_sliding,
     wrap_angle,
 )
+from platoon_asmc.vehicle import RobotParams, plant_step_for
 
 CFG = AsmcConfig()
 GAIN_NAMES = ("K_v0", "K_v1", "K_w2", "K_w0", "K_w1", "K_v2")
@@ -377,3 +382,105 @@ class TestMatchesTheSeparateLaws:
                 (adapt_gains_baseline, oracle_adapt_baseline, (s_v, s_w))):
             assert bits(lambda: law(K, *signals, cfg, dt)) == \
                 bits(lambda: oracle(K, *signals, cfg, dt))
+
+
+def outcome(call):
+    """`call()`'s float bits, every NaN as one NaN (see `bits`), with the
+    result itself; or the type and message of the ValueError it raises."""
+    try:
+        out = call()
+    except ValueError as exc:
+        return (type(exc), str(exc)), None
+    return bits(lambda: out), out
+
+
+class TestBoundStepMatchesTheLaws:
+    """`step_for`'s step gives the laws' record fields bit for bit, and
+    raises where they raise, call after call along one robot's run."""
+
+    ROBOT, KIN, DT = RobotParams(), KinematicGains(), 0.01
+
+    def pair(self, asmc, proposed, dt=DT):
+        return (step_for(asmc, self.KIN, self.ROBOT, dt, proposed),
+                laws_step_for(asmc, self.KIN, self.ROBOT, dt, proposed))
+
+    def same(self, step, laws, args):
+        """One call of each on `args`: their common outcome and row."""
+        got, row = outcome(lambda: step(*args))
+        assert got == outcome(lambda: laws(*args))[0], args
+        return got, row
+
+    def closed_loop(self, asmc, proposed, n=600):
+        """The rows of a robot that starts at rest, 0.5 m off a 2 m circle
+        at 1.3 m/s, under the friction of `RobotParams()`, its plant driven by
+        the step's wrench; the laws see the same inputs."""
+        step, laws = self.pair(asmc, proposed)
+        plant = plant_step_for(self.ROBOT, NO_ARENA)
+        state, v_d, radius = (0.0, -0.5, 0.4, 0.0, 0.0), 1.3, 2.0
+        rows = []
+        for k in range(n):
+            thr = v_d / radius * k * self.DT
+            reference = (radius * math.sin(thr), radius * (1.0 - math.cos(thr)),
+                         thr, v_d, v_d / radius)
+            _, row = self.same(step, laws, (*state, *reference))
+            rows.append(row)
+            F, tau = row[STEP_FIELDS.index("F")], row[STEP_FIELDS.index("tau")]
+            state = plant(*state, F, tau, 10, self.DT / 10)
+        return np.array(rows)
+
+    @pytest.mark.parametrize("proposed", [True, False])
+    @pytest.mark.parametrize("gain_clamp", [1e4, None])
+    def test_along_an_adaptive_run(self, proposed, gain_clamp):
+        rows = self.closed_loop(AsmcConfig(gain_clamp=gain_clamp), proposed)
+        assert np.isfinite(rows).all()
+        gains = rows[:, STEP_FIELDS.index("K_v0"):STEP_FIELDS.index("e_x")]
+        # every adapted gain moved off k_init
+        adapted = range(6) if proposed else (0, 3)
+        assert all(len(set(gains[:, g])) > 100 for g in adapted)
+
+    @pytest.mark.parametrize("proposed", [True, False])
+    def test_where_the_clamp_is_hit(self, proposed):
+        rows = self.closed_loop(AsmcConfig(gain_clamp=0.05), proposed)
+        gains = rows[:, STEP_FIELDS.index("K_v0"):STEP_FIELDS.index("e_x")]
+        assert (gains == 0.05).sum(axis=0)[0] > 100
+        assert gains.max() == 0.05
+
+    def test_a_nan_gain_passes_and_the_wrench_aborts(self):
+        # a speed of 1e200 overflows K_v1's and K_v2's drive |s_v| |xi_v|
+        # while F stays finite: with no clamp both gains are inf after the
+        # first call, so the second call's F is not finite, the engine's
+        # abort; their update there is inf - inf, a NaN that passes as
+        # `_clamp_gain` lets it, and the third call logs it
+        step, laws = self.pair(AsmcConfig(gain_clamp=None), True)
+        calm = (0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0)
+        rows = [self.same(step, laws, args)[1]
+                for args in ((0.0, 0.0, 0.0, 1e200, *calm[4:]), calm, calm)]
+        F, K_v1 = STEP_FIELDS.index("F"), STEP_FIELDS.index("K_v1")
+        assert all(map(math.isfinite, rows[0]))
+        assert rows[1][K_v1] == math.inf and not math.isfinite(rows[1][F])
+        assert math.isnan(rows[2][K_v1]) and math.isnan(rows[2][F])
+
+    @pytest.mark.parametrize("proposed", [True, False])
+    def test_oversized_step_raises_as_the_laws_do(self, proposed):
+        # alpha_w0 * dt = alpha_w1 * dt = 1.5: K_w0 and K_w1 leave the
+        # positive domain at once, and the error names K_w0, checked first
+        step, laws = self.pair(AsmcConfig(), proposed, dt=0.3)
+        got, _ = self.same(step, laws, (0.0,) * 10)
+        K_w0 = 0.01 + 0.3 * (0.0 - 5.0 * 0.01)
+        assert got == (ValueError, f"adaptive gain left the positive domain "
+                       f"({K_w0}); alpha * dt must stay below 1")
+
+    def test_rejects_a_control_period_that_is_not_positive(self):
+        for dt in (0.0, -0.01, math.nan):
+            with pytest.raises(ValueError, match="control_period"):
+                step_for(CFG, self.KIN, self.ROBOT, dt, True)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(*[SIGNAL] * 10), min_size=1, max_size=6),
+           asmc_st, st.booleans(), st.floats(1e-4, 0.05))
+    def test_on_any_inputs(self, calls, cfg, proposed, dt):
+        step, laws = self.pair(cfg, proposed, dt)
+        for args in calls:
+            got, _ = self.same(step, laws, args)
+            if got[0] is ValueError:
+                break  # the engine's abort; the states part ways here

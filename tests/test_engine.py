@@ -72,20 +72,26 @@ def _abort_of(cfg, **edits):
 
 def _control_fails_at_start(cfg, monkeypatch):
     """Episode edits under which robot 2's control raises ValueError at step
-    0, as math.fmod does on an angle that has run off: `posture_error` is
-    patched to raise on robot 2's start pose, the state it holds at step 0
-    alone. The poses are the course's start slots."""
+    0, as math.fmod does on an angle that has run off: each control step
+    that `control.step_for` binds is wrapped to raise on robot 2's start
+    pose, the state it holds at step 0 alone. The poses are the course's
+    start slots."""
     from platoon_asmc import control
 
     poses = ((14.0, 0.0, 1.6), (13.8, -1.0, 1.6), (13.6, -2.0, 1.6))
-    posture_error = control.posture_error
+    step_for = control.step_for
 
-    def raises(x, y, theta, *reference):
-        if (x, y, theta) == poses[1]:
-            raise ValueError("math domain error")
-        return posture_error(x, y, theta, *reference)
+    def raising_step_for(*args):
+        step = step_for(*args)
 
-    monkeypatch.setattr(control, "posture_error", raises)
+        def raises(x, y, theta, *reference):
+            if (x, y, theta) == poses[1]:
+                raise ValueError("math domain error")
+            return step(x, y, theta, *reference)
+
+        return raises
+
+    monkeypatch.setattr(control, "step_for", raising_step_for)
     return dict(platoon=dataclasses.replace(cfg.platoon, start_poses=poses),
                 sim=dataclasses.replace(cfg.sim, duration=1.0))
 
@@ -536,6 +542,46 @@ def test_trace_replays_through_the_laws(cfg, controller):
             np.ascontiguousarray(trace.rec[:, r, logged]).tobytes()
 
 
+@pytest.mark.parametrize("controller", ["proposed", "baseline"])
+def test_rebound_laws_are_called_and_move_no_bit(cfg, controller,
+                                                 monkeypatch):
+    """Laws rebound in `control`, and `wheel_torque_split` rebound in
+    `engine`, as a timing wrapper rebinds them, are each called once per
+    robot-step, and the trace is the bound step's bit for bit."""
+    from platoon_asmc import control, engine
+
+    sim = dataclasses.replace(cfg.sim, duration=2.0)
+    args = (cfg.robot, cfg.kinematic, cfg.asmc, cfg.platoon, cfg.arena, sim,
+            controller)
+    bound = run_episode(*args, processes=1)
+    calls = dict.fromkeys((
+        "posture_error", "kinematic_control", "update_sliding", "asmc_force",
+        "asmc_torque", "adapt_gains", "baseline_asmc", "adapt_gains_baseline",
+        "wheel_torque_split"), 0)
+
+    def counted(owner, name):
+        law = getattr(owner, name)
+
+        def wrapper(*a):
+            calls[name] += 1
+            return law(*a)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    for name in calls:
+        counted(engine if name == "wheel_torque_split" else control, name)
+    laws = run_episode(*args, processes=1)
+    assert _bits(laws) == _bits(bound)
+    steps = laws.n_records * laws.n_robots
+    # adapt_gains runs adapt_gains_baseline for K_v0 and K_w0
+    called = {"baseline_asmc", "adapt_gains_baseline", "posture_error",
+              "kinematic_control", "update_sliding", "wheel_torque_split"}
+    if controller == "proposed":
+        called = called - {"baseline_asmc"} | {"asmc_force", "asmc_torque",
+                                               "adapt_gains"}
+    assert calls == {name: steps if name in called else 0 for name in calls}
+
+
 def _children() -> list[int]:
     """Live child processes of this process, from /proc."""
     from pathlib import Path
@@ -666,14 +712,14 @@ class TestPipeline:
         # robot 1's plant runs off during step k, so its command at step
         # k + 1 is the abort; robot 3's control, when it fails at step k,
         # comes first, although robot 1's plant ran off before it
-        from platoon_asmc import engine
+        from platoon_asmc import control, engine
 
         k = 40
         sim = dataclasses.replace(cfg.sim, duration=1.0)
         robots = (RobotParams(), RobotParams(), RobotParams())
         clean = run_episode(robots, cfg.kinematic, cfg.asmc, cfg.platoon,
                             cfg.arena, sim, "proposed", processes=1)
-        plant_step_for, split = engine.plant_step_for, engine.wheel_torque_split
+        plant_step_for, step_for = engine.plant_step_for, control.step_for
 
         def fails_on_call(n, fn, bad):
             """fn, except that its n-th call returns `bad`."""
@@ -687,15 +733,18 @@ class TestPipeline:
                 return fails_on_call(k + 1, step, (math.nan,) * 5)
             return step
 
+        def control_fails_for(asmc, kin, rp, *args):
+            # as the plant's, so each episode counts afresh
+            step = step_for(asmc, kin, rp, *args)
+            if rp is robots[2]:
+                return fails_on_call(k + 1, step,
+                                     (math.nan,) * len(control.STEP_FIELDS))
+            return step
+
         monkeypatch.setattr(engine, "plant_step_for", plant_fails)
+        if control_fails:
+            monkeypatch.setattr(control, "step_for", control_fails_for)
         for p in (1, 2, 3):
-            if control_fails:
-                # a fresh count per episode; each robot runs in one process
-                third = fails_on_call(k + 1, split, (math.nan, math.nan))
-                monkeypatch.setattr(
-                    engine, "wheel_torque_split",
-                    lambda F, tau, rp: (third if rp is robots[2] else split)(
-                        F, tau, rp))
             step, _, robot, diag = _abort_of(cfg, robot=robots, sim=sim,
                                              processes=p)
             if control_fails:

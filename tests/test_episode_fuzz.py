@@ -12,6 +12,7 @@ import dataclasses
 import io
 import json
 import math
+import os
 import tempfile
 import warnings
 from pathlib import Path
@@ -291,6 +292,13 @@ def test_episode_exits_cleanly_and_pipelines_exactly(episode):
         except ConfigError:
             assert code == 2
             return
+        try:
+            os.fsencode(cfg.output_dir or "")
+            unwritable = False
+        except UnicodeEncodeError:
+            # `run` rejects it before any episode runs, aborting or not
+            assert code == 2
+            unwritable = True
     controllers = engine.CONTROLLERS if cfg.controller == "both" \
         else (cfg.controller,)
     with pytest.MonkeyPatch.context() as mp:
@@ -347,7 +355,7 @@ def test_episode_exits_cleanly_and_pipelines_exactly(episode):
                        for v in (*diag.values(), *diag.get("gap_err", ()))
                        if isinstance(v, float))
     if any(len(s) == 4 for s in serial):
-        assert code == 3
+        assert code == (2 if unwritable else 3)
     elif code == 0:
         assert all(np.isfinite(np.frombuffer(b)).all()
                    for s in serial for b in s)

@@ -123,6 +123,46 @@ def test_target_matches_oracle_at_every_index_of_default_path(gap):
             brute_force_target(path, leader, gap), leader
 
 
+class TestHintedSearch:
+    """`target_waypoint` from any hint is the hintless search and the
+    brute-force arc search: hints below 0 and past the leader (clipped),
+    far from the answer, next to it and on it."""
+
+    @pytest.fixture(scope="class")
+    def paths(self):
+        course, _ = default_path_for(PlatoonConfig(), SimConfig(duration=600.0))
+        line = build_path([0.0, 1.0, 2.0, 3.0], [0.0] * 4)
+        subnormal = build_path(np.arange(40) * 5e-324, np.zeros(40))
+        return course, line, subnormal
+
+    @pytest.mark.parametrize("gap", [0.0, 5e-324, 1e-322, 1.0, 4.0, 1e9])
+    def test_any_hint_gives_the_same_index(self, paths, gap):
+        rng = np.random.default_rng(30)
+        for p in paths:
+            n = len(p)
+            leaders = {0, 1, n // 2, n - 2, n - 1,
+                       *rng.integers(0, n, 150).tolist()}
+            for leader in sorted(i for i in leaders if 0 <= i < n):
+                want = target_waypoint(p, leader, gap)
+                assert want == brute_force_target(p, leader, gap), leader
+                hints = {-1, -10 ** 12, leader, leader + 1, leader + 10 ** 12,
+                         0, n - 1, want - 1, want, want + 1, want - 100,
+                         want + 100, *rng.integers(0, n, 120).tolist()}
+                for hint in hints:
+                    assert target_waypoint(p, leader, gap, hint) == want, \
+                        (leader, hint)
+
+    @pytest.mark.parametrize("gap", [1.0, 4.0])
+    def test_the_engine_s_hints_along_the_default_course(self, gap):
+        # the leader's marker walks the 20 s course one vertex a step, and
+        # each search starts from the last target, as the engine's do
+        path, _ = default_path_for(PlatoonConfig(), SimConfig(duration=20.0))
+        last = None
+        for leader in range(len(path)):
+            last = target_waypoint(path, leader, gap, last)
+            assert last == brute_force_target(path, leader, gap), leader
+
+
 class TestReferencePose:
     def test_horizontal_tangent(self):
         assert waypoint_pose(unit_path(), 4)[2] == 0.0
@@ -341,6 +381,14 @@ class TestNearestIndex:
     def test_tie_breaks_toward_larger_index(self):
         assert nearest_index(unit_path(), 4.5, 0.0) == 5
 
+    def test_rejects_a_hint_outside_the_path_or_a_negative_window(self):
+        line = build_path(np.arange(1000.0), np.zeros(1000))
+        for hint, window, match in ((-500, 200, "hint -500 outside"),
+                                    (1500, 200, "hint 1500 outside"),
+                                    (500, -5, "window must be >= 0, got -5")):
+            with pytest.raises(ValueError, match=match):
+                nearest_index(line, 300.0, 0.0, hint=hint, window=window)
+
     def test_windowed_search_stays_local(self):
         # figure-eight crosses itself at the origin: with a hint on the first
         # branch the projection must not jump to the other branch
@@ -486,7 +534,8 @@ class TestReferenceSamplingIsExact:
     def test_reference_pose_and_velocity_at_every_vertex(self, paths):
         for p in paths:
             for i in range(len(p)):
-                x, y, theta, kappa = follower_target(p, i, 0.0)
+                x, y, theta, kappa, index = follower_target(p, i, 0.0)
+                assert index == i
                 assert same_bits((x, y, theta), numpy_reference_pose(p, i)), i
                 assert same_bits(kappa, float(p.curvature[i])), i
 
