@@ -6,10 +6,11 @@ variables, wrench and gain update; its plant then advances with RK4 substeps
 under a zero-order-hold wrench, with the arena's friction field and breaker
 disturbances evaluated at every integrator stage. Each robot's control step
 (`control.step_for`) and plant stepper (`vehicle.plant_step_for`) are built
-once per episode and each called once per robot-step; a follower's target
-search starts from its previous target. The whole loop runs inside one
-`np.errstate` so that the per-step path projection need not enter its own.
-Identical inputs produce bit-identical traces.
+once per episode and each called once per robot-step; a robot's projection
+walks from its last marker (`platoon.nearest_index_from`), and a follower's
+target search starts from its previous target. The whole loop runs inside
+one `np.errstate` so that a projection that falls back to the scan need not
+enter its own. Identical inputs produce bit-identical traces.
 
 Coupling runs one way, down the platoon: a follower reads only its
 predecessor's path marker at the same step. So `run_episode` runs the
@@ -44,13 +45,14 @@ from . import control as ctl
 from .arena import Arena, require
 from .control import AsmcConfig, KinematicGains
 from .platoon import (
+    PROJECTION_WINDOW,
     Path,
     PlatoonConfig,
     build_path,
     figure_eight_lap,
     follower_target,
     nearest_index,
-    nearest_index_unguarded,
+    nearest_index_from,
     pose_at_arc,
 )
 from .vehicle import RobotParams, plant_step_for, wheel_torque_split
@@ -61,9 +63,9 @@ CONTROLLERS = ("proposed", "baseline")
 # steps; the next group runs up to two chunks behind.
 PROGRESS_CHUNK = 16
 # Fewest robot-steps a pipeline group may hold. Forking and reaping a group
-# costs 2.2-3.4 ms; 500 robot-steps take about 11-18 ms with one RK4
-# substep and 25-38 ms with the default ten (ranges over five serial 20 s
-# episodes, 2-vCPU Xeon VM, CPython 3.11).
+# costs 2.2-3.4 ms; 500 robot-steps take about 4-8 ms with one RK4 substep
+# and 16-19 ms with the default ten (ranges over three sets of five serial
+# 20 s episodes, 2-vCPU Xeon VM, CPython 3.11).
 MIN_GROUP_ROBOT_STEPS = 500
 
 # Per-robot trace columns, in the order they appear in the CSV contract.
@@ -368,7 +370,8 @@ def run_episode(
     # Initial progress markers; custom start poses must sit near their nominal
     # along-path slots for the windowed projection to lock on. A window as long
     # as the path searches all of it, and caps a subnormal spacing's ratio.
-    init_window = max(200, int(round(min(20.0 / mean_spacing, len(path)))))
+    init_window = max(PROJECTION_WINDOW,
+                      int(round(min(20.0 / mean_spacing, len(path)))))
     markers = [
         nearest_index(path, p[0], p[1], hint=_index_at_arc(path, s), window=init_window)
         for p, s in zip(poses, start_arcs)
@@ -397,6 +400,7 @@ def run_episode(
          for rp in robots],
         [plant_step_for(rp, packed) for rp in robots], platoon, sim,
         lead_start_arc, buf, memoryview(log).cast("q"))
+    path.clear2  # built here, so that forked groups inherit the table
     # the groups project without entering an errstate per call
     with np.errstate(over="ignore"):
         aborts = [a for a in _run_pipeline(run, bounds) if a is not None]
@@ -461,7 +465,7 @@ def _run_group(path: Path, states: list, markers: list, controls: list,
         base = k * R
         for r in range(lo, hi):
             x, y, th, v, w = states[r]
-            markers[r] = m = nearest_index_unguarded(path, x, y, markers[r])
+            markers[r] = m = nearest_index_from(path, x, y, markers[r])
             marks[base + r] = m
             if r == 0:
                 xr, yr, thr, kappa = pose_at_arc(path, lead_arc)

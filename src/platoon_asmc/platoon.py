@@ -5,6 +5,12 @@ built-in course is a figure-eight (lemniscate) resampled at uniform arc
 spacing and tiled over as many laps as an episode needs, so follower targeting
 can stay a plain search over one array with no wrap-around logic.
 
+Each robot's progress along the course is its path marker, the nearest
+waypoint within PROJECTION_WINDOW vertices of its last one, ties to the
+larger index. Per step the engine finds it by a walk of a few vertices from
+the last marker, which a per-vertex clearance certifies to be the windowed
+scan's answer; where the certificate fails, it runs the scan.
+
 Followers target the waypoint a desired arc gap behind their predecessor
 (a search on the cumulative arc length that gallops from the follower's
 previous target, then bisects). The leader tracks a smooth time-parameterized
@@ -18,12 +24,17 @@ import math
 import sys
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .arena import finite, require
 
 DEFAULT_SPACING = 0.05
+# The projection searches this many vertices either side of its hint.
+PROJECTION_WINDOW = 200
+# The walk moves at most this many vertices from its hint.
+WALK_MOVES = 3
 
 
 @dataclass(frozen=True)
@@ -40,6 +51,9 @@ class Path:
     them (`_cx` ... `_curvature`), which index to a Python float at less
     cost than `ndarray.item`, and copies of cx and cy stored last vertex
     first (`_rcx`, `_rcy`) for the projection's scan.
+
+    `clear2` is the walk's certificate table, built on first use (see
+    `nearest_index_from`).
     """
 
     cx: np.ndarray
@@ -62,6 +76,34 @@ class Path:
 
     def __len__(self) -> int:
         return len(self.cx)
+
+    @cached_property
+    def clear2(self) -> memoryview:
+        """Float view of each vertex w's clearance: the least squared chord
+        |c_j - c_w|^2 over 2 <= |j - w| <= PROJECTION_WINDOW + WALK_MOVES,
+        rounded down by a relative 1e-9, far more than the rounding of any
+        squared distance, and 0 where that is not a normal float (no such
+        j, a chord that overflows or one so short that distances near it
+        round by more). Built in numpy at 8 bytes per vertex, one pass per
+        offset; two threads may both build it, and get equal tables."""
+        cx, cy = self.cx, self.cy
+        n = len(cx)
+        clear = np.full(n, np.inf)
+        dx, dy = np.empty(n), np.empty(n)
+        with np.errstate(all="ignore"):
+            for k in range(2, min(PROJECTION_WINDOW + WALK_MOVES, n - 1) + 1):
+                chord, tmp = dx[k:], dy[k:]
+                np.subtract(cx[k:], cx[:-k], out=chord)
+                np.subtract(cy[k:], cy[:-k], out=tmp)
+                chord *= chord
+                tmp *= tmp
+                chord += tmp
+                np.minimum(clear[k:], chord, out=clear[k:])
+                np.minimum(clear[:-k], chord, out=clear[:-k])
+            clear *= 1.0 - 1e-9
+        clear[~((clear >= np.finfo(float).tiny) & (clear < np.inf))] = 0.0
+        clear.flags.writeable = False
+        return memoryview(clear)
 
     @property
     def total_length(self) -> float:
@@ -251,7 +293,7 @@ def follower_target(path: Path, leader_index: int, gap_des: float,
 
 
 def nearest_index(path: Path, x: float, y: float, hint: int | None = None,
-                  window: int = 200) -> int:
+                  window: int = PROJECTION_WINDOW) -> int:
     """Waypoint index closest to (x, y); ties break toward the larger index.
 
     With a hint, only indices within +-window of it are searched. That keeps
@@ -269,11 +311,13 @@ def nearest_index(path: Path, x: float, y: float, hint: int | None = None,
 
 
 def nearest_index_unguarded(path: Path, x: float, y: float,
-                            hint: int | None = None, window: int = 200) -> int:
+                            hint: int | None = None,
+                            window: int = PROJECTION_WINDOW) -> int:
     """`nearest_index` in the caller's numpy error state, for a caller that
     already ignores overflow (the engine runs a whole episode in one
-    `np.errstate`); entering one costs about as much as the search. It
-    does not check its hint or window: the engine passes its own markers."""
+    `np.errstate`: entering and leaving one costs about a quarter of this
+    scan, and more than the walk that the engine tries first). It does not
+    check its hint or window: the engine passes its own markers."""
     n = len(path)
     if hint is None:
         lo, hi = 0, n
@@ -289,6 +333,50 @@ def nearest_index_unguarded(path: Path, x: float, y: float,
     dy *= dy
     dx += dy
     return hi - 1 - int(dx.argmin())
+
+
+def nearest_index_from(path: Path, x: float, y: float, hint: int) -> int:
+    """`nearest_index_unguarded(path, x, y, hint)` by a walk from `hint`,
+    the engine's per-step projection; the hint is not checked.
+
+    The walk steps forward while the next vertex is not farther, or else
+    back while the previous one is nearer, at most WALK_MOVES vertices; so
+    where it stops at w, d(w + 1) > d(w) <= d(w - 1), the scan's tie rule.
+    Every d is the scan's own float expression. If 4 d(w) < `clear2[w]`,
+    the triangle inequality puts every other vertex of the scan's window
+    farther than w, and w is the scan's answer. Otherwise (a longer walk,
+    NaN or inf, an overflow, a hairpin, a subnormal course) this runs the
+    scan, in the caller's numpy error state.
+    """
+    cx, cy = path._cx, path._cy
+    w = hint
+    dx = cx[w] - x
+    dy = cy[w] - y
+    d = dx * dx + dy * dy
+    last = len(cx) - 1
+    moves = 0
+    while w < last:
+        dx = cx[w + 1] - x
+        dy = cy[w + 1] - y
+        e = dx * dx + dy * dy
+        if not e <= d:
+            break
+        if moves == WALK_MOVES:
+            return nearest_index_unguarded(path, x, y, hint)
+        w, d, moves = w + 1, e, moves + 1
+    if not moves:
+        while w:
+            dx = cx[w - 1] - x
+            dy = cy[w - 1] - y
+            e = dx * dx + dy * dy
+            if not e < d:
+                break
+            if moves == WALK_MOVES:
+                return nearest_index_unguarded(path, x, y, hint)
+            w, d, moves = w - 1, e, moves + 1
+    if 4.0 * d < path.clear2[w]:
+        return w
+    return nearest_index_unguarded(path, x, y, hint)
 
 
 def pose_at_arc(path: Path, s: float) -> tuple[float, float, float, float]:

@@ -5,16 +5,21 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import event, given, reject, settings
+from hypothesis import strategies as st
 from path_oracle import oracle_curvature
 
+from platoon_asmc import platoon as platoon_mod
 from platoon_asmc.engine import SimConfig, default_path_for, run_episode
 from platoon_asmc.platoon import (
+    PROJECTION_WINDOW,
     PlatoonConfig,
     build_path,
     figure_eight_lap,
     follower_target,
     load_path_xy,
     nearest_index,
+    nearest_index_from,
     nearest_index_unguarded,
     pose_at_arc,
     target_waypoint,
@@ -339,15 +344,25 @@ class TestPathConstruction:
 
     def test_pickled_path_gives_the_same_arrays_and_projections(self):
         p = figure_eight(2)
+        p.clear2
         q = pickle.loads(pickle.dumps(p))
         for name in ("cx", "cy", "arc", "tangent", "curvature"):
             assert getattr(q, name).tobytes() == getattr(p, name).tobytes()
             assert not getattr(q, name).flags.writeable
+        # the clearance table is not pickled, but built again on first use
+        assert "clear2" not in vars(q)
+        assert q.clear2.tobytes() == p.clear2.tobytes()
         rng = np.random.default_rng(3)
         for x, y in rng.uniform(-15.0, 15.0, (200, 2)).tolist():
             hint = int(rng.integers(0, len(p)))
             assert nearest_index(q, x, y) == nearest_index(p, x, y)
             assert nearest_index(q, x, y, hint) == nearest_index(p, x, y, hint)
+            # the walk, from the hint and from the vertex nearest (x, y)
+            near = nearest_index(p, x, y)
+            for start in (hint, near):
+                assert nearest_index_from(q, x, y, start) == \
+                    nearest_index_from(p, x, y, start) == \
+                    nearest_index(p, x, y, start)
             assert follower_target(q, hint, 1.0) == follower_target(p, hint, 1.0)
             s = float(rng.uniform(0.0, p.total_length))
             assert pose_at_arc(q, s) == pose_at_arc(p, s)
@@ -481,6 +496,143 @@ class TestNearestIndexOracle:
                             got = nearest_index_unguarded(p, x, y, hint, 200)
                     assert got == brute_force_nearest(p, x, y, hint, 200), \
                         (m, x, y, hint)
+
+
+@st.composite
+def projections(draw):
+    """(path, x, y, hint) for the walk. The course, in units of a step
+    that may be subnormal or make squared distances overflow: a random
+    course, a line, a hairpin (out and back at a small offset), a zigzag
+    whose every other vertex coincides, or laps of a polygon whose copies
+    coincide; 2 to 600 vertices. The position: near the course a few
+    vertices from the hint, far off it, or NaN, +-inf, +-1e200 or 0 per
+    coordinate."""
+    n = draw(st.sampled_from((2, 3)) | st.integers(2, 600))
+    step = draw(st.sampled_from((5e-324, 1e-320, 2.2e-308, 1e-300, 1.0,
+                                 1e150)) | st.floats(1e-3, 2.0))
+    shape = draw(st.sampled_from(("random", "line", "hairpin", "zigzag",
+                                  "laps")))
+    i = np.arange(n, dtype=float)
+    if shape == "random":
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        xs = np.cumsum(rng.uniform(1.0, 3.0, n))
+        ys = rng.uniform(-2.0, 2.0, n)
+    elif shape == "line":
+        xs, ys = i, np.zeros(n)
+    elif shape == "hairpin":
+        m = (n + 1) // 2
+        xs = np.concatenate((i[:m], i[:n - m][::-1]))
+        ys = np.where(i < m, 0.0, draw(st.sampled_from((1e-3, 0.1, 1.0, 3.0))))
+    elif shape == "zigzag":
+        xs, ys = i % 2, np.zeros(n)
+    else:
+        k = draw(st.integers(3, 40))
+        ang = 2.0 * math.pi * (i % k) / k
+        xs, ys = np.cos(ang) * k / 6.0, np.sin(ang) * k / 6.0
+    try:
+        path = build_path(xs * step, ys * step)
+    except ValueError:  # a step that rounds two vertices together
+        reject()
+    hint = min(draw(st.sampled_from((0, 1, n - 2, n - 1)) |
+                    st.integers(0, n - 1)), n - 1)
+    where = draw(st.sampled_from(("near", "near", "near", "far", "special")))
+    if where == "near":
+        # on the chord from a vertex j a few from the hint to a vertex k:
+        # one or two along (half way to the next is a tie), the vertex
+        # across a hairpin, or any; then off it by up to 1.5 steps
+        cx, cy = path._cx, path._cy
+        j = min(max(hint + draw(st.integers(-4, 4)), 0), n - 1)
+        k = min(max(draw(st.sampled_from((j - 2, j - 1, j + 1, j + 2,
+                                          n - 1 - j)) |
+                         st.integers(0, n - 1)), 0), n - 1)
+        t = draw(st.sampled_from((0.0, 0.5, 0.45, 0.55)) | st.floats(0.0, 1.0))
+        off = st.just(0.0) | st.floats(-0.3, 0.3) | st.floats(-1.5, 1.5)
+        x = cx[j] + t * (cx[k] - cx[j]) + draw(off) * step
+        y = cy[j] + t * (cy[k] - cy[j]) + draw(off) * step
+    elif where == "far":
+        x, y = draw(st.floats(-1e6, 1e6)), draw(st.floats(-1e6, 1e6))
+    else:
+        special = st.sampled_from((math.nan, math.inf, -math.inf, 1e200,
+                                   -1e200, 0.0))
+        x, y = draw(special), draw(special)
+    return path, x, y, hint
+
+
+class TestWalk:
+    """`nearest_index_from`, the engine's projection: the walk from the last
+    marker where its certificate holds, the scan where it does not."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(projections())
+    def test_walk_is_the_scan_at_the_engine_window(self, case):
+        path, x, y, hint = case
+        scans = []
+        scan = platoon_mod.nearest_index_unguarded
+
+        def counted(*args):
+            scans.append(args)
+            return scan(*args)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(over="ignore"):
+                want = scan(path, x, y, hint)
+                platoon_mod.nearest_index_unguarded = counted
+                try:
+                    got = nearest_index_from(path, x, y, hint)
+                finally:
+                    platoon_mod.nearest_index_unguarded = scan
+        event("fell back to the scan" if scans else "certified")
+        assert got == want == \
+            brute_force_nearest(path, x, y, hint, PROJECTION_WINDOW)
+
+    @pytest.mark.parametrize("period", range(PROJECTION_WINDOW + 1,
+                                             PROJECTION_WINDOW + 7))
+    def test_a_lap_at_the_window_edge_is_seen(self, period):
+        """A spiral whose laps lie 0.8 spacings apart: the vertex a lap
+        back, 201-206 vertices away, is nearest to a point three fifths of
+        the way to it, and lies in the scan's window of a hint up to six
+        vertices behind the vertex the walk would stop at."""
+        i = np.arange(3 * period)
+        r = period / (2.0 * math.pi) + 0.8 * i / period
+        ang = 2.0 * math.pi * i / period
+        p = build_path(r * np.cos(ang), r * np.sin(ang))
+        with np.errstate(over="ignore"):
+            for j in range(period + 5, period + 15):
+                for t in (0.4, 0.5, 0.6):
+                    x = p.cx[j] + t * (p.cx[j - period] - p.cx[j])
+                    y = p.cy[j] + t * (p.cy[j - period] - p.cy[j])
+                    for hint in range(j - 6, j + 7):
+                        assert nearest_index_from(p, x, y, hint) == \
+                            nearest_index_unguarded(p, x, y, hint), (j, t, hint)
+
+    def test_ties_go_to_the_larger_index(self):
+        # half way between vertices 4 and 5, from either side
+        p = unit_path()
+        for hint in range(2, 8):
+            assert nearest_index_from(p, 4.5, 0.0, hint) == 5, hint
+
+    def test_a_vertex_two_along_is_seen(self):
+        # from 0 or 2 the walk stops, since vertex 1 is farther; the other
+        # of the two is nearer
+        p = build_path([0.0, 1.0, 2.0, 3.0], [0.0, 2.0, 0.0, 0.0])
+        assert nearest_index_from(p, 1.1, 0.0, 0) == 2
+        assert nearest_index_from(p, 0.9, 0.0, 2) == 0
+
+    def test_mirrored_course_has_the_same_clearance(self):
+        rng = np.random.default_rng(5)
+        for p in (figure_eight(2), random_path(rng, 300), unit_path(3)):
+            for xs, ys in ((-p.cx, p.cy), (p.cx, -p.cy), (-p.cx, -p.cy)):
+                assert build_path(xs, ys).clear2.tobytes() == \
+                    p.clear2.tobytes()
+
+    def test_clearance_is_zero_where_it_cannot_certify(self):
+        # no vertex two away, a subnormal chord, an overflowing chord
+        for xs in ([0.0, 1.0], [0.0, 5e-324, 1e-323], [-1e308, 0.0, 7e307]):
+            assert not any(build_path(xs, [0.0] * len(xs)).clear2)
+        # laps of a triangle: each vertex coincides with one three away
+        tri = build_path(np.tile([0.0, 1.0, 0.0], 4), np.tile([0.0, 0.0, 1.0], 4))
+        assert not any(tri.clear2)
 
 
 def numpy_pose_at_arc(path, s):
