@@ -8,9 +8,8 @@ disturbances evaluated at every integrator stage. Each robot's control step
 (`control.step_for`) and plant stepper (`vehicle.plant_step_for`) are built
 once per episode and each called once per robot-step; a robot's projection
 walks from its last marker (`platoon.nearest_index_from`), and a follower's
-target search starts from its previous target. The whole loop runs inside
-one `np.errstate` so that a projection that falls back to the scan need not
-enter its own. Identical inputs produce bit-identical traces.
+target search starts from its previous target. Identical inputs produce
+bit-identical traces.
 
 Coupling runs one way, down the platoon: a follower reads only its
 predecessor's path marker at the same step. So `run_episode` runs the
@@ -401,9 +400,7 @@ def run_episode(
         [plant_step_for(rp, packed) for rp in robots], platoon, sim,
         lead_start_arc, buf, memoryview(log).cast("q"))
     path.clear2  # built here, so that forked groups inherit the table
-    # the groups project without entering an errstate per call
-    with np.errstate(over="ignore"):
-        aborts = [a for a in _run_pipeline(run, bounds) if a is not None]
+    aborts = [a for a in _run_pipeline(run, bounds) if a is not None]
     if aborts:
         k, r = min(aborts)
         raise EpisodeAborted(k, k * cp, r, _diagnostic(

@@ -49,8 +49,7 @@ class Path:
     The arrays are read-only, since a course may be shared between episodes
     and threads. For the per-step reads a Path also keeps float views of
     them (`_cx` ... `_curvature`), which index to a Python float at less
-    cost than `ndarray.item`, and copies of cx and cy stored last vertex
-    first (`_rcx`, `_rcy`) for the projection's scan.
+    cost than `ndarray.item`.
 
     `clear2` is the walk's certificate table, built on first use (see
     `nearest_index_from`).
@@ -63,8 +62,6 @@ class Path:
     curvature: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_rcx", self.cx[::-1].copy())
-        object.__setattr__(self, "_rcy", self.cy[::-1].copy())
         for name in ("cx", "cy", "arc", "tangent", "curvature"):
             values = getattr(self, name)
             values.flags.writeable = False
@@ -244,7 +241,7 @@ def target_waypoint(path: Path, leader_index: int, gap_des: float,
     """
     if not 0 <= leader_index < len(path):
         raise ValueError(f"leader_index {leader_index} outside path of {len(path)} points")
-    if gap_des < 0:
+    if not gap_des >= 0:
         raise ValueError(f"gap_des must be >= 0, got {gap_des}")
     arc = path._arc
     a = arc[leader_index]
@@ -306,38 +303,27 @@ def nearest_index(path: Path, x: float, y: float, hint: int | None = None,
         raise ValueError(f"hint {hint} outside path of {len(path)} points")
     if window < 0:
         raise ValueError(f"window must be >= 0, got {window}")
-    with np.errstate(over="ignore"):
-        return nearest_index_unguarded(path, x, y, hint, window)
-
-
-def nearest_index_unguarded(path: Path, x: float, y: float,
-                            hint: int | None = None,
-                            window: int = PROJECTION_WINDOW) -> int:
-    """`nearest_index` in the caller's numpy error state, for a caller that
-    already ignores overflow (the engine runs a whole episode in one
-    `np.errstate`: entering and leaving one costs about a quarter of this
-    scan, and more than the walk that the engine tries first). It does not
-    check its hint or window: the engine passes its own markers."""
     n = len(path)
     if hint is None:
         lo, hi = 0, n
     else:
         lo = max(0, hint - window)
         hi = min(n, hint + window + 1)
-    # the window last vertex first, so that argmin's first minimum is the
+    with np.errstate(over="ignore"):
+        dx = path.cx[lo:hi] - x
+        dy = path.cy[lo:hi] - y
+        # squared distance, in place in the two temporaries
+        dx *= dx
+        dy *= dy
+        dx += dy
+    # argmin of the window read last vertex first: its first minimum is the
     # largest-index one
-    dx = path._rcx[n - hi:n - lo] - x
-    dy = path._rcy[n - hi:n - lo] - y
-    # squared distance, in place in the two temporaries
-    dx *= dx
-    dy *= dy
-    dx += dy
-    return hi - 1 - int(dx.argmin())
+    return hi - 1 - int(dx[::-1].argmin())
 
 
 def nearest_index_from(path: Path, x: float, y: float, hint: int) -> int:
-    """`nearest_index_unguarded(path, x, y, hint)` by a walk from `hint`,
-    the engine's per-step projection; the hint is not checked.
+    """`nearest_index(path, x, y, hint)` by a walk from `hint`, the
+    engine's per-step projection; the walk does not check its hint.
 
     The walk steps forward while the next vertex is not farther, or else
     back while the previous one is nearer, at most WALK_MOVES vertices; so
@@ -346,7 +332,7 @@ def nearest_index_from(path: Path, x: float, y: float, hint: int) -> int:
     the triangle inequality puts every other vertex of the scan's window
     farther than w, and w is the scan's answer. Otherwise (a longer walk,
     NaN or inf, an overflow, a hairpin, a subnormal course) this runs the
-    scan, in the caller's numpy error state.
+    scan.
     """
     cx, cy = path._cx, path._cy
     w = hint
@@ -362,7 +348,7 @@ def nearest_index_from(path: Path, x: float, y: float, hint: int) -> int:
         if not e <= d:
             break
         if moves == WALK_MOVES:
-            return nearest_index_unguarded(path, x, y, hint)
+            return nearest_index(path, x, y, hint)
         w, d, moves = w + 1, e, moves + 1
     if not moves:
         while w:
@@ -372,11 +358,11 @@ def nearest_index_from(path: Path, x: float, y: float, hint: int) -> int:
             if not e < d:
                 break
             if moves == WALK_MOVES:
-                return nearest_index_unguarded(path, x, y, hint)
+                return nearest_index(path, x, y, hint)
             w, d, moves = w - 1, e, moves + 1
     if 4.0 * d < path.clear2[w]:
         return w
-    return nearest_index_unguarded(path, x, y, hint)
+    return nearest_index(path, x, y, hint)
 
 
 def pose_at_arc(path: Path, s: float) -> tuple[float, float, float, float]:
@@ -384,12 +370,14 @@ def pose_at_arc(path: Path, s: float) -> tuple[float, float, float, float]:
 
     Position is linear between waypoints; heading interpolates the unwrapped
     vertex tangents, so it is continuous across segments. s is clamped to the
-    path extent.
+    path extent; a NaN s is a ValueError.
     """
     cx, cy = path._cx, path._cy
     tangent, curvature = path._tangent, path._curvature
-    if s <= 0.0:
-        return cx[0], cy[0], tangent[0], curvature[0]
+    if not s > 0.0:
+        if s <= 0.0:
+            return cx[0], cy[0], tangent[0], curvature[0]
+        raise ValueError(f"s must be a number, got {s}")
     arc = path._arc
     if s >= arc[-1]:
         return cx[-1], cy[-1], tangent[-1], curvature[-1]

@@ -3,7 +3,7 @@
 with no bound constants and no clear box, and a generic RK4 loop that calls
 it at every stage. `tests/test_plant_exact.py` checks the stepper against
 `oracle_integrate` bit for bit; tests that need one derivative call
-`oracle_rhs`."""
+`oracle_rhs`, and a test that needs the stages passes its own `rhs`."""
 
 import math
 
@@ -39,20 +39,20 @@ def oracle_rhs(x, y, theta, v, omega, F, tau, params, arena):
     )
 
 
-def oracle_integrate(x, y, th, v, w, F, tau, n, h, params, arena):
+def oracle_integrate(x, y, th, v, w, F, tau, n, h, params, arena,
+                     rhs=oracle_rhs):
     h2 = 0.5 * h
     h6 = h / 6.0
     for _ in range(n):
-        a1, b1, c1, d1, e1 = oracle_rhs(x, y, th, v, w, F, tau, params, arena)
-        a2, b2, c2, d2, e2 = oracle_rhs(x + h2 * a1, y + h2 * b1, th + h2 * c1,
-                                        v + h2 * d1, w + h2 * e1, F, tau,
-                                        params, arena)
-        a3, b3, c3, d3, e3 = oracle_rhs(x + h2 * a2, y + h2 * b2, th + h2 * c2,
-                                        v + h2 * d2, w + h2 * e2, F, tau,
-                                        params, arena)
-        a4, b4, c4, d4, e4 = oracle_rhs(x + h * a3, y + h * b3, th + h * c3,
-                                        v + h * d3, w + h * e3, F, tau,
-                                        params, arena)
+        a1, b1, c1, d1, e1 = rhs(x, y, th, v, w, F, tau, params, arena)
+        a2, b2, c2, d2, e2 = rhs(x + h2 * a1, y + h2 * b1, th + h2 * c1,
+                                 v + h2 * d1, w + h2 * e1, F, tau, params,
+                                 arena)
+        a3, b3, c3, d3, e3 = rhs(x + h2 * a2, y + h2 * b2, th + h2 * c2,
+                                 v + h2 * d2, w + h2 * e2, F, tau, params,
+                                 arena)
+        a4, b4, c4, d4, e4 = rhs(x + h * a3, y + h * b3, th + h * c3,
+                                 v + h * d3, w + h * e3, F, tau, params, arena)
         x += h6 * (a1 + 2.0 * (a2 + a3) + a4)
         y += h6 * (b1 + 2.0 * (b2 + b3) + b4)
         th += h6 * (c1 + 2.0 * (c2 + c3) + c4)

@@ -486,16 +486,17 @@ class TestDefaultCourse:
 def test_walk_certifies_nearly_every_projection(cfg, controller, monkeypatch):
     """The engine's projection falls back to the scan on under 1 % of
     robot-steps, on the 20 s default episode and on eight robots at a 4 m
-    gap with one RK4 substep; the count includes the start-up projections.
-    A walk that always fell back would give the same traces, only slower."""
+    gap with one RK4 substep; the start-up projections, which the engine
+    calls under its own name, are not counted. A walk that always fell
+    back would give the same traces, only slower."""
     scans = []
-    scan = platoon_mod.nearest_index_unguarded
+    scan = platoon_mod.nearest_index
 
     def counted(*args):
         scans.append(args)
         return scan(*args)
 
-    monkeypatch.setattr(platoon_mod, "nearest_index_unguarded", counted)
+    monkeypatch.setattr(platoon_mod, "nearest_index", counted)
     for platoon, sim in (
             (cfg.platoon, dataclasses.replace(cfg.sim, duration=20.0)),
             (dataclasses.replace(cfg.platoon, n_robots=8, gap_des=4.0),

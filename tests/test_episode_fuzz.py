@@ -22,11 +22,13 @@ import pytest
 from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
+from plant_oracle import oracle_integrate, oracle_rhs
 from test_mirror import NEGATED, SWAPPED, mirrored
 
-from platoon_asmc import engine
+from platoon_asmc import control, engine
 from platoon_asmc.cli import _load_path, main
 from platoon_asmc.config import ConfigError, default_config, from_dict
+from platoon_asmc.control import step_for
 from platoon_asmc.engine import (
     PER_ROBOT_FIELDS,
     EpisodeAborted,
@@ -35,7 +37,7 @@ from platoon_asmc.engine import (
     run_episode,
 )
 from platoon_asmc.platoon import build_path, pose_at_arc
-from platoon_asmc.vehicle import RobotParams
+from platoon_asmc.vehicle import RobotParams, plant_step_for
 
 GAINS = [("kinematic", k) for k in ("k1", "k2", "k3")] + [
     ("asmc", k) for k in ("Lambda_v", "Lambda_w", "phi_v", "phi_w",
@@ -185,6 +187,21 @@ TAIL["robot"] = [TAIL["robot"]] * 2 + [dict(TAIL["robot"], L=1e-310)]
 TAIL["sim"]["duration"] = 0.2
 TAIL["controller"] = "proposed"
 
+# the shipped scenario, briefly, on a course that doubles back: along -x,
+# where a follower's heading is pi on the course and on its reflection, or
+# along the y-axis, where a follower's heading error is pi
+DOUBLE_BACK = default_config().to_dict()
+DOUBLE_BACK["sim"]["duration"] = 0.05
+DOUBLE_BACK["controller"] = "proposed"
+
+# a band whose jittered force, 1.07e300, throws the leader of a course on
+# the x-axis back past the origin inside its first RK4 step, still on the
+# axis
+ON_AXIS = default_config().to_dict()
+ON_AXIS["arena"]["speed_breakers"][0].update(half_width=20.0, amp_force=1e300)
+ON_AXIS["sim"].update(seed=0, duration=0.05)
+ON_AXIS["controller"] = "baseline"
+
 
 def _run(cfg, controller, path, processes, lead_start_arc=None):
     """The trace, or the EpisodeAborted, of one episode of `cfg`."""
@@ -212,31 +229,92 @@ def _course(cfg, path):
     return path, lead_start_on(path, cfg.platoon, cfg.sim)
 
 
+def _headings(path):
+    """The forward-difference heading of each segment, as a follower's
+    reference has it."""
+    return np.arctan2(np.diff(path.cy), np.diff(path.cx))
+
+
+def _plants_watching_the_negative_x_axis(hits):
+    """A stand-in for `engine.plant_step_for` whose steppers append to
+    `hits` each RK4 stage they evaluate on the negative x-axis. Only a step
+    that starts at y == 0 can have a stage there (barring an exact
+    cancellation), so only those steps are replayed, through the oracle,
+    which is the stepper bit for bit."""
+    def rhs(x, y, *rest):
+        if x < 0 and y == 0:
+            hits.append((x, y))
+        return oracle_rhs(x, y, *rest)
+
+    def factory(params, arena):
+        step = plant_step_for(params, arena)
+
+        def watched(x, y, *rest):
+            if y == 0:
+                try:
+                    oracle_integrate(x, y, *rest, params, arena, rhs)
+                except ValueError:  # the stepper raises at the same stage
+                    pass
+            return step(x, y, *rest)
+        return watched
+    return factory
+
+
+def _steps_watching_the_heading_wrap(hits):
+    """A stand-in for `control.step_for` whose steps append to `hits` each
+    heading error that, reduced by `fmod`, is +-pi: the wrap to (-pi, pi]
+    sends both to pi, on a course and on its reflection alike."""
+    def factory(*args):
+        step = step_for(*args)
+
+        def watched(x, y, th, v, w, xr, yr, thr, *rest):
+            # the step's own fmod raises first where this one would
+            out = step(x, y, th, v, w, xr, yr, thr, *rest)
+            if abs(math.fmod(thr - th, 2.0 * math.pi)) == math.pi:
+                hits.append(thr - th)
+            return out
+        return watched
+    return factory
+
+
 def _mirrored_outcome(cfg, controller, path):
     """The outcome of the scenario reflected in the x-axis, told in the
     frame of the unreflected one: the trace's arrays with NEGATED fields
     negated and SWAPPED ones swapped back, or the abort's (step, t, robot).
 
     A string, the reason, where the reflection is not exact: where a
-    reflected tangent is not the negated one (`np.unwrap` rounds a wrapped
-    tangent and its negation apart, and a segment heading exactly pi
-    reflects to pi), or where a robot starts on the negative x-axis (the
-    half-open quadrant rule gives y = 0.0 and its image -0.0 alike to Q2).
+    reflected tangent or segment heading is not the negated one
+    (`np.unwrap` rounds a wrapped tangent and its negation apart, and a
+    segment heading exactly pi reflects to pi, its y difference +0.0 both
+    ways), where a stage of the plant lies on the negative x-axis (the
+    half-open quadrant rule gives y = 0.0 and its image -0.0 alike to Q2,
+    whose friction the reflection swaps with Q3's), or where a heading
+    error is +-pi.
     """
     platoon = cfg.platoon
     path, start = _course(cfg, path)
     flipped = build_path(path.cx, -path.cy)
     if not np.array_equal(flipped.tangent, -path.tangent):
         return "not mirrored: a reflected tangent is not negated"
+    if not np.array_equal(_headings(flipped), -_headings(path)):
+        return "not mirrored: a reflected segment heading is not negated"
     poses = platoon.start_poses or [
         pose_at_arc(path, start - r * platoon.gap_des)
         for r in range(platoon.n_robots)]
-    if any(p[1] == 0 and p[0] < 0 for p in poses):
-        return "not mirrored: a robot starts on the negative x-axis"
     platoon = dataclasses.replace(platoon, start_poses=platoon.start_poses and
                                   tuple((x, -y, -th) for x, y, th in poses))
     cfg = dataclasses.replace(cfg, platoon=platoon, arena=mirrored(cfg.arena))
-    tr = _run(cfg, controller, flipped, 1, start)
+    stages, errors = [], []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "plant_step_for",
+                   _plants_watching_the_negative_x_axis(stages))
+        mp.setattr(control, "step_for",
+                   _steps_watching_the_heading_wrap(errors))
+        tr = _run(cfg, controller, flipped, 1, start)
+    if stages:
+        return "not mirrored: a stage on the negative x-axis"
+    if errors:
+        return "not mirrored: a heading error of pi"
     if isinstance(tr, EpisodeAborted):
         return tr.step, tr.t, tr.robot
     rec = np.stack([-tr[name] if name in NEGATED else tr[SWAPPED.get(name, name)]
@@ -262,6 +340,9 @@ def _without_tail(cfg):
 @example((JITTER, None))
 @example((SUBNORMAL, "0.0 0.0\n1e-320 0.0\n"))
 @example((TAIL, None))
+@example((DOUBLE_BACK, "0.0 0.0\n3.0 0.0\n0.0 0.0\n0.0 1e+308\n"))
+@example((DOUBLE_BACK, "0.0 0.0\n0.0 -1.0\n0.0 1e+308\n"))
+@example((ON_AXIS, "0.0 0.0\n1.0 0.0\n2.0 0.0\n3.0 0.0\n"))
 def test_episode_exits_cleanly_and_pipelines_exactly(episode):
     doc, course = episode
     with tempfile.TemporaryDirectory() as tmp:

@@ -20,7 +20,6 @@ from platoon_asmc.platoon import (
     load_path_xy,
     nearest_index,
     nearest_index_from,
-    nearest_index_unguarded,
     pose_at_arc,
     target_waypoint,
 )
@@ -82,6 +81,11 @@ class TestTargetWaypoint:
     def test_invalid_leader_index(self):
         with pytest.raises(ValueError):
             target_waypoint(unit_path(), 11, 1.0)
+
+    @pytest.mark.parametrize("gap", [-1.0, -math.inf, math.nan])
+    def test_rejects_a_negative_or_nan_gap(self, gap):
+        with pytest.raises(ValueError, match=f"gap_des must be >= 0, got {gap}"):
+            target_waypoint(build_path(np.arange(50.0), np.zeros(50)), 30, gap)
 
     def test_matches_brute_force_oracle(self):
         rng = np.random.default_rng(7)
@@ -473,11 +477,11 @@ class TestNearestIndexOracle:
             self.check(p, x, y, hint=10, window=40)
             self.check(p, x, y, hint=len(p) - 1, window=40)
 
-    def test_unguarded_at_the_engine_window_on_long_paths(self):
-        """The engine's call: `nearest_index_unguarded` in one errstate,
-        window 200, on paths of more than 401 vertices, with hints that
-        clip the window at either end. On the zigzag every other vertex
-        ties at (0, 0), and every vertex at (0.5, 0)."""
+    def test_at_the_engine_window_on_long_paths(self):
+        """The walk's fallback: `nearest_index` at window 200, on paths of
+        more than 401 vertices, with hints that clip the window at either
+        end. On the zigzag every other vertex ties at (0, 0), and every
+        vertex at (0.5, 0)."""
         n = 600
         zigzag = build_path(np.tile([0.0, 1.0], n // 2), np.zeros(n))
         points = ((0.0, 0.0), (0.5, 0.0), (1.0, 0.0), (250.5, 0.0),
@@ -492,8 +496,7 @@ class TestNearestIndexOracle:
                 for x, y in points:
                     with warnings.catch_warnings():
                         warnings.simplefilter("error")
-                        with np.errstate(over="ignore"):
-                            got = nearest_index_unguarded(p, x, y, hint, 200)
+                        got = nearest_index(p, x, y, hint, 200)
                     assert got == brute_force_nearest(p, x, y, hint, 200), \
                         (m, x, y, hint)
 
@@ -567,21 +570,20 @@ class TestWalk:
     def test_walk_is_the_scan_at_the_engine_window(self, case):
         path, x, y, hint = case
         scans = []
-        scan = platoon_mod.nearest_index_unguarded
 
         def counted(*args):
             scans.append(args)
-            return scan(*args)
+            return nearest_index(*args)
 
+        # outside any errstate: a fallback raises no warning by itself
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with np.errstate(over="ignore"):
-                want = scan(path, x, y, hint)
-                platoon_mod.nearest_index_unguarded = counted
-                try:
-                    got = nearest_index_from(path, x, y, hint)
-                finally:
-                    platoon_mod.nearest_index_unguarded = scan
+            want = nearest_index(path, x, y, hint)
+            platoon_mod.nearest_index = counted
+            try:
+                got = nearest_index_from(path, x, y, hint)
+            finally:
+                platoon_mod.nearest_index = nearest_index
         event("fell back to the scan" if scans else "certified")
         assert got == want == \
             brute_force_nearest(path, x, y, hint, PROJECTION_WINDOW)
@@ -597,14 +599,13 @@ class TestWalk:
         r = period / (2.0 * math.pi) + 0.8 * i / period
         ang = 2.0 * math.pi * i / period
         p = build_path(r * np.cos(ang), r * np.sin(ang))
-        with np.errstate(over="ignore"):
-            for j in range(period + 5, period + 15):
-                for t in (0.4, 0.5, 0.6):
-                    x = p.cx[j] + t * (p.cx[j - period] - p.cx[j])
-                    y = p.cy[j] + t * (p.cy[j - period] - p.cy[j])
-                    for hint in range(j - 6, j + 7):
-                        assert nearest_index_from(p, x, y, hint) == \
-                            nearest_index_unguarded(p, x, y, hint), (j, t, hint)
+        for j in range(period + 5, period + 15):
+            for t in (0.4, 0.5, 0.6):
+                x = p.cx[j] + t * (p.cx[j - period] - p.cx[j])
+                y = p.cy[j] + t * (p.cy[j - period] - p.cy[j])
+                for hint in range(j - 6, j + 7):
+                    assert nearest_index_from(p, x, y, hint) == \
+                        nearest_index(p, x, y, hint), (j, t, hint)
 
     def test_ties_go_to_the_larger_index(self):
         # half way between vertices 4 and 5, from either side
@@ -703,6 +704,12 @@ class TestPoseAtArc:
         p = unit_path()
         assert pose_at_arc(p, -5.0)[0] == 0.0
         assert pose_at_arc(p, 500.0)[0] == 10.0
+        assert pose_at_arc(p, -math.inf)[0] == 0.0
+        assert pose_at_arc(p, math.inf)[0] == 10.0
+
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match="s must be a number, got nan"):
+            pose_at_arc(build_path(np.arange(50.0), np.zeros(50)), math.nan)
 
     def test_heading_is_continuous_on_circle(self):
         ang = np.deg2rad(np.arange(0, 360))
