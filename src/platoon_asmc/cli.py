@@ -89,16 +89,17 @@ def _load_path(cfg: RunConfig) -> Path | None:
     return path
 
 
-def _episode_job(cfg: RunConfig, controller: str, csv_path: str,
+def _episode_job(cfg: RunConfig, controller: str, csv_path: str, label: str,
                  path: Path | None = None,
                  processes: int | None = None) -> mx.RmsReport:
     """Run one episode, export its trace and return its RMS report, all that
-    a forked job of `run_command` sends back. `processes` caps the episode's
-    pipeline groups (see `run_episode`). Raises ReportNotFinite, before
-    anything is written, when the report is not finite."""
+    a forked job of `run_command` sends back. `label` is the trace's scenario
+    hash, and `processes` caps the episode's pipeline groups (see
+    `run_episode`). Raises ReportNotFinite, before anything is written, when
+    the report is not finite."""
     trace = run_episode(cfg.robot, cfg.kinematic, cfg.asmc, cfg.platoon,
                         cfg.arena, cfg.sim, controller, path=path,
-                        scenario_label=cfg.scenario_hash(), processes=processes)
+                        scenario_label=label, processes=processes)
     report = mx.report_from_trace(trace, cfg.metrics.warmup_cutoff)
     columns = {"rms_x": report.rms_x, "rms_y": report.rms_y,
                "rms_gap": report.rms_gap}
@@ -123,6 +124,7 @@ def run_command(args: argparse.Namespace) -> int:
                 node[key] = value
         cfg = from_dict(doc)
         path = _load_path(cfg)
+        label = cfg.scenario_hash()
     except ConfigError as exc:
         return _fail("validation", str(exc))
 
@@ -141,8 +143,8 @@ def run_command(args: argparse.Namespace) -> int:
         # concurrent episodes share the cores between their pipelines
         processes = max(1, usable_cores() // len(controllers))
         jobs = [functools.partial(_episode_job, cfg, c,
-                                  str(out_dir / f"trace_{c}.csv"), path,
-                                  processes) for c in controllers]
+                                  str(out_dir / f"trace_{c}.csv"), label,
+                                  path, processes) for c in controllers]
         reports = dict(zip(controllers, run_forked(jobs)))
 
         mx.write_plotspec(out_dir / "plotspec.txt", cfg.platoon.n_robots)

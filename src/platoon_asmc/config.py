@@ -110,11 +110,19 @@ class RunConfig:
                               f"NUL byte, got {self.output_dir!r}")
 
     def scenario_hash(self) -> str:
-        """Digest of everything that defines the physics and references; two
-        traces are comparable iff their hashes match."""
+        """Digest of everything that defines the physics and references, a
+        course file by its bytes rather than its name; two traces are
+        comparable iff their hashes match. Raises ConfigError for a course
+        file that cannot be read."""
         doc = self.to_dict()
         doc.pop("output_dir")
         doc.pop("controller")
+        if self.path_file is not None:
+            try:
+                with open(self.path_file, "rb") as fh:
+                    doc["path_file"] = hashlib.sha256(fh.read()).hexdigest()
+            except OSError as exc:
+                raise ConfigError(f"[path_file] {exc}") from exc
         blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()[:12]
 

@@ -244,7 +244,8 @@ def lead_start_on(path: Path, platoon: PlatoonConfig, sim: SimConfig,
         raise ValueError(
             f"the leader starts at arc {lead_start_arc:.3f} m, short of the "
             f"{tail:.3f} m its {platoon.n_robots - 1} followers need behind it")
-    end = lead_start_arc + platoon.v_d * sim.n_periods() * sim.control_period
+    # the leader's last reference arc, as `_run_group` computes it
+    end = lead_start_arc + platoon.v_d * (sim.n_periods() * sim.control_period)
     if not 0.0 <= lead_start_arc <= end <= path.total_length:
         raise ValueError(
             f"the leader's reference runs from arc {lead_start_arc:.3f} to "

@@ -7,15 +7,15 @@ can stay a plain search over one array with no wrap-around logic.
 
 Each robot's progress along the course is its path marker, the nearest
 waypoint within PROJECTION_WINDOW vertices of its last one, ties to the
-larger index. Per step the engine finds it by a walk of a few vertices from
-the last marker, which a per-vertex clearance certifies to be the windowed
-scan's answer; where the certificate fails, it runs the scan.
+larger index. Per step the engine finds it by a forward walk of a few
+vertices from the last marker, which a per-vertex clearance certifies to be
+the windowed scan's answer; where the certificate fails, it runs the scan.
 
 Followers target the waypoint a desired arc gap behind their predecessor
-(a search on the cumulative arc length that gallops from the follower's
-previous target, then bisects). The leader tracks a smooth time-parameterized
-reference sampled by arc length, with the tangent and curvature interpolated
-between waypoints.
+(a search on the cumulative arc length that walks forward from the
+follower's previous target, else bisects). The leader tracks a smooth
+time-parameterized reference sampled by arc length, with the tangent and
+curvature interpolated between waypoints.
 """
 
 from __future__ import annotations
@@ -33,7 +33,8 @@ from .arena import finite, require
 DEFAULT_SPACING = 0.05
 # The projection searches this many vertices either side of its hint.
 PROJECTION_WINDOW = 200
-# The walk moves at most this many vertices from its hint.
+# Each per-step walk, the projection's and the target's, moves at most this
+# many vertices forward from its hint.
 WALK_MOVES = 3
 
 
@@ -232,12 +233,12 @@ def target_waypoint(path: Path, leader_index: int, gap_des: float,
     arc[leader_index] - arc[i], is >= gap_des; 0 when the path behind is
     shorter than the gap. That predicate is monotone in i (arc is
     non-decreasing and float subtraction is monotone), so the search
-    gallops from `hint` (clipped to [0, leader_index]; leader_index when
-    None) toward the answer, doubling its stride, then bisects the last
-    stride: O(log d) probes for an answer d indices from the hint,
-    evaluating exactly the float expression above at every probe. A
-    follower's previous target makes a good hint, and any hint gives the
-    same index.
+    walks forward from `hint` (clipped to [0, leader_index]; leader_index
+    when None) at most WALK_MOVES indices, and bisects the rest of the
+    path ahead where the walk runs out, or [0, hint - 1] where the hint is
+    past the answer. Every probe evaluates exactly the float expression
+    above. A follower's previous target makes a good hint, and any hint
+    gives the same index.
     """
     if not 0 <= leader_index < len(path):
         raise ValueError(f"leader_index {leader_index} outside path of {len(path)} points")
@@ -246,26 +247,17 @@ def target_waypoint(path: Path, leader_index: int, gap_des: float,
     arc = path._arc
     a = arc[leader_index]
     i = leader_index if hint is None else min(max(hint, 0), leader_index)
-    # gallop to a bracket: the answer lies in [lo, hi]
-    stride = 1
+    # the answer lies in [lo, hi]
     if a - arc[i] >= gap_des:
         lo, hi = i, leader_index
-        while lo + stride <= hi:
-            if a - arc[lo + stride] >= gap_des:
-                lo += stride
-                stride *= 2
-            else:
-                hi = lo + stride - 1
+        while lo < hi and a - arc[lo + 1] >= gap_des:
+            lo += 1
+            if lo - i == WALK_MOVES:
                 break
+        else:  # the walk stopped at the answer
+            return lo
     else:
         lo, hi = 0, i - 1
-        while stride <= hi:
-            probe = hi + 1 - stride
-            if a - arc[probe] >= gap_des:
-                lo = probe
-                break
-            hi = probe - 1
-            stride *= 2
     while lo < hi:
         mid = (lo + hi + 1) >> 1
         if a - arc[mid] >= gap_des:
@@ -325,14 +317,14 @@ def nearest_index_from(path: Path, x: float, y: float, hint: int) -> int:
     """`nearest_index(path, x, y, hint)` by a walk from `hint`, the
     engine's per-step projection; the walk does not check its hint.
 
-    The walk steps forward while the next vertex is not farther, or else
-    back while the previous one is nearer, at most WALK_MOVES vertices; so
-    where it stops at w, d(w + 1) > d(w) <= d(w - 1), the scan's tie rule.
-    Every d is the scan's own float expression. If 4 d(w) < `clear2[w]`,
-    the triangle inequality puts every other vertex of the scan's window
-    farther than w, and w is the scan's answer. Otherwise (a longer walk,
-    NaN or inf, an overflow, a hairpin, a subnormal course) this runs the
-    scan.
+    The walk steps forward while the next vertex is not farther, at most
+    WALK_MOVES vertices; where it made no move, the previous vertex must
+    not be nearer, else this runs the scan. So where it stops at w,
+    d(w + 1) > d(w) <= d(w - 1), the scan's tie rule. Every d is the
+    scan's own float expression. If 4 d(w) < `clear2[w]`, the triangle
+    inequality puts every other vertex of the scan's window farther than
+    w, and w is the scan's answer. Otherwise (a longer walk, one back, NaN
+    or inf, an overflow, a hairpin, a subnormal course) this runs the scan.
     """
     cx, cy = path._cx, path._cy
     w = hint
@@ -350,16 +342,11 @@ def nearest_index_from(path: Path, x: float, y: float, hint: int) -> int:
         if moves == WALK_MOVES:
             return nearest_index(path, x, y, hint)
         w, d, moves = w + 1, e, moves + 1
-    if not moves:
-        while w:
-            dx = cx[w - 1] - x
-            dy = cy[w - 1] - y
-            e = dx * dx + dy * dy
-            if not e < d:
-                break
-            if moves == WALK_MOVES:
-                return nearest_index(path, x, y, hint)
-            w, d, moves = w - 1, e, moves + 1
+    if not moves and w:
+        dx = cx[w - 1] - x
+        dy = cy[w - 1] - y
+        if dx * dx + dy * dy < d:
+            return nearest_index(path, x, y, hint)
     if 4.0 * d < path.clear2[w]:
         return w
     return nearest_index(path, x, y, hint)

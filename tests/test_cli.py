@@ -182,6 +182,18 @@ class TestConfigParsing:
         assert a.scenario_hash() == b.scenario_hash()
         assert a.scenario_hash() != c.scenario_hash()
 
+    def test_scenario_hash_digests_the_course_not_its_name(self, tmp_path):
+        def label(course):
+            return from_dict(tiny_config(path_file=str(course))).scenario_hash()
+
+        one, two = tmp_path / "one.txt", tmp_path / "two.txt"
+        one.write_text("0 0\n100 0\n")
+        two.write_text("0 0\n100 0\n")
+        straight = label(one)
+        assert label(two) == straight
+        one.write_text("0 0\n50 50\n100 0\n")
+        assert label(one) != straight
+
 
 class TestRunCommand:
     def test_happy_path_both_controllers(self, tmp_path):
@@ -202,7 +214,7 @@ class TestRunCommand:
         # report of the trace the job wrote
         cfg = from_dict(tiny_config(**{"metrics.warmup_cutoff": 0.5}))
         csv = tmp_path / "trace.csv"
-        rep = _episode_job(cfg, "baseline", str(csv))
+        rep = _episode_job(cfg, "baseline", str(csv), cfg.scenario_hash())
         trace = dataclasses.replace(load_trace(csv), controller="baseline",
                                     scenario=cfg.scenario_hash())
         assert rep == report_from_trace(trace, 0.5)
