@@ -68,10 +68,14 @@ class Arena:
 
     quadrant_mu holds the surface friction value per quadrant; the scale
     applied to a robot's wheel friction coefficients is mu_quadrant / mu_1.
+    The defaults are the shipped scenario's: Q3 at 1.3x the others, and two
+    bands on the figure-eight course. `speed_breakers=()` is a bare arena.
     """
 
     quadrant_mu: tuple[float, float, float, float] = (0.1, 0.1, 0.13, 0.1)
-    speed_breakers: tuple[SpeedBreaker, ...] = ()
+    speed_breakers: tuple[SpeedBreaker, ...] = (
+        SpeedBreaker(x=-2.709293, y=2.525828, half_width=0.4),
+        SpeedBreaker(x=7.897371, y=-4.915739, half_width=0.4))
 
     def __post_init__(self) -> None:
         if len(self.quadrant_mu) != 4:

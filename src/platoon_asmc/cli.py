@@ -10,7 +10,8 @@ or an output that cannot be written; exit 3 for an episode that aborts, runs
 out of memory, or whose forked process could not start or was lost. What it
 prints on stdout and stderr is best-effort: a missing, closed, broken or full
 stream drops the line and never changes how the run ends. A SIGTERM to the
-command ends every process it forked.
+command ends every process it forked; so does a SIGINT (Ctrl-C), which then
+ends the command as killed by SIGINT, with no traceback.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import functools
 import json
 import math
 import os
+import signal
 import sys
 from pathlib import Path as FsPath
 
@@ -210,4 +212,11 @@ def main(argv: list[str] | None = None) -> int:
         args = build_parser().parse_args(argv)
     except ConfigError as exc:
         return _fail("validation", str(exc))
-    return args.func(args)
+    try:
+        return args.func(args)
+    except KeyboardInterrupt:
+        # `run_forked` has killed and reaped its children; die of SIGINT as
+        # the default action would, without Python's traceback
+        signal.signal(signal.SIGINT, signal.SIG_DFL)
+        signal.raise_signal(signal.SIGINT)
+        raise

@@ -2,7 +2,8 @@
 
 The accepted shapes come from the dataclass annotations, read once per class:
 a dataclass takes a JSON object with known keys only (absent keys keep their
-defaults); `tuple[X, ...]` and fixed-length `tuple[X, Y, Z]` take lists;
+defaults, which are the shipped scenario's values: `{}` is `RunConfig()`);
+`tuple[X, ...]` and fixed-length `tuple[X, Y, Z]` take lists;
 `A | B` takes the arm that fits the value's JSON shape; a scalar must match
 its type (bool is never a number, `int` fields take integers only).
 Integers in number fields are stored, and echoed, as floats.
@@ -31,7 +32,7 @@ import types
 import typing
 from dataclasses import dataclass, field
 
-from .arena import Arena, SpeedBreaker, require
+from .arena import Arena, require
 from .control import AsmcConfig, KinematicGains
 from .engine import CONTROLLERS, PER_ROBOT_FIELDS, SimConfig, check_sections
 from .platoon import DEFAULT_SPACING, PlatoonConfig
@@ -235,11 +236,6 @@ def dump_config(cfg: RunConfig, path) -> None:
 
 
 def default_config() -> RunConfig:
-    """The shipped default scenario: three robots on the figure-eight with the
-    quadrant friction field and two speed-breaker bands on the course."""
-    return RunConfig(arena=Arena(speed_breakers=(
-        SpeedBreaker(x=-2.709293, y=2.525828, half_width=0.4,
-                     amp_force=2.0, amp_torque=0.2),
-        SpeedBreaker(x=7.897371, y=-4.915739, half_width=0.4,
-                     amp_force=2.0, amp_torque=0.2),
-    )))
+    """The shipped default scenario, every section at its defaults: three
+    robots on the figure-eight, the quadrant friction field and two bands."""
+    return RunConfig()

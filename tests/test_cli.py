@@ -17,6 +17,7 @@ import pytest
 
 from platoon_asmc.cli import _episode_job, main
 from platoon_asmc.config import (
+    RunConfig,
     default_config,
     dump_config,
     from_dict,
@@ -87,14 +88,23 @@ class TestConfigParsing:
         cfg = default_config()
         assert from_dict(cfg.to_dict()) == cfg
 
-    def test_shipped_defaults_file_matches_code(self):
-        shipped = load_config(REPO_ROOT / "configs" / "defaults.json")
-        assert shipped == default_config()
+    def test_shipped_defaults_file_matches_code(self, tmp_path):
+        """The section defaults are the one definition of the shipped
+        scenario: the file, `{}` and `default_config()` all are them."""
+        shipped = REPO_ROOT / "configs" / "defaults.json"
+        assert load_config(shipped) == default_config()
+        assert from_dict({}) == RunConfig() == default_config()
+        dump_config(RunConfig(), tmp_path / "echo.json")
+        assert (tmp_path / "echo.json").read_bytes() == shipped.read_bytes()
 
     def test_default_scenario_hash_is_pinned(self):
         shipped = load_config(REPO_ROOT / "configs" / "defaults.json")
         assert shipped.scenario_hash() == "b10a18f82abd"
         assert default_config().scenario_hash() == "b10a18f82abd"
+        assert from_dict({}).scenario_hash() == "b10a18f82abd"
+        # a document that leaves the arena out keeps both bands
+        short = from_dict({"sim": {"duration": 20}})
+        assert short.arena == default_config().arena
 
     @pytest.mark.parametrize("section,key,value", [
         ("sim", "duration", 600), ("robot", "m", 1)])
@@ -837,31 +847,43 @@ def _live_processes(sid: int, marker: str) -> list[int]:
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
                     reason="the parent-death signal is Linux's")
-@pytest.mark.parametrize("launch,processes", [
-    (["-m", "platoon_asmc"], 2),
-    # two pipeline groups per episode: the forked baseline episode forks its
-    # second group, which must not outlive it either
-    (["-c", "import sys; from platoon_asmc import cli; "
-            "cli.usable_cores = lambda: 4; sys.exit(cli.main())"], 4),
-], ids=["episodes", "episode_groups"])
+@pytest.mark.parametrize("launch,processes,signum", [
+    (launch, processes, signum)
+    for signum in (signal.SIGTERM, signal.SIGINT)
+    for launch, processes in (
+        (["-m", "platoon_asmc"], 2),
+        # two pipeline groups per episode: the forked baseline episode forks
+        # its second group, which must not outlive it either
+        (["-c", "import sys; from platoon_asmc import cli; "
+                "cli.usable_cores = lambda: 4; sys.exit(cli.main())"], 4))
+], ids=["episodes", "episode_groups", "episodes_sigint",
+        "episode_groups_sigint"])
 def test_terminated_run_leaves_no_process_running(tmp_path, launch,
-                                                  processes):
-    """A SIGTERM to the command alone ends every process forked below it.
-    The command runs in a session of its own, and its processes are found
-    by that session and by an environment marker they all inherit."""
+                                                  processes, signum):
+    """A SIGTERM or a SIGINT (Ctrl-C) to the command alone ends every
+    process forked below it, and the command dies of that signal with
+    nothing on stderr. The command runs in a session of its own, and its
+    processes are found by that session and by an environment marker they
+    all inherit. It starts with SIGINT's default action, so that Python
+    turns the signal into KeyboardInterrupt even where the test's own
+    process ignores it, as a shell's background job does."""
     marker = f"PLATOON_ASMC_TEST_RUN={uuid.uuid4().hex}"
     key, value = marker.split("=")
     proc = subprocess.Popen(
         [sys.executable, *launch, "run", "--controller", "both",
          "--duration", "3000", "--out", str(tmp_path), "--quiet"],
-        env=module_env(**{key: value}), start_new_session=True)
+        env=module_env(**{key: value}), start_new_session=True,
+        preexec_fn=functools.partial(signal.signal, signal.SIGINT,
+                                     signal.SIG_DFL),
+        stderr=subprocess.PIPE, text=True)
     try:
         deadline = time.monotonic() + 60
         while len(_live_processes(proc.pid, marker)) < processes:
             assert time.monotonic() < deadline, "the episodes never forked"
             time.sleep(0.05)
-        proc.send_signal(signal.SIGTERM)
-        assert proc.wait(timeout=60) == -signal.SIGTERM
+        proc.send_signal(signum)
+        assert proc.wait(timeout=60) == -signum
+        assert proc.stderr.read() == ""
         deadline = time.monotonic() + 5
         while left := _live_processes(proc.pid, marker):
             assert time.monotonic() < deadline, f"still running: {left}"
@@ -870,6 +892,7 @@ def test_terminated_run_leaves_no_process_running(tmp_path, launch,
         with contextlib.suppress(ProcessLookupError):
             os.killpg(proc.pid, signal.SIGKILL)
         proc.wait()
+        proc.stderr.close()
 
 
 def assert_one_validation_error(tmp_path, capfd, keys, value):
